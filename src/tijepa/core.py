@@ -217,21 +217,37 @@ class Predictor:
         self.out_w = Tensor(rng.normal(0.0, INIT_STD, (w, fused_dim)), requires_grad, dtype=dtype)
         self.out_b = Tensor(np.zeros(fused_dim), requires_grad, dtype=dtype)
 
-    def predict(self, context_reps: Tensor, context_positions, target_positions,
+    def predict(self, context_reps: Tensor, context_positions, target_blocks,
                 grid: tuple[int, int]) -> Tensor:
-        ctx_idx = [int(i) for i in context_positions]
-        tgt_idx = [int(i) for i in target_positions]
-        if set(ctx_idx) & set(tgt_idx):
+        """Predict every target block of one example in a single pass.
+
+        ``target_blocks`` holds one sequence of grid positions per block. Each
+        block is its own attention segment, the context tokens followed by
+        the block's mask tokens, so blocks never see one another. Returns the
+        predicted rows of all blocks stacked in block order.
+        """
+        ctx_idx = np.asarray(context_positions, dtype=np.int64)
+        tgt_blocks = [np.asarray(block, dtype=np.int64) for block in target_blocks]
+        if not tgt_blocks:
+            raise ShapeError("no target blocks to predict")
+        tgt_idx = np.concatenate(tgt_blocks)
+        if np.intersect1d(ctx_idx, tgt_idx).size:
             raise ShapeError("target positions overlap context positions")
-        if context_reps.shape[0] != len(ctx_idx):
+        n_ctx = ctx_idx.size
+        if context_reps.shape[0] != n_ctx:
             raise ShapeError("context rows do not match context positions")
         pos = sincos_pos_2d(grid[0], grid[1], self.cfg.width, self.dtype)
         ctx = add(linear(context_reps, self.in_w, self.in_b), Tensor(pos[ctx_idx], dtype=self.dtype))
         masks = add(Tensor(pos[tgt_idx], dtype=self.dtype), self.mask_token)
-        tokens = concat_rows([ctx, masks])
+        # rows of concat_rows([ctx, masks]) that make up each block's segment
+        starts = np.cumsum([n_ctx] + [block.size for block in tgt_blocks[:-1]])
+        layout = np.concatenate([np.r_[0:n_ctx, start:start + block.size]
+                                 for start, block in zip(starts, tgt_blocks)])
+        tokens = gather_rows(concat_rows([ctx, masks]), layout)
+        segments = [n_ctx + block.size for block in tgt_blocks]
         for block in self.blocks:
-            tokens = block(tokens)
-        slots = gather_rows(tokens, range(len(ctx_idx), len(ctx_idx) + len(tgt_idx)))
+            tokens = block(tokens, segments)
+        slots = gather_rows(tokens, np.flatnonzero(layout >= n_ctx))
         return linear(slots, self.out_w, self.out_b)
 
     __call__ = predict
@@ -247,11 +263,6 @@ class Predictor:
         return out
 
 
-def predict(context_reps: Tensor, context_positions, target_positions,
-            predictor: Predictor, grid: tuple[int, int]) -> Tensor:
-    return predictor.predict(context_reps, context_positions, target_positions, grid)
-
-
 # ---------------------------------------------------------------------------
 # forward paths
 
@@ -259,16 +270,20 @@ def predict(context_reps: Tensor, context_positions, target_positions,
 def make_targets(image: np.ndarray, caption, masks: MaskSet, image_encoder: ImageEncoder,
                  text_encoder: TextEncoder, target_fusion: FusionModule,
                  return_full: bool = False):
-    """Fused full-image representations sliced per target block, gradient-free."""
+    """Fused full-image representations of the target blocks, gradient-free.
+
+    Rows follow the blocks in order, each block's patches in ``indices()``
+    order, matching the rows ``Predictor.predict`` returns.
+    """
     with no_grad():
         ids = tokenize_text(caption, text_encoder.cfg.max_text_len)
         text_reps = text_encoder.encode(ids)
         image_reps = image_encoder.encode(image)
         fused = fuse(target_fusion, image_reps, text_reps)
-        blocks = [gather_rows(fused, block.indices()) for block in masks.targets]
+        targets = gather_rows(fused, [i for block in masks.targets for i in block.indices()])
     if return_full:
-        return blocks, fused
-    return blocks
+        return targets, fused
+    return targets
 
 
 def make_context(image: np.ndarray, caption, masks: MaskSet, image_encoder: ImageEncoder,
@@ -282,25 +297,27 @@ def make_context(image: np.ndarray, caption, masks: MaskSet, image_encoder: Imag
     return fuse(fusion, context_reps, text_reps)
 
 
-def prediction_loss(predictions, targets, kind: str = "l2") -> Tensor:
+def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
+                    kind: str = "l2") -> Tensor:
     """Per-block distances between predictions and targets, averaged over blocks.
 
-    ``l2`` (default) sums squared differences; ``l1`` sums absolute ones.
+    Rows hold the target blocks stacked in order, ``block_sizes`` rows each.
+    ``l2`` (default) sums squared differences; ``l1`` sums absolute ones. The
+    mean over blocks of per-block sums is the sum over all rows divided by
+    the block count.
     """
-    if len(predictions) != len(targets):
-        raise ShapeError(f"{len(predictions)} prediction blocks vs {len(targets)} target blocks")
-    if not predictions:
+    sizes = [int(n) for n in block_sizes]
+    if not sizes:
         raise ShapeError("no prediction blocks")
     if kind not in ("l2", "l1"):
         raise ShapeError(f"unknown loss kind '{kind}'")
-    total = None
-    for pred, tgt in zip(predictions, targets):
-        if pred.shape != tgt.shape:
-            raise ShapeError(f"prediction block {pred.shape} vs target block {tgt.shape}")
-        diff = sub(pred, tgt)
-        term = sum_all(mul(diff, diff)) if kind == "l2" else sum_all(abs_val(diff))
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / len(predictions))
+    if predictions.shape != targets.shape:
+        raise ShapeError(f"predictions {predictions.shape} vs targets {targets.shape}")
+    if sum(sizes) != predictions.shape[0]:
+        raise ShapeError(f"block sizes {sizes} do not add up to {predictions.shape[0]} rows")
+    diff = sub(predictions, targets)
+    total = sum_all(mul(diff, diff)) if kind == "l2" else sum_all(abs_val(diff))
+    return scale(total, 1.0 / len(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +341,7 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
 
     Targets are precomputed constants (they are gradient-free in training),
     so the check covers the context, predictor, and loss paths, including
-    unfrozen encoders.
+    unfrozen encoders and the predictor's one pass over two target blocks.
     """
     from .encoders import EncoderConfig
     from .masking import sample_masks
@@ -340,17 +357,20 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
     predictor = Predictor(PredictorConfig(depth=1, heads=2, width=8), 8, rng,
                           requires_grad=True, dtype=np.float64)
 
-    image = rng.uniform(0, 1, (3, 8, 8))
+    # a 3x3 grid fits two target blocks, usually of unequal size, so the
+    # predictor's segmented attention is part of the check
+    grid = (3, 3)
+    image = rng.uniform(0, 1, (3, 12, 12))
     caption = "ab"
-    masks = sample_masks((2, 2), 1, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
+    masks = sample_masks(grid, 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
                          np.random.default_rng(seed + 1))
     targets = make_targets(image, caption, masks, image_encoder, text_encoder, target_fusion)
 
     def build():
         context = make_context(image, caption, masks, image_encoder, text_encoder, fusion)
-        preds = [predict(context, masks.context, block.indices(), predictor, (2, 2))
-                 for block in masks.targets]
-        return prediction_loss(preds, targets)
+        preds = predictor.predict(context, masks.context,
+                                  [block.indices() for block in masks.targets], grid)
+        return prediction_loss(preds, targets, [block.area for block in masks.targets])
 
     params: dict[str, Tensor] = {}
     params.update(image_encoder.named_parameters())

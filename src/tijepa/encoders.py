@@ -172,9 +172,10 @@ class TransformerBlock:
         self.mlp_w1, self.mlp_b1 = w((dim, hidden)), zeros(hidden)
         self.mlp_w2, self.mlp_b2 = w((hidden, dim)), zeros(dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, segments=None) -> Tensor:
+        """``segments``: row counts of independent sequences stacked in ``x``."""
         normed = layer_norm(x, self.ln1_g, self.ln1_b)
-        x = add(x, attention(normed, normed, self.attn, self.heads))
+        x = add(x, attention(normed, normed, self.attn, self.heads, segments))
         h = linear(gelu(linear(layer_norm(x, self.ln2_g, self.ln2_b), self.mlp_w1, self.mlp_b1)),
                    self.mlp_w2, self.mlp_b2)
         return add(x, h)

@@ -106,33 +106,13 @@ class Tensor:
         return neg(self)
 
 
-@dataclass
-class TapeEntry:
-    op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    # maps the output gradient to one gradient (or None) per input
-    backward: Callable[[np.ndarray], tuple]
-
-
-class ComputationTape:
-    """Ordered record of differentiable ops; reverse replay is backprop."""
-
-    def __init__(self):
-        self.entries: list[TapeEntry] = []
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def clear(self) -> None:
-        self.entries.clear()
-
-
-_TAPE = ComputationTape()
+# one (op, inputs, output, backward) tuple per recorded op; backward maps the
+# output gradient to one gradient (or None) per input
+_TAPE: list[tuple] = []
 _GRAD_ENABLED = True
 
 
-def active_tape() -> ComputationTape:
+def active_tape() -> list[tuple]:
     return _TAPE
 
 
@@ -156,7 +136,7 @@ def _record(op: str, inputs: Sequence[Tensor], arr: np.ndarray, backward) -> Ten
     needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor._result(arr, needs)
     if needs:
-        _TAPE.entries.append(TapeEntry(op, tuple(inputs), out, backward))
+        _TAPE.append((op, tuple(inputs), out, backward))
     return out
 
 
@@ -177,17 +157,15 @@ def backward(loss: Tensor) -> None:
     tape = _TAPE
     if loss.requires_grad:
         _accumulate(loss, np.ones_like(loss.data))
-        for entry in reversed(tape.entries):
-            gout = entry.output.grad
-            if gout is None:
+        for _op, inputs, output, back in reversed(tape):
+            if output.grad is None:
                 continue
-            grads = entry.backward(gout)
-            for t, gi in zip(entry.inputs, grads):
+            for t, gi in zip(inputs, back(output.grad)):
                 if gi is not None and t.requires_grad:
                     _accumulate(t, gi)
-    produced = {id(e.output) for e in tape.entries}
-    for entry in tape.entries:
-        for t in entry.inputs:
+    produced = {id(output) for _op, _inputs, output, _back in tape}
+    for _op, inputs, _output, _back in tape:
+        for t in inputs:
             if t.requires_grad and id(t) not in produced and t.grad is None:
                 t.grad = np.zeros_like(t.data)
     tape.clear()
@@ -275,16 +253,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a.data @ b.data, back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
-
-    def back(g):
-        return (g.T.copy(),)
-
-    return _record("transpose", (a,), a.data.T.copy(), back)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
@@ -314,20 +282,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _record("gather_rows", (a,), a.data[idx].copy(), back)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols expects a 2-D tensor, got {a.shape}")
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols: bad range [{start}, {stop}) for width {a.shape[1]}")
-
-    def back(g):
-        ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
-        return (ga,)
-
-    return _record("slice_cols", (a,), a.data[:, start:stop].copy(), back)
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ShapeError("concat_rows: empty input")
@@ -342,22 +296,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=0))
 
     return _record("concat_rows", tuple(parts), np.concatenate([p.data for p in parts], axis=0), back)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_cols: empty input")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError("concat_cols: all parts must be 2-D with equal row count")
-    sizes = [p.shape[1] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=1))
-
-    return _record("concat_cols", tuple(parts), np.concatenate([p.data for p in parts], axis=1), back)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -500,11 +438,63 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
-def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int) -> Tensor:
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    n, d = x.shape  # (N, heads * dh) -> a (heads, N, dh) view
+    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    heads, n, dh = x.shape
+    return x.transpose(1, 0, 2).reshape(n, heads * dh)
+
+
+def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments) -> Tensor:
+    """softmax(Q K^T / sqrt(dh)) V of every head of projected Q/K/V, as one tape op."""
+    (nq, d), nk = q.shape, k.shape[0]
+    if segments is None:
+        spans = [(slice(0, nq), slice(0, nk))]
+    else:
+        sizes = [int(n) for n in segments]
+        if nq != nk or not sizes or min(sizes) < 1 or sum(sizes) != nq:
+            raise ShapeError(f"attention: segments {sizes} do not tile {nq} queries / {nk} keys")
+        bounds = np.cumsum([0] + sizes)
+        spans = [(slice(lo, hi), slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    c = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    out = np.empty_like(qh)
+    weights = []
+    for qs, ks in spans:
+        p = np.matmul(qh[:, qs], kh[:, ks].transpose(0, 2, 1)) * c
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[:, qs] = p @ vh[:, ks]
+        weights.append(p)
+
+    def back(g):
+        gh = _split_heads(g, heads)
+        dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
+        for (qs, ks), p in zip(spans, weights):
+            go = gh[:, qs]
+            dv[:, ks] = p.transpose(0, 2, 1) @ go
+            dp = go @ vh[:, ks].transpose(0, 2, 1)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= c
+            dq[:, qs] = ds @ kh[:, ks]
+            dk[:, ks] = ds.transpose(0, 2, 1) @ qh[:, qs]
+        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+
+    return _record("attention", (q, k, v), _merge_heads(out), back)
+
+
+def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int,
+              segments=None) -> Tensor:
     """Multi-head scaled dot-product attention.
 
     Self-attention when ``q_src is kv_src``, cross-attention otherwise; the
-    output keeps ``q_src``'s sequence length.
+    output keeps ``q_src``'s sequence length. ``segments`` lists the row
+    counts of independent sequences stacked in a self-attention input; no
+    query attends to a key of another segment.
     """
     if q_src.ndim != 2 or kv_src.ndim != 2:
         raise ShapeError("attention expects 2-D token matrices")
@@ -513,21 +503,10 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
         raise ShapeError(f"attention: query width {d} != key/value width {kv_src.shape[1]}")
     if d % heads != 0:
         raise ShapeError(f"attention: width {d} not divisible by {heads} heads")
-    dh = d // heads
     q = linear(q_src, params.wq, params.bq)
     k = linear(kv_src, params.wk, params.bk)
     v = linear(kv_src, params.wv, params.bv)
-    outs = []
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_cols(q, lo, hi)
-        kh = slice_cols(k, lo, hi)
-        vh = slice_cols(v, lo, hi)
-        scores = scale(matmul(qh, transpose(kh)), inv_sqrt)
-        weights = softmax(scores, axis=-1)
-        outs.append(matmul(weights, vh))
-    merged = outs[0] if heads == 1 else concat_cols(outs)
+    merged = _attention_heads(q, k, v, heads, segments)
     return linear(merged, params.wo, params.bo)
 
 
@@ -629,11 +608,6 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     checks.append(("gather_rows", check_gradients(
         lambda: sum_all(mul(gather_rows(x, idx), r)), [x])))
 
-    x = _rand64(rng, (3, 8))
-    r = _const64(rng, (3, 8))
-    checks.append(("slice_concat_cols", check_gradients(
-        lambda: sum_all(mul(concat_cols([slice_cols(x, 3, 8), slice_cols(x, 0, 3)]), r)), [x])))
-
     p1, p2 = _rand64(rng, (2, 4)), _rand64(rng, (3, 4))
     r = _const64(rng, (5, 4))
     checks.append(("concat_rows", check_gradients(
@@ -645,8 +619,8 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
 
     x = _rand64(rng, (3, 4))
     r = _const64(rng, (2, 6))
-    checks.append(("reshape_transpose", check_gradients(
-        lambda: sum_all(mul(reshape(transpose(x), (2, 6)), r)), [x])))
+    checks.append(("reshape", check_gradients(
+        lambda: sum_all(mul(reshape(x, (2, 6)), r)), [x])))
 
     z = _rand64(rng, (5,), -2.0, 2.0)
     checks.append(("cross_entropy", check_gradients(lambda: cross_entropy_logits(z, 2), [z])))
@@ -664,5 +638,10 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     cp = [q, kv] + [getattr(ap, f) for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
     checks.append(("attention_cross", check_gradients(
         lambda: sum_all(mul(attention(q, kv, ap, 2), r)), cp)))
+
+    x = _rand64(rng, (7, 8))
+    r = _const64(rng, (7, 8))
+    checks.append(("attention_segments", check_gradients(
+        lambda: sum_all(mul(attention(x, x, ap, 2, segments=(2, 4, 1)), r)), [x] + cp[2:])))
 
     return checks

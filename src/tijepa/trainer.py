@@ -25,7 +25,6 @@ from .core import (
     PredictorConfig,
     make_context,
     make_targets,
-    predict,
     prediction_loss,
 )
 from .encoders import EncoderConfig, ImageEncoder, TextEncoder
@@ -224,22 +223,24 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
                weight_decay: float = 0.0) -> None:
     """One bias-corrected AdamW update with decoupled weight decay, in place.
 
-    Missing gradients count as zeros; non-finite gradients abort with the
-    offending parameter's name.
+    Missing gradients count as zeros. Every gradient is checked before any
+    parameter or optimizer byte moves: a shape mismatch or a non-finite
+    gradient aborts the whole step with the offending parameter's name.
     """
-    state.t += 1
-    t = state.t
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    grads = {}
     for name in sorted(params):
         p = params[name]
         if p.data.shape != state.m[name].shape:
             raise ShapeError(f"optimizer state shape mismatch for '{name}'")
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
+        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.all(np.isfinite(grads[name])):
             raise NumericalError(f"non-finite gradient for parameter '{name}'")
-        m = state.m[name]
-        v = state.v[name]
+    state.t += 1
+    t = state.t
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, g in grads.items():
+        p, m, v = params[name], state.m[name], state.v[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -387,17 +388,16 @@ def _check_example_image(example, config: TiJepaConfig) -> None:
             f"image shape {img.shape} does not match configured size {config.image_size}")
 
 
-def _example_forward(state: PretrainState, example, masks):
-    targets, fused_full = make_targets(
-        example.image, example.caption, masks, state.image_encoder,
-        state.text_encoder, state.target_fusion, return_full=True)
-    context = make_context(example.image, example.caption, masks,
-                           state.image_encoder, state.text_encoder, state.fusion)
-    preds = [predict(context, masks.context, block.indices(), state.predictor,
-                     (masks.grid_h, masks.grid_w))
-             for block in masks.targets]
-    loss = prediction_loss(preds, targets, state.config.loss_type)
-    return loss, fused_full
+def _example_forward(state: PretrainState, image: np.ndarray, caption, masks,
+                     targets) -> Tensor:
+    """Prediction loss of one example whose context path reads ``caption``."""
+    context = make_context(image, caption, masks, state.image_encoder,
+                           state.text_encoder, state.fusion)
+    preds = state.predictor.predict(context, masks.context,
+                                    [block.indices() for block in masks.targets],
+                                    (masks.grid_h, masks.grid_w))
+    return prediction_loss(preds, targets, [block.area for block in masks.targets],
+                           state.config.loss_type)
 
 
 def train(config: TiJepaConfig, dataset, out_dir=None,
@@ -457,8 +457,11 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
                 logger.warning("step %d: skipping example %d (%s)", s + 1,
                                int(example_index), exc)
                 continue
-            loss_i, fused = _example_forward(state, example, masks)
-            loss_terms.append(loss_i)
+            targets, fused = make_targets(example.image, example.caption, masks,
+                                          state.image_encoder, state.text_encoder,
+                                          state.target_fusion, return_full=True)
+            loss_terms.append(_example_forward(state, example.image, example.caption,
+                                               masks, targets))
             fused_stack.append(fused.data)
         if not loss_terms:
             raise NumericalError(f"step {s + 1}: every example in the batch was skipped")
@@ -528,11 +531,8 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
                                    state.target_fusion)
             for caption, sink in ((example.caption, true_losses),
                                   (other.caption, permuted_losses)):
-                context = make_context(example.image, caption, masks, state.image_encoder,
-                                       state.text_encoder, state.fusion)
-                preds = [predict(context, masks.context, block.indices(), state.predictor,
-                                 (masks.grid_h, masks.grid_w)) for block in masks.targets]
-                sink.append(prediction_loss(preds, targets, config.loss_type).item())
+                sink.append(_example_forward(state, example.image, caption, masks,
+                                             targets).item())
     return float(np.mean(true_losses)), float(np.mean(permuted_losses))
 
 

@@ -12,7 +12,6 @@ from tijepa.core import (
     make_targets,
     param_count,
     pipeline_gradient_check,
-    predict,
     prediction_loss,
 )
 from tijepa.encoders import EncoderConfig, ImageEncoder, TextEncoder
@@ -23,9 +22,12 @@ from tijepa.numerics import (
     add,
     attention,
     backward,
+    concat_rows,
     gelu,
     layer_norm,
     linear,
+    mul,
+    sum_all,
 )
 
 DIM = 16
@@ -134,21 +136,24 @@ class TestMakeTargets:
         image_encoder, text_encoder = small_encoders()
         target_fusion = small_fusion(requires_grad=False)
         masks = mask_set()
-        blocks = make_targets(small_image(), "cap", masks, image_encoder,
-                              text_encoder, target_fusion)
-        assert len(blocks) == len(masks.targets)
-        for tensor, block in zip(blocks, masks.targets):
-            assert tensor.shape == (block.area, DIM)
-            assert not tensor.requires_grad
+        targets, fused = make_targets(small_image(), "cap", masks, image_encoder,
+                                      text_encoder, target_fusion, return_full=True)
+        assert targets.shape == (sum(block.area for block in masks.targets), DIM)
+        assert not targets.requires_grad
+        row = 0
+        for block in masks.targets:
+            np.testing.assert_array_equal(targets.data[row:row + block.area],
+                                          fused.data[list(block.indices())])
+            row += block.area
 
     def test_singleton_block_is_a_fused_row(self):
         image_encoder, text_encoder = small_encoders()
         target_fusion = small_fusion(requires_grad=False)
         single = BlockMask(2, 2, row=1, col=0, height=1, width=1, requested_area=1)
         masks = MaskSet(2, 2, single, (0, 1, 3), (single,))
-        blocks, fused = make_targets(small_image(), "cap", masks, image_encoder,
-                                     text_encoder, target_fusion, return_full=True)
-        np.testing.assert_array_equal(blocks[0].data, fused.data[2:3])
+        targets, fused = make_targets(small_image(), "cap", masks, image_encoder,
+                                      text_encoder, target_fusion, return_full=True)
+        np.testing.assert_array_equal(targets.data, fused.data[2:3])
 
     def test_context_pixels_influence_targets(self):
         # the target path encodes the full image, so pixels outside every
@@ -160,11 +165,11 @@ class TestMakeTargets:
         masks = MaskSet(2, 2, ctx, (3,), (target,))
         img = small_image()
         first = make_targets(img, "cap", masks, image_encoder, text_encoder,
-                             target_fusion)[0].data
+                             target_fusion).data
         img2 = img.copy()
         img2[:, 8:, 8:] = 1.0 - img2[:, 8:, 8:]  # patch 3 only (context area)
         second = make_targets(img2, "cap", masks, image_encoder, text_encoder,
-                              target_fusion)[0].data
+                              target_fusion).data
         assert np.abs(first - second).max() > 1e-6
 
 
@@ -222,13 +227,13 @@ class TestPredict:
     def test_one_prediction_row_per_mask_token(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, DIM)).astype(np.float32))
-        out = predict(ctx, [0, 1], [2, 3], predictor, GRID)
+        out = predictor.predict(ctx, [0, 1], [[2, 3]], GRID)
         assert out.shape == (2, DIM)
 
     def test_positions_differentiate_predictions(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, DIM)).astype(np.float32))
-        out = predict(ctx, [0], [1, 2], predictor, GRID).data
+        out = predictor.predict(ctx, [0], [[1, 2]], GRID).data
         assert np.abs(out[0] - out[1]).max() > 1e-6
 
     def test_depth_zero_is_affine_and_ignores_context(self):
@@ -236,8 +241,8 @@ class TestPredict:
         rng = np.random.default_rng(2)
         ctx_a = Tensor(rng.uniform(-1, 1, (2, DIM)).astype(np.float32))
         ctx_b = Tensor(rng.uniform(-1, 1, (2, DIM)).astype(np.float32))
-        out_a = predict(ctx_a, [0, 1], [3], predictor, GRID).data
-        out_b = predict(ctx_b, [0, 1], [3], predictor, GRID).data
+        out_a = predictor.predict(ctx_a, [0, 1], [[3]], GRID).data
+        out_b = predictor.predict(ctx_b, [0, 1], [[3]], GRID).data
         np.testing.assert_array_equal(out_a, out_b)
 
         from tijepa.encoders import sincos_pos_2d
@@ -248,59 +253,88 @@ class TestPredict:
     def test_row_order_follows_position_enumeration(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.random.default_rng(3).uniform(-1, 1, (1, DIM)).astype(np.float32))
-        forward = predict(ctx, [0], [1, 2, 3], predictor, GRID).data
-        permuted = predict(ctx, [0], [3, 1, 2], predictor, GRID).data
+        forward = predictor.predict(ctx, [0], [[1, 2, 3]], GRID).data
+        permuted = predictor.predict(ctx, [0], [[3, 1, 2]], GRID).data
         np.testing.assert_allclose(permuted, forward[[2, 0, 1]], atol=1e-6)
 
     def test_position_overlap_rejected(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.zeros((2, DIM), dtype=np.float32))
         with pytest.raises(ShapeError):
-            predict(ctx, [0, 1], [1, 2], predictor, GRID)
+            predictor.predict(ctx, [0, 1], [[1, 2]], GRID)
+        with pytest.raises(ShapeError):
+            predictor.predict(ctx, [0, 1], [[2], [3, 0]], GRID)
+
+    def test_multi_block_pass_matches_single_block_calls(self):
+        grid = (4, 4)
+        predictor = Predictor(PredictorConfig(depth=2, heads=2, width=DIM), DIM,
+                              np.random.default_rng(11))
+        params = predictor.named_parameters()
+        ctx = Tensor(np.random.default_rng(12).uniform(-1, 1, (6, DIM)).astype(np.float32),
+                     requires_grad=True)
+        ctx_pos = [0, 1, 4, 5, 8, 9]
+        blocks = [[2, 3, 6], [15], [10, 11, 14, 7], [3, 7]]
+        weights = Tensor(np.random.default_rng(13).uniform(-1, 1, (10, DIM)).astype(np.float32))
+
+        def run(pieces):
+            for p in [ctx, *params.values()]:
+                p.grad = None
+            out = pieces()
+            backward(sum_all(mul(out, weights)))
+            return out.data, {n: p.grad.copy() for n, p in [("ctx", ctx), *params.items()]}
+
+        joint, joint_grads = run(lambda: predictor.predict(ctx, ctx_pos, blocks, grid))
+        single, single_grads = run(lambda: concat_rows(
+            [predictor.predict(ctx, ctx_pos, [block], grid) for block in blocks]))
+        assert joint.shape == (10, DIM)
+        assert np.abs(joint - single).max() < 1e-5
+        for name, grad in single_grads.items():
+            assert np.abs(joint_grads[name] - grad).max() < 1e-5, name
 
 
 class TestPredictionLoss:
     def test_zero_when_equal(self):
         x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32))
-        assert prediction_loss([x], [x.detach()]).item() == 0.0
+        assert prediction_loss(x, x.detach(), [3]).item() == 0.0
 
     def test_three_four_five(self):
         pred = Tensor(np.array([[3.0, 4.0]]))
         tgt = Tensor(np.array([[0.0, 0.0]]))
-        assert prediction_loss([pred], [tgt]).item() == pytest.approx(25.0)
+        assert prediction_loss(pred, tgt, [1]).item() == pytest.approx(25.0)
 
     def test_hand_evaluated_two_blocks(self):
         # blocks of 2 and 3 patches, one dim, unit differences -> (2 + 3) / 2
-        pred1, tgt1 = Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 1)))
-        pred2, tgt2 = Tensor(np.ones((3, 1))), Tensor(np.zeros((3, 1)))
-        loss = prediction_loss([pred1, pred2], [tgt1, tgt2])
+        pred, tgt = Tensor(np.ones((5, 1))), Tensor(np.zeros((5, 1)))
+        loss = prediction_loss(pred, tgt, [2, 3])
         assert loss.item() == pytest.approx(2.5)
 
     def test_l1_variant(self):
         pred = Tensor(np.array([[3.0, -4.0]]))
         tgt = Tensor(np.zeros((1, 2)))
-        assert prediction_loss([pred], [tgt], kind="l1").item() == pytest.approx(7.0)
+        assert prediction_loss(pred, tgt, [1], kind="l1").item() == pytest.approx(7.0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             pred = Tensor(rng.uniform(-2, 2, (4, 3)).astype(np.float32))
             tgt = Tensor(rng.uniform(-2, 2, (4, 3)).astype(np.float32))
-            assert prediction_loss([pred], [tgt]).item() >= 0.0
+            assert prediction_loss(pred, tgt, [1, 3]).item() >= 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            prediction_loss([Tensor(np.zeros((2, 2)))], [Tensor(np.zeros((3, 2)))])
+            prediction_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))), [2])
 
     def test_block_count_mismatch(self):
         x = Tensor(np.zeros((1, 1)))
         with pytest.raises(ShapeError):
-            prediction_loss([x], [x, x])
+            prediction_loss(x, x, [1, 1])
+        with pytest.raises(ShapeError):
+            prediction_loss(x, x, [])
 
     def test_unknown_kind(self):
         x = Tensor(np.zeros((1, 1)))
         with pytest.raises(ShapeError):
-            prediction_loss([x], [x], kind="huber")
+            prediction_loss(x, x, [1], kind="huber")
 
 
 class TestStopGradient:
@@ -316,9 +350,9 @@ class TestStopGradient:
         targets = make_targets(img, "cap", masks, image_encoder, text_encoder,
                                target_fusion)
         context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
-        preds = [predict(context, masks.context, block.indices(), predictor, GRID)
-                 for block in masks.targets]
-        backward(prediction_loss(preds, targets))
+        preds = predictor.predict(context, masks.context,
+                                  [block.indices() for block in masks.targets], GRID)
+        backward(prediction_loss(preds, targets, [block.area for block in masks.targets]))
 
         for p in {**image_encoder.named_parameters(), **text_encoder.named_parameters(),
                   **target_fusion.named_parameters("target")}.values():
@@ -341,9 +375,9 @@ class TestStopGradient:
         img = small_image()
         targets = make_targets(img, "cap", masks, image_encoder, text_encoder, twin)
         context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
-        preds = [predict(context, masks.context, block.indices(), predictor, GRID)
-                 for block in masks.targets]
-        loss = prediction_loss(preds, targets)
+        preds = predictor.predict(context, masks.context,
+                                  [block.indices() for block in masks.targets], GRID)
+        loss = prediction_loss(preds, targets, [block.area for block in masks.targets])
         assert np.isfinite(loss.item())
 
 

@@ -192,6 +192,46 @@ class TestAttention:
         with pytest.raises(ShapeError):
             attention(t(np.zeros((2, 6))), t(np.zeros((2, 6))), params, heads=4)
 
+    def test_segments_match_attention_per_segment(self):
+        rng = np.random.default_rng(6)
+        params = AttentionParams.create(8, rng, std=0.5)
+        x = t(rng.uniform(-1, 1, (7, 8)))
+        out = attention(x, x, params, 2, segments=(2, 4, 1)).data
+        row = 0
+        for n in (2, 4, 1):
+            part = t(x.data[row:row + n])
+            expected = attention(part, part, params, 2).data
+            assert np.abs(out[row:row + n] - expected).max() < 1e-6
+            row += n
+
+    def test_no_gradient_crosses_a_segment(self):
+        rng = np.random.default_rng(7)
+        params = AttentionParams.create(8, rng, std=0.5)
+        x = t(rng.uniform(-1, 1, (7, 8)), requires_grad=True)
+        out = attention(x, x, params, 2, segments=(2, 4, 1))
+        backward(sum_all(gather_rows(out, [2, 3, 4, 5])))
+        assert np.abs(x.grad[2:6]).max() > 0
+        np.testing.assert_array_equal(x.grad[:2], 0.0)
+        np.testing.assert_array_equal(x.grad[6:], 0.0)
+
+    def test_segments_must_tile_the_rows(self):
+        params = AttentionParams.create(4, np.random.default_rng(0))
+        x = t(np.zeros((5, 4)))
+        for segments in ((2, 2), (2, 4), (5, 0), ()):
+            with pytest.raises(ShapeError):
+                attention(x, x, params, 2, segments=segments)
+        with pytest.raises(ShapeError):
+            attention(x, t(np.zeros((3, 4))), params, 2, segments=(5,))
+
+    def test_one_call_records_nine_tape_entries(self):
+        params = AttentionParams.create(8, np.random.default_rng(8))
+        x = t(np.random.default_rng(9).uniform(-1, 1, (3, 8)))
+        active_tape().clear()
+        attention(x, x, params, 2)
+        ops = sorted(op for op, *_ in active_tape())
+        active_tape().clear()
+        assert ops == ["add"] * 4 + ["attention"] + ["matmul"] * 4
+
 
 class TestBackward:
     def test_linear_case(self):

@@ -87,6 +87,27 @@ class TestAdamW:
         with pytest.raises(NumericalError, match="layer.weight"):
             adamw_step(params, state, lr=0.1)
 
+    def test_nan_in_last_sorted_gradient_moves_nothing(self):
+        rng = np.random.default_rng(0)
+        params = {name: Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
+                  for name in ("a.weight", "b.weight", "z.weight")}
+        state = AdamWState.create(params)
+        for p in params.values():
+            p.grad = rng.normal(0, 1, (2, 3)).astype(np.float32)
+        adamw_step(params, state, lr=0.1, weight_decay=0.05)  # non-zero m, v and t
+        for p in params.values():
+            p.grad = rng.normal(0, 1, (2, 3)).astype(np.float32)
+        params["z.weight"].grad[1, 2] = np.nan
+        before = ({n: p.data.tobytes() for n, p in params.items()},
+                  {n: a.tobytes() for n, a in state.m.items()},
+                  {n: a.tobytes() for n, a in state.v.items()}, state.t)
+        with pytest.raises(NumericalError, match="z.weight"):
+            adamw_step(params, state, lr=0.1, weight_decay=0.05)
+        after = ({n: p.data.tobytes() for n, p in params.items()},
+                 {n: a.tobytes() for n, a in state.m.items()},
+                 {n: a.tobytes() for n, a in state.v.items()}, state.t)
+        assert after == before
+
 
 class TestMomentumSchedule:
     def test_endpoints_exact(self):
