@@ -148,6 +148,7 @@ class FusionModule:
         self.layers = [FusionLayer(cfg, rng, requires_grad, dtype) for _ in range(cfg.layers)]
 
     def __call__(self, patch_reps: Tensor, text_reps: Tensor) -> Tensor:
+        """Run patch tokens through the fusion stack conditioned on text tokens."""
         tokens = linear(patch_reps, *self.patch_in) if self.patch_in else patch_reps
         text = linear(text_reps, *self.text_in) if self.text_in else text_reps
         if tokens.shape[-1] != self.cfg.hidden or text.shape[-1] != self.cfg.hidden:
@@ -175,11 +176,6 @@ class FusionModule:
         for name, tensor in dst.items():
             tensor.data[...] = src[name].data
         return twin
-
-
-def fuse(module: FusionModule, patch_reps: Tensor, text_reps: Tensor) -> Tensor:
-    """Run patch tokens through the fusion stack conditioned on text tokens."""
-    return module(patch_reps, text_reps)
 
 
 @dataclass(frozen=True)
@@ -279,7 +275,7 @@ def make_targets(image: np.ndarray, caption, masks: MaskSet, image_encoder: Imag
         ids = tokenize_text(caption, text_encoder.cfg.max_text_len)
         text_reps = text_encoder.encode(ids)
         image_reps = image_encoder.encode(image)
-        fused = fuse(target_fusion, image_reps, text_reps)
+        fused = target_fusion(image_reps, text_reps)
         targets = gather_rows(fused, [i for block in masks.targets for i in block.indices()])
     if return_full:
         return targets, fused
@@ -294,7 +290,7 @@ def make_context(image: np.ndarray, caption, masks: MaskSet, image_encoder: Imag
     ids = tokenize_text(caption, text_encoder.cfg.max_text_len)
     text_reps = text_encoder.encode(ids)
     context_reps = image_encoder.encode(image, visible=masks.context)
-    return fuse(fusion, context_reps, text_reps)
+    return fusion(context_reps, text_reps)
 
 
 def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
@@ -333,7 +329,7 @@ def fusion_gradient_check(seed: int = 0) -> float:
     text = Tensor(rng.uniform(-1, 1, (3, 8)), requires_grad=True, dtype=np.float64)
     weights = Tensor(rng.uniform(-1, 1, (2, 8)), dtype=np.float64)
     params = [patches, text] + list(module.named_parameters().values())
-    return check_gradients(lambda: sum_all(mul(fuse(module, patches, text), weights)), params)
+    return check_gradients(lambda: sum_all(mul(module(patches, text), weights)), params)
 
 
 def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:

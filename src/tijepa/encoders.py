@@ -9,6 +9,7 @@ by default during pretraining.
 from __future__ import annotations
 
 import functools
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .numerics import (
     gelu,
     layer_norm,
     linear,
+    no_grad,
 )
 
 BOS_ID = 256
@@ -283,6 +285,37 @@ class TextEncoder:
         }
         for i, block in enumerate(self.blocks):
             out.update(block.named_parameters(f"{prefix}.blocks.{i}"))
+        return out
+
+
+class EncodingMemo:
+    """An encoder's ``encode`` that runs once per distinct input.
+
+    Valid only while the encoder's weights stay fixed, so a caller builds one
+    per call and drops it on return. Token ids are keyed as a tuple, a full
+    image by its shape, dtype and SHA-256; a repeat returns the stored
+    gradient-free tensor, whose array is read-only. Calls with ``visible``
+    patches always run the encoder and are never stored.
+    """
+
+    def __init__(self, encoder: ImageEncoder | TextEncoder):
+        self.encoder = encoder
+        self.cfg = encoder.cfg
+        self._store: dict[tuple, Tensor] = {}
+
+    def encode(self, x, visible=None) -> Tensor:
+        if visible is not None:
+            return self.encoder.encode(x, visible=visible)
+        if isinstance(x, np.ndarray):
+            key = (x.shape, x.dtype.str, hashlib.sha256(np.ascontiguousarray(x)).digest())
+        else:
+            key = tuple(x)
+        out = self._store.get(key)
+        if out is None:
+            with no_grad():
+                out = self.encoder.encode(x)
+            out.data.setflags(write=False)
+            self._store[key] = out
         return out
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import fuse
 from .dataprep import LABELS, LABEL_TO_INDEX
 from .errors import DataError, ShapeError
 from .numerics import (
@@ -67,7 +66,7 @@ def pooled_representation(state: PretrainState, image: np.ndarray, caption,
         ids = tokenize_text(caption, state.text_encoder.cfg.max_text_len)
         text_reps = state.text_encoder.encode(ids)
         image_reps = state.image_encoder.encode(image)
-        fused = fuse(module, image_reps, text_reps)
+        fused = module(image_reps, text_reps)
         return mean_rows(fused).data.copy()
 
 
@@ -75,10 +74,6 @@ def pool_and_classify(image: np.ndarray, caption, state: PretrainState,
                       head: ClassifierHead) -> Tensor:
     pooled = Tensor(pooled_representation(state, image, caption))
     return head.logits(pooled)
-
-
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    return cross_entropy_logits(logits, label)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +133,7 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
             terms = []
             for i in batch:
                 pooled, label = train_features[int(i)]
-                terms.append(cross_entropy(head.logits(Tensor(pooled)), label))
+                terms.append(cross_entropy_logits(head.logits(Tensor(pooled)), label))
             total = terms[0]
             for term in terms[1:]:
                 total = add(total, term)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .core import (
     make_targets,
     prediction_loss,
 )
-from .encoders import EncoderConfig, ImageEncoder, TextEncoder
+from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
 from .masking import sample_masks
 from .numerics import Tensor, active_tape, backward, no_grad, scale, zero_grads
@@ -117,6 +118,14 @@ class TiJepaConfig:
             mlp_ratio=self.mlp_ratio,
             patch_dim=self.embed_dim if self.embed_dim != self.fusion_hidden else None,
             text_dim=self.text_embed_dim if self.text_embed_dim != self.fusion_hidden else None)
+
+    def mask_args(self) -> dict:
+        """Keyword arguments of ``sample_masks`` other than its ``rng``."""
+        return dict(grid=self.grid(), num_targets=self.num_targets,
+                    ctx_scale=(self.ctx_scale_lo, self.ctx_scale_hi),
+                    tgt_scale=(self.tgt_scale_lo, self.tgt_scale_hi),
+                    tgt_aspect=(self.tgt_aspect_lo, self.tgt_aspect_hi),
+                    max_retries=self.mask_max_retries)
 
     def predictor_config(self) -> PredictorConfig:
         return PredictorConfig(self.predictor_depth, self.predictor_heads, self.predictor_width)
@@ -388,11 +397,20 @@ def _check_example_image(example, config: TiJepaConfig) -> None:
             f"image shape {img.shape} does not match configured size {config.image_size}")
 
 
-def _example_forward(state: PretrainState, image: np.ndarray, caption, masks,
+def _memo_if_frozen(encoder):
+    """``encoder`` behind an :class:`EncodingMemo` unless a gradient can reach it."""
+    if any(p.requires_grad for p in encoder.named_parameters().values()):
+        return encoder
+    return EncodingMemo(encoder)
+
+
+def _example_forward(state: PretrainState, encoders, image: np.ndarray, caption, masks,
                      targets) -> Tensor:
-    """Prediction loss of one example whose context path reads ``caption``."""
-    context = make_context(image, caption, masks, state.image_encoder,
-                           state.text_encoder, state.fusion)
+    """Prediction loss of one example whose context path reads ``caption``.
+
+    ``encoders`` is the (image, text) encoder pair, plain or memoized.
+    """
+    context = make_context(image, caption, masks, *encoders, state.fusion)
     preds = state.predictor.predict(context, masks.context,
                                     [block.indices() for block in masks.targets],
                                     (masks.grid_h, masks.grid_w))
@@ -427,6 +445,8 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
     online_fusion_params = state.fusion.named_parameters("m")
     target_fusion_params = state.target_fusion.named_parameters("m")
 
+    # one memo per call: entries never outlive it, so a resumed run starts clean
+    encoders = (_memo_if_frozen(state.image_encoder), _memo_if_frozen(state.text_encoder))
     rows: list[MetricsRow] = []
     losses: list[float] = []
     skipped = 0
@@ -447,21 +467,16 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
             mask_rng = np.random.default_rng(
                 [config.seed, _STREAM_MASK, epoch, int(example_index)])
             try:
-                masks = sample_masks(config.grid(), config.num_targets,
-                                     (config.ctx_scale_lo, config.ctx_scale_hi),
-                                     (config.tgt_scale_lo, config.tgt_scale_hi),
-                                     (config.tgt_aspect_lo, config.tgt_aspect_hi),
-                                     mask_rng, config.mask_max_retries)
+                masks = sample_masks(rng=mask_rng, **config.mask_args())
             except MaskSamplingError as exc:
                 skipped += 1
                 logger.warning("step %d: skipping example %d (%s)", s + 1,
                                int(example_index), exc)
                 continue
-            targets, fused = make_targets(example.image, example.caption, masks,
-                                          state.image_encoder, state.text_encoder,
+            targets, fused = make_targets(example.image, example.caption, masks, *encoders,
                                           state.target_fusion, return_full=True)
-            loss_terms.append(_example_forward(state, example.image, example.caption,
-                                               masks, targets))
+            loss_terms.append(_example_forward(state, encoders, example.image,
+                                               example.caption, masks, targets))
             fused_stack.append(fused.data)
         if not loss_terms:
             raise NumericalError(f"step {s + 1}: every example in the batch was skipped")
@@ -489,14 +504,14 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
             rows.append(row)
             logger.info("step %d: loss=%.6f collapse=%.6f ema_m=%.6f",
                         done, loss_value, collapse, m)
+            if out_path is not None:
+                with open(out_path / "metrics.log", "a", encoding="utf-8") as fh:
+                    fh.write(row.format() + "\n")
         if out_path is not None and done % config.checkpoint_interval == 0:
             save_checkpoint(state, out_path / f"checkpoint_{done:06d}.tijp")
 
     if out_path is not None:
         save_checkpoint(state, out_path / "checkpoint_final.tijp")
-        with open(out_path / "metrics.log", "a", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(row.format() + "\n")
     if skipped:
         logger.warning("skipped %d examples due to mask sampling failures", skipped)
     return TrainResult(state, rows, losses, skipped)
@@ -516,23 +531,20 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
         raise DataError("caption sensitivity needs at least 2 examples")
     true_losses = []
     permuted_losses = []
+    # no weight moves here, so the encoders count as frozen even when they train
+    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
     with no_grad():
         for i in range(n):
             example = dataset[i]
             other = dataset[(i + 1) % n]
             rng = np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i])
-            masks = sample_masks(config.grid(), config.num_targets,
-                                 (config.ctx_scale_lo, config.ctx_scale_hi),
-                                 (config.tgt_scale_lo, config.tgt_scale_hi),
-                                 (config.tgt_aspect_lo, config.tgt_aspect_hi),
-                                 rng, config.mask_max_retries)
-            targets = make_targets(example.image, example.caption, masks,
-                                   state.image_encoder, state.text_encoder,
+            masks = sample_masks(rng=rng, **config.mask_args())
+            targets = make_targets(example.image, example.caption, masks, *encoders,
                                    state.target_fusion)
             for caption, sink in ((example.caption, true_losses),
                                   (other.caption, permuted_losses)):
-                sink.append(_example_forward(state, example.image, caption, masks,
-                                             targets).item())
+                sink.append(_example_forward(state, encoders, example.image, caption,
+                                             masks, targets).item())
     return float(np.mean(true_losses)), float(np.mean(permuted_losses))
 
 
@@ -560,9 +572,20 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(arr.tobytes())
     body = b"".join(chunks)
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<Q", crc))
+    # write beside the destination, then rename over it: a failed write
+    # leaves any previous file of that name untouched
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(struct.pack("<Q", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:

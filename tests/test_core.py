@@ -6,7 +6,6 @@ from tijepa.core import (
     FusionModule,
     Predictor,
     PredictorConfig,
-    fuse,
     fusion_gradient_check,
     make_context,
     make_targets,
@@ -71,7 +70,7 @@ class TestFuse:
                        layer.mlp_w1, layer.mlp_b1)
         expected = add(h, linear(gelu(inner), layer.mlp_w2, layer.mlp_b2)).data
 
-        out = fuse(module, x, text).data
+        out = module(x, text).data
         assert np.abs(out - expected).max() < 1e-5
 
     def test_zeroed_output_projections_give_identity(self):
@@ -83,25 +82,25 @@ class TestFuse:
                 tensor.data[...] = 0.0
         x = Tensor(np.random.default_rng(4).uniform(-1, 1, (5, DIM)).astype(np.float32))
         text = Tensor(np.random.default_rng(5).uniform(-1, 1, (3, DIM)).astype(np.float32))
-        np.testing.assert_array_equal(fuse(module, x, text).data, x.data)
+        np.testing.assert_array_equal(module(x, text).data, x.data)
 
     def test_row_count_preserved(self):
         module = small_fusion(layers=2)
         for rows in (1, 4, 9):
             x = Tensor(np.zeros((rows, DIM), dtype=np.float32))
             text = Tensor(np.zeros((2, DIM), dtype=np.float32))
-            assert fuse(module, x, text).shape == (rows, DIM)
+            assert module(x, text).shape == (rows, DIM)
 
     def test_width_mismatch(self):
         module = small_fusion()
         with pytest.raises(ShapeError):
-            fuse(module, Tensor(np.zeros((2, DIM + 4))), Tensor(np.zeros((2, DIM))))
+            module(Tensor(np.zeros((2, DIM + 4))), Tensor(np.zeros((2, DIM))))
 
     def test_projections_reconcile_differing_widths(self):
         cfg = CrossAttnConfig(layers=1, heads=2, hidden=DIM, patch_dim=12, text_dim=20)
         module = FusionModule(cfg, np.random.default_rng(0))
-        out = fuse(module, Tensor(np.zeros((4, 12), dtype=np.float32)),
-                   Tensor(np.zeros((3, 20), dtype=np.float32)))
+        out = module(Tensor(np.zeros((4, 12), dtype=np.float32)),
+                     Tensor(np.zeros((3, 20), dtype=np.float32)))
         assert out.shape == (4, 12)
 
 

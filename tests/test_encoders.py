@@ -5,6 +5,7 @@ from tijepa.encoders import (
     BOS_ID,
     EOS_ID,
     EncoderConfig,
+    EncodingMemo,
     ImageEncoder,
     TextEncoder,
     detokenize,
@@ -172,6 +173,83 @@ class TestTextEncoder:
         enc = TextEncoder(small_cfg(), np.random.default_rng(0))
         with pytest.raises(ShapeError):
             enc.encode([258, 0])
+
+
+class CountingEncoder:
+    """Forwards to an encoder and records the ``visible`` of every call."""
+
+    def __init__(self, encoder):
+        self.cfg = encoder.cfg
+        self.inner = encoder
+        self.calls = []
+
+    def encode(self, x, visible=None):
+        self.calls.append(visible)
+        if visible is None:
+            return self.inner.encode(x)
+        return self.inner.encode(x, visible=visible)
+
+
+class TestEncodingMemo:
+    def image(self, seed=3):
+        return np.random.default_rng(seed).uniform(0, 1, (3, 16, 16)).astype(np.float32)
+
+    def test_text_hit_is_bitwise_equal_to_fresh_encode(self):
+        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        memo = EncodingMemo(enc)
+        ids = tokenize_text("red square", 16)
+        first = memo.encode(ids)
+        again = memo.encode(list(ids))
+        assert again is first
+        assert again.data.tobytes() == enc.encode(ids).data.tobytes()
+        assert memo.encode(tokenize_text("blue square", 16)) is not first
+        assert memo.cfg is enc.cfg
+
+    def test_image_hit_is_bitwise_equal_to_fresh_encode(self):
+        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
+        memo = EncodingMemo(enc)
+        img = self.image()
+        first = memo.encode(img)
+        again = memo.encode(img.copy())  # equal bytes in another array still hit
+        assert again is first
+        assert again.data.tobytes() == enc.encode(img).data.tobytes()
+        assert not again.requires_grad
+
+    def test_key_separates_values_shapes_and_dtypes(self):
+        counting = CountingEncoder(ImageEncoder(small_cfg(), np.random.default_rng(0)))
+        memo = EncodingMemo(counting)
+        img = self.image()
+        memo.encode(img)
+        memo.encode(self.image(seed=4))
+        memo.encode(img.astype(np.float64))
+        memo.encode(np.ascontiguousarray(img.transpose(0, 2, 1)))
+        memo.encode(img)
+        assert counting.calls == [None] * 4
+
+    def test_stored_array_rejects_writes(self):
+        memo = EncodingMemo(TextEncoder(small_cfg(), np.random.default_rng(0)))
+        out = memo.encode(tokenize_text("abc", 16))
+        with pytest.raises(ValueError):
+            out.data[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            out.data += 1.0
+
+    def test_visible_calls_run_the_encoder_and_are_never_stored(self):
+        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
+        counting = CountingEncoder(enc)
+        memo = EncodingMemo(counting)
+        img = self.image()
+        a = memo.encode(img, visible=[0, 2])
+        b = memo.encode(img, visible=[0, 2])
+        assert a is not b
+        assert a.shape == (2, 16)
+        np.testing.assert_array_equal(a.data, enc.encode(img, visible=[0, 2]).data)
+        assert a.data.flags.writeable
+        assert counting.calls == [[0, 2], [0, 2]]
+        # a full encode afterwards is still a first sighting
+        memo.encode(img)
+        memo.encode(img)
+        assert counting.calls == [[0, 2], [0, 2], None]
 
 
 class TestConfigValidation:

@@ -10,7 +10,6 @@ from tijepa.eval_head import (
     ClassifierHead,
     ConfusionMatrix,
     compute_metrics,
-    cross_entropy,
     dump_report,
     evaluate,
     finetune,
@@ -20,7 +19,7 @@ from tijepa.eval_head import (
     pooled_representation,
     save_head,
 )
-from tijepa.numerics import Tensor, check_gradients
+from tijepa.numerics import Tensor, check_gradients, cross_entropy_logits
 from tijepa.trainer import PretrainState, TiJepaConfig
 
 
@@ -59,7 +58,6 @@ class TestPoolAndClassify:
         assert np.abs(a.data - b.data).max() > 1e-7
 
     def test_pooled_rep_is_mean_of_fused_tokens(self):
-        from tijepa.core import fuse
         from tijepa.encoders import tokenize_text
         from tijepa.numerics import no_grad
 
@@ -68,30 +66,30 @@ class TestPoolAndClassify:
         pooled = pooled_representation(state, example.image, example.caption)
         with no_grad():
             ids = tokenize_text(example.caption, 16)
-            fused = fuse(state.fusion, state.image_encoder.encode(example.image),
-                         state.text_encoder.encode(ids))
+            fused = state.fusion(state.image_encoder.encode(example.image),
+                                 state.text_encoder.encode(ids))
         np.testing.assert_allclose(pooled, fused.data.mean(axis=0), atol=1e-6)
 
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log3(self):
         for label in range(3):
-            loss = cross_entropy(Tensor(np.zeros(3, dtype=np.float32)), label)
+            loss = cross_entropy_logits(Tensor(np.zeros(3, dtype=np.float32)), label)
             assert loss.item() == pytest.approx(math.log(3.0), abs=1e-6)
 
     def test_confident_correct_is_near_zero(self):
         logits = Tensor(np.array([20.0, 0.0, 0.0], dtype=np.float32))
-        assert cross_entropy(logits, 0).item() < 1e-6
+        assert cross_entropy_logits(logits, 0).item() < 1e-6
 
     def test_gradient_matches_finite_differences(self):
         logits = Tensor(np.array([0.3, -1.2, 0.7]), requires_grad=True,
                         dtype=np.float64)
-        err = check_gradients(lambda: cross_entropy(logits, 2), [logits])
+        err = check_gradients(lambda: cross_entropy_logits(logits, 2), [logits])
         assert err < 1e-4
 
     def test_bad_label(self):
         with pytest.raises(ShapeError):
-            cross_entropy(Tensor(np.zeros(3, dtype=np.float32)), 3)
+            cross_entropy_logits(Tensor(np.zeros(3, dtype=np.float32)), 3)
 
 
 class TestFinetune:

@@ -4,8 +4,11 @@ import logging
 import numpy as np
 import pytest
 
+from tijepa import trainer as trainer_module
 from tijepa.dataprep import synth_generate
+from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
+from tijepa.masking import sample_masks
 from tijepa.numerics import Tensor
 from tijepa.trainer import (
     AdamWState,
@@ -219,6 +222,17 @@ class TestConfig:
         with pytest.raises(DataError):
             tiny_config(loss_type="huber").validate()
 
+    def test_mask_args_spell_out_the_sampling_keys(self):
+        cfg = tiny_config(num_targets=3, ctx_scale_lo=0.8, tgt_aspect_hi=1.25,
+                          mask_max_retries=7)
+        assert cfg.mask_args() == dict(grid=(2, 2), num_targets=3, ctx_scale=(0.8, 1.0),
+                                       tgt_scale=(0.15, 0.3), tgt_aspect=(0.75, 1.25),
+                                       max_retries=7)
+        a = sample_masks(rng=np.random.default_rng(5), **cfg.mask_args())
+        b = sample_masks((2, 2), 3, (0.8, 1.0), (0.15, 0.3), (0.75, 1.25),
+                         np.random.default_rng(5), 7)
+        assert a == b
+
 
 class TestTensorFileFormat:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -261,6 +275,20 @@ class TestTensorFileFormat:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(DataError):
             read_tensor_file(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.tijp"
+        write_tensor_file(path, {"x": np.ones(4, dtype=np.float32)})
+        before = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(trainer_module.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            write_tensor_file(path, {"x": np.zeros(64, dtype=np.float32)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.tijp"]
 
     def test_version_mismatch_rejected(self, tmp_path):
         import struct
@@ -384,6 +412,24 @@ class TestTrainLoop:
         assert (tmp_path / "checkpoint_000002.tijp").exists()
         assert (tmp_path / "checkpoint_final.tijp").exists()
 
+    def test_metrics_rows_survive_a_failed_step(self, tmp_path, monkeypatch):
+        real_step = trainer_module.adamw_step
+        calls = []
+
+        def step_that_fails_third(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericalError("injected")
+            real_step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "adamw_step", step_that_fails_third)
+        with pytest.raises(NumericalError, match="injected"):
+            train(tiny_config(total_steps=5, log_interval=1), tiny_dataset(),
+                  out_dir=tmp_path)
+        lines = (tmp_path / "metrics.log").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["1", "2"]
+        assert all(len(line.split("\t")) == 4 for line in lines)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             train(tiny_config(), [])
@@ -415,3 +461,58 @@ class TestFreezeVariants:
         before = param_bytes(state.image_encoder.named_parameters())
         train(cfg, tiny_dataset(), state=state)
         assert param_bytes(state.image_encoder.named_parameters()) != before
+
+
+def count_encoder_calls(monkeypatch):
+    """Count real text encodes and full-image / context image encodes."""
+    counts = {"text": 0, "image_full": 0, "image_ctx": 0}
+    text_encode, image_encode = TextEncoder.encode, ImageEncoder.encode
+
+    def counted_text(self, token_ids):
+        counts["text"] += 1
+        return text_encode(self, token_ids)
+
+    def counted_image(self, image, visible=None):
+        counts["image_full" if visible is None else "image_ctx"] += 1
+        return image_encode(self, image, visible)
+
+    monkeypatch.setattr(TextEncoder, "encode", counted_text)
+    monkeypatch.setattr(ImageEncoder, "encode", counted_image)
+    return counts
+
+
+class TestEncodingMemoInTraining:
+    # 3 steps of 4 over 8 examples: epoch 0 sees all 8, then 4 again
+    STEPS, BATCH = 3, 4
+
+    def test_frozen_run_encodes_each_distinct_input_once(self, monkeypatch):
+        data = tiny_dataset()
+        counts = count_encoder_calls(monkeypatch)
+        train(tiny_config(total_steps=self.STEPS, batch_size=self.BATCH), data)
+        captions = {tuple(tokenize_text(e.caption, 16)) for e in data}
+        images = {e.image.tobytes() for e in data}
+        assert counts == {"text": len(captions), "image_full": len(images),
+                          "image_ctx": self.STEPS * self.BATCH}
+
+    def test_unfrozen_run_encodes_every_time(self, monkeypatch):
+        counts = count_encoder_calls(monkeypatch)
+        train(tiny_config(total_steps=self.STEPS, batch_size=self.BATCH,
+                          freeze_encoders=False), tiny_dataset())
+        examples = self.STEPS * self.BATCH
+        assert counts == {"text": 2 * examples, "image_full": examples,
+                          "image_ctx": examples}
+
+    def test_memo_leaves_checkpoint_bytes_unchanged(self, tmp_path, monkeypatch):
+        cfg = tiny_config(total_steps=4, checkpoint_interval=2)
+        train(cfg, tiny_dataset(), out_dir=tmp_path / "memo")
+        monkeypatch.setattr(trainer_module, "EncodingMemo", lambda encoder: encoder)
+        train(cfg, tiny_dataset(), out_dir=tmp_path / "plain")
+        for name in ("checkpoint_000002.tijp", "checkpoint_final.tijp", "metrics.log"):
+            assert (tmp_path / "memo" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes(), name
+
+    def test_caption_sensitivity_unchanged_by_memo(self, monkeypatch):
+        state = train(tiny_config(total_steps=1), tiny_dataset()).state
+        with_memo = caption_sensitivity(state, tiny_dataset(), limit=6)
+        monkeypatch.setattr(trainer_module, "EncodingMemo", lambda encoder: encoder)
+        assert caption_sensitivity(state, tiny_dataset(), limit=6) == with_memo
