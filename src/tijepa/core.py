@@ -14,21 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import INIT_STD, ImageEncoder, TextEncoder, sincos_pos_2d, tokenize_text
+from .encoders import (
+    INIT_STD,
+    EncoderConfig,
+    ImageEncoder,
+    TextEncoder,
+    TransformerBlock,
+    sincos_pos_2d,
+    tokenize_text,
+)
 from .errors import ShapeError
-from .masking import MaskSet
+from .masking import MaskSet, sample_masks
 from .numerics import (
     DEFAULT_DTYPE,
-    AttentionParams,
     Tensor,
     abs_val,
     add,
-    attention,
     check_gradients,
     concat_rows,
     gather_rows,
-    gelu,
-    layer_norm,
     linear,
     mul,
     no_grad,
@@ -76,57 +80,12 @@ def param_count(cfg: CrossAttnConfig) -> int:
     return total
 
 
-class FusionLayer:
-    """Pre-norm self-attention, cross-attention, and MLP, all residual."""
-
-    def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator,
-                 requires_grad: bool, dtype):
-        h = cfg.hidden
-        hidden = cfg.mlp_ratio * h
-        self.heads = cfg.heads
-
-        def w(shape):
-            return Tensor(rng.normal(0.0, INIT_STD, shape), requires_grad, dtype=dtype)
-
-        def zeros(n):
-            return Tensor(np.zeros(n), requires_grad, dtype=dtype)
-
-        def ones(n):
-            return Tensor(np.ones(n), requires_grad, dtype=dtype)
-
-        self.ln_self_g, self.ln_self_b = ones(h), zeros(h)
-        self.self_attn = AttentionParams.create(h, rng, requires_grad, dtype)
-        self.ln_cross_g, self.ln_cross_b = ones(h), zeros(h)
-        self.cross_attn = AttentionParams.create(h, rng, requires_grad, dtype,
-                                                 std=CROSS_ATTN_INIT_STD)
-        self.ln_mlp_g, self.ln_mlp_b = ones(h), zeros(h)
-        self.mlp_w1, self.mlp_b1 = w((h, hidden)), zeros(hidden)
-        self.mlp_w2, self.mlp_b2 = w((hidden, h)), zeros(h)
-
-    def __call__(self, tokens: Tensor, text: Tensor) -> Tensor:
-        normed = layer_norm(tokens, self.ln_self_g, self.ln_self_b)
-        tokens = add(tokens, attention(normed, normed, self.self_attn, self.heads))
-        normed = layer_norm(tokens, self.ln_cross_g, self.ln_cross_b)
-        tokens = add(tokens, attention(normed, text, self.cross_attn, self.heads))
-        h = linear(gelu(linear(layer_norm(tokens, self.ln_mlp_g, self.ln_mlp_b),
-                               self.mlp_w1, self.mlp_b1)), self.mlp_w2, self.mlp_b2)
-        return add(tokens, h)
-
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.ln_self.gain": self.ln_self_g, f"{prefix}.ln_self.bias": self.ln_self_b,
-            f"{prefix}.ln_cross.gain": self.ln_cross_g, f"{prefix}.ln_cross.bias": self.ln_cross_b,
-            f"{prefix}.ln_mlp.gain": self.ln_mlp_g, f"{prefix}.ln_mlp.bias": self.ln_mlp_b,
-            f"{prefix}.mlp.w1": self.mlp_w1, f"{prefix}.mlp.b1": self.mlp_b1,
-            f"{prefix}.mlp.w2": self.mlp_w2, f"{prefix}.mlp.b2": self.mlp_b2,
-        }
-        out.update(self.self_attn.named(f"{prefix}.self_attn"))
-        out.update(self.cross_attn.named(f"{prefix}.cross_attn"))
-        return out
-
-
 class FusionModule:
-    """Stack of fusion layers, with input/output projections when widths differ."""
+    """Stack of fusion layers, with input/output projections when widths differ.
+
+    Each layer is a :class:`TransformerBlock` whose cross-attention sublayer
+    reads the text tokens.
+    """
 
     def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE):
@@ -145,7 +104,9 @@ class FusionModule:
         self.patch_in = proj(cfg.patch_dim, h) if cfg.patch_dim not in (None, h) else None
         self.text_in = proj(cfg.text_dim, h) if cfg.text_dim not in (None, h) else None
         self.patch_out = proj(h, cfg.patch_dim) if cfg.patch_dim not in (None, h) else None
-        self.layers = [FusionLayer(cfg, rng, requires_grad, dtype) for _ in range(cfg.layers)]
+        self.layers = [TransformerBlock(h, cfg.heads, rng, requires_grad, dtype, cfg.mlp_ratio,
+                                        cross_std=CROSS_ATTN_INIT_STD)
+                       for _ in range(cfg.layers)]
 
     def __call__(self, patch_reps: Tensor, text_reps: Tensor) -> Tensor:
         """Run patch tokens through the fusion stack conditioned on text tokens."""
@@ -154,7 +115,7 @@ class FusionModule:
         if tokens.shape[-1] != self.cfg.hidden or text.shape[-1] != self.cfg.hidden:
             raise ShapeError("fusion input width does not match module hidden size")
         for layer in self.layers:
-            tokens = layer(tokens, text)
+            tokens = layer(tokens, context=text)
         return linear(tokens, *self.patch_out) if self.patch_out else tokens
 
     def named_parameters(self, prefix: str = "fusion") -> dict[str, Tensor]:
@@ -199,8 +160,6 @@ class Predictor:
     def __init__(self, cfg: PredictorConfig, fused_dim: int, rng: np.random.Generator,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE):
         cfg.validate()
-        from .encoders import TransformerBlock  # local to avoid cycle at import time
-
         self.cfg = cfg
         self.fused_dim = fused_dim
         self.dtype = dtype
@@ -263,23 +222,30 @@ class Predictor:
 # forward paths
 
 
-def make_targets(image: np.ndarray, caption, masks: MaskSet, image_encoder: ImageEncoder,
-                 text_encoder: TextEncoder, target_fusion: FusionModule,
-                 return_full: bool = False):
-    """Fused full-image representations of the target blocks, gradient-free.
+def fuse_image(image: np.ndarray, caption, image_encoder: ImageEncoder,
+               text_encoder: TextEncoder, fusion: FusionModule, visible=None) -> Tensor:
+    """Tokenize and encode the caption, encode the image and fuse the two.
 
-    Rows follow the blocks in order, each block's patches in ``indices()``
-    order, matching the rows ``Predictor.predict`` returns.
+    ``visible`` limits the image encoder to those patches (rows follow
+    ascending patch index); by default every patch is encoded. Gradients flow
+    wherever parameters require them.
+    """
+    text_reps = text_encoder.encode(tokenize_text(caption, text_encoder.cfg.max_text_len))
+    return fusion(image_encoder.encode(image, visible=visible), text_reps)
+
+
+def make_targets(image: np.ndarray, caption, masks: MaskSet, image_encoder: ImageEncoder,
+                 text_encoder: TextEncoder, target_fusion: FusionModule) -> tuple[Tensor, Tensor]:
+    """Fused full-image representations and their target-block rows, gradient-free.
+
+    Returns ``(targets, fused)``. Target rows follow the blocks in order, each
+    block's patches in ``indices()`` order, matching the rows
+    ``Predictor.predict`` returns.
     """
     with no_grad():
-        ids = tokenize_text(caption, text_encoder.cfg.max_text_len)
-        text_reps = text_encoder.encode(ids)
-        image_reps = image_encoder.encode(image)
-        fused = target_fusion(image_reps, text_reps)
+        fused = fuse_image(image, caption, image_encoder, text_encoder, target_fusion)
         targets = gather_rows(fused, [i for block in masks.targets for i in block.indices()])
-    if return_full:
-        return targets, fused
-    return targets
+    return targets, fused
 
 
 def make_context(image: np.ndarray, caption, masks: MaskSet, image_encoder: ImageEncoder,
@@ -287,10 +253,7 @@ def make_context(image: np.ndarray, caption, masks: MaskSet, image_encoder: Imag
     """Fused representations of the visible context patches; gradients flow."""
     if not masks.context:
         raise ShapeError("context index set is empty")
-    ids = tokenize_text(caption, text_encoder.cfg.max_text_len)
-    text_reps = text_encoder.encode(ids)
-    context_reps = image_encoder.encode(image, visible=masks.context)
-    return fusion(context_reps, text_reps)
+    return fuse_image(image, caption, image_encoder, text_encoder, fusion, visible=masks.context)
 
 
 def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
@@ -316,6 +279,20 @@ def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
     return scale(total, 1.0 / len(sizes))
 
 
+def example_loss(encoders, fusion: FusionModule, predictor: Predictor, image: np.ndarray,
+                 caption, masks: MaskSet, targets: Tensor, kind: str) -> Tensor:
+    """Prediction loss of one example whose context path reads ``caption``.
+
+    ``encoders`` is the (image, text) encoder pair, plain or memoized;
+    ``targets`` are the rows :func:`make_targets` returns for ``masks``.
+    """
+    context = make_context(image, caption, masks, *encoders, fusion)
+    preds = predictor.predict(context, masks.context,
+                              [block.indices() for block in masks.targets],
+                              (masks.grid_h, masks.grid_w))
+    return prediction_loss(preds, targets, [block.area for block in masks.targets], kind)
+
+
 # ---------------------------------------------------------------------------
 # composite gradient checks (the primitive suite lives in numerics)
 
@@ -339,9 +316,6 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
     so the check covers the context, predictor, and loss paths, including
     unfrozen encoders and the predictor's one pass over two target blocks.
     """
-    from .encoders import EncoderConfig
-    from .masking import sample_masks
-
     rng = np.random.default_rng(seed)
     enc_cfg = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
                             max_text_len=8, frozen=False)
@@ -355,18 +329,14 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
 
     # a 3x3 grid fits two target blocks, usually of unequal size, so the
     # predictor's segmented attention is part of the check
-    grid = (3, 3)
     image = rng.uniform(0, 1, (3, 12, 12))
-    caption = "ab"
-    masks = sample_masks(grid, 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
+    masks = sample_masks((3, 3), 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
                          np.random.default_rng(seed + 1))
-    targets = make_targets(image, caption, masks, image_encoder, text_encoder, target_fusion)
+    encoders = (image_encoder, text_encoder)
+    targets, _ = make_targets(image, "ab", masks, *encoders, target_fusion)
 
     def build():
-        context = make_context(image, caption, masks, image_encoder, text_encoder, fusion)
-        preds = predictor.predict(context, masks.context,
-                                  [block.indices() for block in masks.targets], grid)
-        return prediction_loss(preds, targets, [block.area for block in masks.targets])
+        return example_loss(encoders, fusion, predictor, image, "ab", masks, targets, "l2")
 
     params: dict[str, Tensor] = {}
     params.update(image_encoder.named_parameters())

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoders import load_image, tokenize_text, write_ppm
+from .encoders import load_image, write_ppm
 from .errors import DataError
 
 POSITIVE = "positive"
@@ -70,15 +70,6 @@ class AnnotatedPair:
             raise DataError(f"pair {self.identifier}: label arity differs between modalities")
         if len(self.text_labels) not in (1, 3):
             raise DataError(f"pair {self.identifier}: label arity must be 1 or 3")
-
-
-def reconcile_multi(pair: AnnotatedPair) -> str | None:
-    """Majority-vote each modality, then reconcile the two majorities."""
-    text = majority_vote(pair.text_labels)
-    image = majority_vote(pair.image_labels)
-    if text is None or image is None:
-        return None
-    return reconcile_single(text, image)
 
 
 @dataclass
@@ -208,9 +199,6 @@ class PairedExample:
     caption: str
     label: str | None = None
     path: str | None = None
-
-    def token_ids(self, max_len: int) -> list[int]:
-        return tokenize_text(self.caption, max_len)
 
 
 def load_manifest(path) -> list[PairedExample]:

@@ -152,10 +152,16 @@ def unpatchify(patches: np.ndarray, grid_h: int, grid_w: int, patch_size: int) -
 
 
 class TransformerBlock:
-    """Pre-norm self-attention + MLP block with residual connections."""
+    """Pre-norm residual block: self-attention, optional cross-attention, MLP.
+
+    The cross-attention sublayer exists when ``cross_std`` (its projections'
+    init std) is given; it reads the ``context`` tokens passed to each call.
+    Fusion layers have it, encoder and predictor blocks do not.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
-                 requires_grad: bool = True, dtype=DEFAULT_DTYPE, mlp_ratio: int = 4):
+                 requires_grad: bool = True, dtype=DEFAULT_DTYPE, mlp_ratio: int = 4,
+                 cross_std: float | None = None):
         self.heads = heads
         hidden = mlp_ratio * dim
 
@@ -170,26 +176,42 @@ class TransformerBlock:
 
         self.ln1_g, self.ln1_b = ones(dim), zeros(dim)
         self.attn = AttentionParams.create(dim, rng, requires_grad, dtype)
+        self.cross_attn = None
+        if cross_std is not None:
+            self.ln_cross_g, self.ln_cross_b = ones(dim), zeros(dim)
+            self.cross_attn = AttentionParams.create(dim, rng, requires_grad, dtype, std=cross_std)
         self.ln2_g, self.ln2_b = ones(dim), zeros(dim)
         self.mlp_w1, self.mlp_b1 = w((dim, hidden)), zeros(hidden)
         self.mlp_w2, self.mlp_b2 = w((hidden, dim)), zeros(dim)
 
-    def __call__(self, x: Tensor, segments=None) -> Tensor:
+    def __call__(self, x: Tensor, segments=None, context: Tensor | None = None) -> Tensor:
         """``segments``: row counts of independent sequences stacked in ``x``."""
+        if (context is None) != (self.cross_attn is None):
+            raise ShapeError("context tokens go with a cross-attention sublayer, and only there")
         normed = layer_norm(x, self.ln1_g, self.ln1_b)
         x = add(x, attention(normed, normed, self.attn, self.heads, segments))
+        if context is not None:
+            normed = layer_norm(x, self.ln_cross_g, self.ln_cross_b)
+            x = add(x, attention(normed, context, self.cross_attn, self.heads))
         h = linear(gelu(linear(layer_norm(x, self.ln2_g, self.ln2_b), self.mlp_w1, self.mlp_b1)),
                    self.mlp_w2, self.mlp_b2)
         return add(x, h)
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
+        # checkpoint names: a fusion layer spells out its sublayers
+        cross = self.cross_attn is not None
+        ln1, attn, ln2 = ("ln_self", "self_attn", "ln_mlp") if cross else ("ln1", "attn", "ln2")
         out = {
-            f"{prefix}.ln1.gain": self.ln1_g, f"{prefix}.ln1.bias": self.ln1_b,
-            f"{prefix}.ln2.gain": self.ln2_g, f"{prefix}.ln2.bias": self.ln2_b,
+            f"{prefix}.{ln1}.gain": self.ln1_g, f"{prefix}.{ln1}.bias": self.ln1_b,
+            f"{prefix}.{ln2}.gain": self.ln2_g, f"{prefix}.{ln2}.bias": self.ln2_b,
             f"{prefix}.mlp.w1": self.mlp_w1, f"{prefix}.mlp.b1": self.mlp_b1,
             f"{prefix}.mlp.w2": self.mlp_w2, f"{prefix}.mlp.b2": self.mlp_b2,
         }
-        out.update(self.attn.named(f"{prefix}.attn"))
+        out.update(self.attn.named(f"{prefix}.{attn}"))
+        if cross:
+            out[f"{prefix}.ln_cross.gain"] = self.ln_cross_g
+            out[f"{prefix}.ln_cross.bias"] = self.ln_cross_b
+            out.update(self.cross_attn.named(f"{prefix}.cross_attn"))
         return out
 
 

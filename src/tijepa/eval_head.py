@@ -2,7 +2,8 @@
 
 The backbone (encoders + online fusion module) runs gradient-free; only the
 single linear layer trains. Because the backbone never moves, pooled features
-are computed once per example and reused across epochs.
+are computed once per example and reused across epochs, and each fine-tune or
+eval call encodes every distinct caption and image once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import FusionModule, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
+from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
 from .numerics import (
     Tensor,
@@ -27,7 +30,6 @@ from .numerics import (
     zero_grads,
 )
 from .trainer import AdamWState, PretrainState, adamw_step, read_tensor_file, write_tensor_file
-from .encoders import tokenize_text
 
 logger = logging.getLogger(__name__)
 
@@ -54,26 +56,12 @@ class ClassifierHead:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
-def pooled_representation(state: PretrainState, image: np.ndarray, caption,
-                          use_target_fusion: bool = False) -> np.ndarray:
-    """Mean over fused patch tokens of the full image, gradient-free.
-
-    Classification rides the trained online fusion module by default; pass
-    ``use_target_fusion`` to pool the EMA twin's output instead.
-    """
-    module = state.target_fusion if use_target_fusion else state.fusion
+def pooled_representation(image: np.ndarray, caption, image_encoder: ImageEncoder,
+                          text_encoder: TextEncoder, fusion: FusionModule) -> np.ndarray:
+    """Mean over fused patch tokens of the full image, gradient-free."""
     with no_grad():
-        ids = tokenize_text(caption, state.text_encoder.cfg.max_text_len)
-        text_reps = state.text_encoder.encode(ids)
-        image_reps = state.image_encoder.encode(image)
-        fused = module(image_reps, text_reps)
+        fused = fuse_image(image, caption, image_encoder, text_encoder, fusion)
         return mean_rows(fused).data.copy()
-
-
-def pool_and_classify(image: np.ndarray, caption, state: PretrainState,
-                      head: ClassifierHead) -> Tensor:
-    pooled = Tensor(pooled_representation(state, image, caption))
-    return head.logits(pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +76,11 @@ class FinetuneHistory:
 
 def _pooled_features(state: PretrainState, examples) -> list[tuple[np.ndarray, int]]:
     features = []
+    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
     for example in examples:
         if example.label is None:
             raise DataError("fine-tuning requires labeled examples")
-        pooled = pooled_representation(state, example.image, example.caption)
+        pooled = pooled_representation(example.image, example.caption, *encoders, state.fusion)
         features.append((pooled, LABEL_TO_INDEX[example.label]))
     return features
 
@@ -242,10 +231,13 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 def evaluate(state: PretrainState, head: ClassifierHead, examples) -> ConfusionMatrix:
     cm = ConfusionMatrix()
+    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
     for example in examples:
         if example.label is None:
             raise DataError("evaluation requires labeled examples")
-        logits = pool_and_classify(example.image, example.caption, state, head)
+        pooled = pooled_representation(example.image, example.caption, *encoders, state.fusion)
+        with no_grad():
+            logits = head.logits(Tensor(pooled))
         cm.add(LABEL_TO_INDEX[example.label], int(np.argmax(logits.data)))
     return cm
 

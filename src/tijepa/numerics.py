@@ -128,10 +128,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def _record(op: str, inputs: Sequence[Tensor], arr: np.ndarray, backward) -> Tensor:
     needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
     out = Tensor._result(arr, needs)
@@ -319,21 +315,6 @@ def mean_rows(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    ax = axis if axis >= 0 else a.ndim + axis
-    if not (0 <= ax < a.ndim):
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=ax, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record("softmax", (a,), y, back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -583,10 +564,6 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     r = _const64(rng, (2, 3))
     checks.append(("elementwise", check_gradients(
         lambda: sum_all(mul(scale(sub(mul(u, v), neg(u)), 0.7), r)), [u, v])))
-
-    x = _rand64(rng, (3, 5), -2.0, 2.0)
-    r = _const64(rng, (3, 5))
-    checks.append(("softmax", check_gradients(lambda: sum_all(mul(softmax(x, axis=-1), r)), [x])))
 
     x, g_, b_ = _rand64(rng, (4, 6)), _rand64(rng, (6,), 0.5, 1.5), _rand64(rng, (6,))
     r = _const64(rng, (4, 6))

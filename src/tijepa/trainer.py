@@ -24,9 +24,8 @@ from .core import (
     FusionModule,
     Predictor,
     PredictorConfig,
-    make_context,
+    example_loss,
     make_targets,
-    prediction_loss,
 )
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
@@ -404,20 +403,6 @@ def _memo_if_frozen(encoder):
     return EncodingMemo(encoder)
 
 
-def _example_forward(state: PretrainState, encoders, image: np.ndarray, caption, masks,
-                     targets) -> Tensor:
-    """Prediction loss of one example whose context path reads ``caption``.
-
-    ``encoders`` is the (image, text) encoder pair, plain or memoized.
-    """
-    context = make_context(image, caption, masks, *encoders, state.fusion)
-    preds = state.predictor.predict(context, masks.context,
-                                    [block.indices() for block in masks.targets],
-                                    (masks.grid_h, masks.grid_w))
-    return prediction_loss(preds, targets, [block.area for block in masks.targets],
-                           state.config.loss_type)
-
-
 def train(config: TiJepaConfig, dataset, out_dir=None,
           state: PretrainState | None = None) -> TrainResult:
     """Run pretraining until ``config.total_steps``; resumes when given a state.
@@ -474,9 +459,10 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
                                int(example_index), exc)
                 continue
             targets, fused = make_targets(example.image, example.caption, masks, *encoders,
-                                          state.target_fusion, return_full=True)
-            loss_terms.append(_example_forward(state, encoders, example.image,
-                                               example.caption, masks, targets))
+                                          state.target_fusion)
+            loss_terms.append(example_loss(encoders, state.fusion, state.predictor, example.image,
+                                           example.caption, masks, targets,
+                                           state.config.loss_type))
             fused_stack.append(fused.data)
         if not loss_terms:
             raise NumericalError(f"step {s + 1}: every example in the batch was skipped")
@@ -539,12 +525,12 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
             other = dataset[(i + 1) % n]
             rng = np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i])
             masks = sample_masks(rng=rng, **config.mask_args())
-            targets = make_targets(example.image, example.caption, masks, *encoders,
-                                   state.target_fusion)
+            targets, _ = make_targets(example.image, example.caption, masks, *encoders,
+                                      state.target_fusion)
             for caption, sink in ((example.caption, true_losses),
                                   (other.caption, permuted_losses)):
-                sink.append(_example_forward(state, encoders, example.image, caption,
-                                             masks, targets).item())
+                sink.append(example_loss(encoders, state.fusion, state.predictor, example.image,
+                                         caption, masks, targets, config.loss_type).item())
     return float(np.mean(true_losses)), float(np.mean(permuted_losses))
 
 

@@ -6,6 +6,7 @@ from tijepa.core import (
     FusionModule,
     Predictor,
     PredictorConfig,
+    example_loss,
     fusion_gradient_check,
     make_context,
     make_targets,
@@ -13,7 +14,7 @@ from tijepa.core import (
     pipeline_gradient_check,
     prediction_loss,
 )
-from tijepa.encoders import EncoderConfig, ImageEncoder, TextEncoder
+from tijepa.encoders import EncoderConfig, ImageEncoder, TextEncoder, TransformerBlock
 from tijepa.errors import ShapeError
 from tijepa.masking import BlockMask, MaskSet, sample_masks
 from tijepa.numerics import (
@@ -62,11 +63,11 @@ class TestFuse:
         x = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, DIM)).astype(np.float32))
         text = Tensor(np.random.default_rng(2).uniform(-1, 1, (1, DIM)).astype(np.float32))
 
-        normed = layer_norm(x, layer.ln_self_g, layer.ln_self_b)
-        h = add(x, attention(normed, normed, layer.self_attn, layer.heads))
+        normed = layer_norm(x, layer.ln1_g, layer.ln1_b)
+        h = add(x, attention(normed, normed, layer.attn, layer.heads))
         normed = layer_norm(h, layer.ln_cross_g, layer.ln_cross_b)
         h = add(h, attention(normed, text, layer.cross_attn, layer.heads))
-        inner = linear(layer_norm(h, layer.ln_mlp_g, layer.ln_mlp_b),
+        inner = linear(layer_norm(h, layer.ln2_g, layer.ln2_b),
                        layer.mlp_w1, layer.mlp_b1)
         expected = add(h, linear(gelu(inner), layer.mlp_w2, layer.mlp_b2)).data
 
@@ -76,7 +77,7 @@ class TestFuse:
     def test_zeroed_output_projections_give_identity(self):
         module = small_fusion(layers=2)
         for layer in module.layers:
-            for tensor in (layer.self_attn.wo, layer.self_attn.bo,
+            for tensor in (layer.attn.wo, layer.attn.bo,
                            layer.cross_attn.wo, layer.cross_attn.bo,
                            layer.mlp_w2, layer.mlp_b2):
                 tensor.data[...] = 0.0
@@ -102,6 +103,25 @@ class TestFuse:
         out = module(Tensor(np.zeros((4, 12), dtype=np.float32)),
                      Tensor(np.zeros((3, 20), dtype=np.float32)))
         assert out.shape == (4, 12)
+
+
+    def test_layer_tensor_names_keep_the_checkpoint_spelling(self):
+        names = set(small_fusion().named_parameters("f"))
+        sublayers = {"ln_self.gain", "ln_self.bias", "ln_cross.gain", "ln_cross.bias",
+                     "ln_mlp.gain", "ln_mlp.bias", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"}
+        for attn in ("self_attn", "cross_attn"):
+            sublayers |= {f"{attn}.{w}" for w in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")}
+        assert names == {f"f.layers.0.{name}" for name in sublayers}
+        block = TransformerBlock(DIM, 2, np.random.default_rng(0))
+        assert {name.split(".")[1] for name in block.named_parameters("b")} == \
+            {"ln1", "attn", "ln2", "mlp"}
+
+    def test_context_goes_only_to_a_cross_attention_block(self):
+        x = Tensor(np.zeros((3, DIM), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            small_fusion().layers[0](x)
+        with pytest.raises(ShapeError):
+            TransformerBlock(DIM, 2, np.random.default_rng(0))(x, context=x)
 
 
 class TestParamCount:
@@ -136,7 +156,7 @@ class TestMakeTargets:
         target_fusion = small_fusion(requires_grad=False)
         masks = mask_set()
         targets, fused = make_targets(small_image(), "cap", masks, image_encoder,
-                                      text_encoder, target_fusion, return_full=True)
+                                      text_encoder, target_fusion)
         assert targets.shape == (sum(block.area for block in masks.targets), DIM)
         assert not targets.requires_grad
         row = 0
@@ -151,7 +171,7 @@ class TestMakeTargets:
         single = BlockMask(2, 2, row=1, col=0, height=1, width=1, requested_area=1)
         masks = MaskSet(2, 2, single, (0, 1, 3), (single,))
         targets, fused = make_targets(small_image(), "cap", masks, image_encoder,
-                                      text_encoder, target_fusion, return_full=True)
+                                      text_encoder, target_fusion)
         np.testing.assert_array_equal(targets.data, fused.data[2:3])
 
     def test_context_pixels_influence_targets(self):
@@ -164,11 +184,11 @@ class TestMakeTargets:
         masks = MaskSet(2, 2, ctx, (3,), (target,))
         img = small_image()
         first = make_targets(img, "cap", masks, image_encoder, text_encoder,
-                             target_fusion).data
+                             target_fusion)[0].data
         img2 = img.copy()
         img2[:, 8:, 8:] = 1.0 - img2[:, 8:, 8:]  # patch 3 only (context area)
         second = make_targets(img2, "cap", masks, image_encoder, text_encoder,
-                              target_fusion).data
+                              target_fusion)[0].data
         assert np.abs(first - second).max() > 1e-6
 
 
@@ -190,8 +210,7 @@ class TestMakeContext:
         masks = MaskSet(2, 2, full_block, (0, 1, 2, 3), (dummy_target,))
         img = small_image()
         context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
-        _, fused = make_targets(img, "cap", masks, image_encoder, text_encoder,
-                                twin, return_full=True)
+        _, fused = make_targets(img, "cap", masks, image_encoder, text_encoder, twin)
         np.testing.assert_allclose(context.data, fused.data, atol=1e-6)
 
     def test_masking_changes_representation(self):
@@ -336,6 +355,25 @@ class TestPredictionLoss:
             prediction_loss(x, x, [1], kind="huber")
 
 
+class TestExampleLoss:
+    @pytest.mark.parametrize("kind", ["l2", "l1"])
+    def test_equals_context_predict_loss_composition(self, kind):
+        encoders = small_encoders(frozen=False)
+        fusion = small_fusion()
+        predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM,
+                              np.random.default_rng(9))
+        masks = mask_set()
+        img = small_image()
+        targets, _ = make_targets(img, "cap", masks, *encoders, fusion.clone())
+        context = make_context(img, "cap", masks, *encoders, fusion)
+        preds = predictor.predict(context, masks.context,
+                                  [block.indices() for block in masks.targets], GRID)
+        expected = prediction_loss(preds, targets, [block.area for block in masks.targets], kind)
+        loss = example_loss(encoders, fusion, predictor, img, "cap", masks, targets, kind)
+        assert loss.data.tobytes() == expected.data.tobytes()
+        assert loss.requires_grad
+
+
 class TestStopGradient:
     def test_gradients_reach_only_online_modules(self):
         image_encoder, text_encoder = small_encoders(frozen=True)
@@ -346,8 +384,8 @@ class TestStopGradient:
         masks = mask_set()
         img = small_image()
 
-        targets = make_targets(img, "cap", masks, image_encoder, text_encoder,
-                               target_fusion)
+        targets, _ = make_targets(img, "cap", masks, image_encoder, text_encoder,
+                                  target_fusion)
         context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
         preds = predictor.predict(context, masks.context,
                                   [block.indices() for block in masks.targets], GRID)
@@ -372,7 +410,7 @@ class TestStopGradient:
         target = BlockMask(2, 2, 1, 1, 1, 1, 1)
         masks = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 2, 2, 4), (0, 1, 2), (target,))
         img = small_image()
-        targets = make_targets(img, "cap", masks, image_encoder, text_encoder, twin)
+        targets, _ = make_targets(img, "cap", masks, image_encoder, text_encoder, twin)
         context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
         preds = predictor.predict(context, masks.context,
                                   [block.indices() for block in masks.targets], GRID)

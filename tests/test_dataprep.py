@@ -14,14 +14,13 @@ from tijepa.dataprep import (
     load_annotations,
     load_manifest,
     majority_vote,
-    reconcile_multi,
     reconcile_pairs,
     reconcile_single,
     split_dataset,
     synth_generate,
     write_synth_dataset,
 )
-from tijepa.encoders import write_ppm
+from tijepa.encoders import tokenize_text, write_ppm
 from tijepa.errors import DataError
 
 # the full single-annotator reconciliation table: equal labels stay, a
@@ -82,25 +81,38 @@ class TestMajorityVote:
 
 
 class TestReconcileMulti:
-    def pair(self, text, image):
-        return AnnotatedPair("x", tuple(text), tuple(image))
+    def reconcile(self, text, image):
+        """Kept label and discard reason of one triple-annotated pair."""
+        kept, stats = reconcile_pairs([AnnotatedPair("x", tuple(text), tuple(image))], "multi")
+        assert stats.total_input == 1
+        assert stats.total_kept + stats.discarded_ambiguous + stats.discarded_conflict == 1
+        label = kept[0][1] if kept else None
+        if label is not None:
+            assert stats.counts[label] == 1
+        reason = ("ambiguous" if stats.discarded_ambiguous
+                  else "conflict" if stats.discarded_conflict else None)
+        return label, reason
 
     def test_composed_examples(self):
-        assert reconcile_multi(self.pair(
-            [POSITIVE, POSITIVE, NEUTRAL], [NEUTRAL, NEUTRAL, NEGATIVE])) == POSITIVE
-        assert reconcile_multi(self.pair(
-            [POSITIVE, NEUTRAL, NEGATIVE], [POSITIVE, POSITIVE, POSITIVE])) is None
-        assert reconcile_multi(self.pair(
-            [NEGATIVE, NEGATIVE, NEGATIVE], [POSITIVE, POSITIVE, NEUTRAL])) is None
+        assert self.reconcile([POSITIVE, POSITIVE, NEUTRAL],
+                              [NEUTRAL, NEUTRAL, NEGATIVE]) == (POSITIVE, None)
+        assert self.reconcile([POSITIVE, NEUTRAL, NEGATIVE],
+                              [POSITIVE, POSITIVE, POSITIVE]) == (None, "ambiguous")
+        assert self.reconcile([NEGATIVE, NEGATIVE, NEGATIVE],
+                              [POSITIVE, POSITIVE, NEUTRAL]) == (None, "conflict")
 
     def test_matches_brute_force_over_all_729_pairs(self):
         for text in itertools.product(LABELS, repeat=3):
             for image in itertools.product(LABELS, repeat=3):
                 t = brute_force_majority(list(text))
                 i = brute_force_majority(list(image))
-                expected = None if t is None or i is None \
-                    else SINGLE_TRUTH_TABLE[(t, i)]
-                assert reconcile_multi(self.pair(text, image)) == expected
+                if t is None or i is None:
+                    expected = (None, "ambiguous")
+                elif SINGLE_TRUTH_TABLE[(t, i)] is None:
+                    expected = (None, "conflict")
+                else:
+                    expected = (SINGLE_TRUTH_TABLE[(t, i)], None)
+                assert self.reconcile(text, image) == expected, (text, image)
 
 
 class TestReconcilePipeline:
@@ -277,4 +289,4 @@ class TestSynth:
 class TestPairedExample:
     def test_token_ids_include_markers(self):
         example = PairedExample(None, "hi")
-        assert example.token_ids(16) == [256, 104, 105, 257]
+        assert tokenize_text(example.caption, 16) == [256, 104, 105, 257]

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import tijepa.eval_head as eval_head_module
 from tijepa.dataprep import LABELS, PairedExample, synth_generate
+from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, ShapeError
 from tijepa.eval_head import (
     ClassifierHead,
@@ -15,7 +17,6 @@ from tijepa.eval_head import (
     finetune,
     format_report,
     load_head,
-    pool_and_classify,
     pooled_representation,
     save_head,
 )
@@ -39,6 +40,12 @@ def backbone_digest(state):
     return digest.hexdigest()
 
 
+def classify(state, head, example):
+    pooled = pooled_representation(example.image, example.caption, state.image_encoder,
+                                   state.text_encoder, state.fusion)
+    return head.logits(Tensor(pooled))
+
+
 class TestPoolAndClassify:
     def test_constant_head_always_picks_class_zero(self):
         state = tiny_state()
@@ -46,24 +53,24 @@ class TestPoolAndClassify:
         head.bias.data[...] = [1.0, 0.0, 0.0]
         examples = synth_generate(4, seed=0, image_size=16)
         for e in examples:
-            logits = pool_and_classify(e.image, e.caption, state, head)
+            logits = classify(state, head, e)
             assert int(np.argmax(logits.data)) == 0
 
     def test_different_inputs_different_logits(self):
         state = tiny_state()
         head = ClassifierHead(16, np.random.default_rng(1))
         examples = synth_generate(8, seed=0, image_size=16)
-        a = pool_and_classify(examples[0].image, examples[0].caption, state, head)
-        b = pool_and_classify(examples[1].image, examples[1].caption, state, head)
+        a = classify(state, head, examples[0])
+        b = classify(state, head, examples[1])
         assert np.abs(a.data - b.data).max() > 1e-7
 
     def test_pooled_rep_is_mean_of_fused_tokens(self):
-        from tijepa.encoders import tokenize_text
         from tijepa.numerics import no_grad
 
         state = tiny_state()
         example = synth_generate(1, seed=3, image_size=16)[0]
-        pooled = pooled_representation(state, example.image, example.caption)
+        pooled = pooled_representation(example.image, example.caption, state.image_encoder,
+                                       state.text_encoder, state.fusion)
         with no_grad():
             ids = tokenize_text(example.caption, 16)
             fused = state.fusion(state.image_encoder.encode(example.image),
@@ -112,7 +119,8 @@ class TestFinetune:
 
         import tijepa.eval_head as eh
         original = eh.pooled_representation
-        eh.pooled_representation = lambda s, img, cap: features[int(cap[1:])]
+        eh.pooled_representation = \
+            lambda img, cap, image_encoder, text_encoder, fusion: features[int(cap[1:])]
         try:
             head, history = finetune(state, examples, examples, epochs=20,
                                      lr=0.05, seed=0)
@@ -151,6 +159,47 @@ class TestFinetune:
     def test_empty_train_split_rejected(self):
         with pytest.raises(DataError):
             finetune(tiny_state(), [], epochs=1)
+
+
+class TestEncodingMemoInFinetuneAndEval:
+    # 32 synthetic examples hold the 16 (caption, image) pairs twice each
+    def run(self, head_path):
+        state = tiny_state()
+        examples = synth_generate(32, seed=0, image_size=16, labeled=True)
+        head, history = finetune(state, examples, examples[:20], epochs=3, lr=0.01, seed=0)
+        save_head(head, head_path)
+        cm = evaluate(state, head, examples[:24])
+        return head_path.read_bytes(), history.val_accuracies, cm.counts
+
+    def test_results_equal_those_of_fresh_encodes(self, tmp_path, monkeypatch):
+        head_bytes, val_accuracies, counts = self.run(tmp_path / "memo.tijp")
+        monkeypatch.setattr(eval_head_module, "EncodingMemo", lambda encoder: encoder)
+        plain = self.run(tmp_path / "plain.tijp")
+        assert head_bytes == plain[0]
+        assert val_accuracies == plain[1]
+        np.testing.assert_array_equal(counts, plain[2])
+
+    def test_each_call_encodes_each_distinct_input_once(self, tmp_path, monkeypatch):
+        calls = {"text": 0, "image": 0}
+        text_encode, image_encode = TextEncoder.encode, ImageEncoder.encode
+
+        def counted_text(self, token_ids):
+            calls["text"] += 1
+            return text_encode(self, token_ids)
+
+        def counted_image(self, image, visible=None):
+            calls["image"] += 1
+            return image_encode(self, image, visible)
+
+        monkeypatch.setattr(TextEncoder, "encode", counted_text)
+        monkeypatch.setattr(ImageEncoder, "encode", counted_image)
+        self.run(tmp_path / "head.tijp")
+        # fine-tuning pools the train and the val split (one memo each), eval
+        # its examples; each of the three sees every distinct input
+        examples = synth_generate(16, seed=0, image_size=16)
+        captions = {tuple(tokenize_text(e.caption, 16)) for e in examples}
+        images = {e.image.tobytes() for e in examples}
+        assert calls == {"text": 3 * len(captions), "image": 3 * len(images)}
 
 
 class TestHeadCheckpoint:

@@ -21,7 +21,6 @@ from tijepa.numerics import (
     mean_rows,
     mul,
     no_grad,
-    softmax,
     sub,
     sum_all,
 )
@@ -76,30 +75,6 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(t([[1.0, 2.0]]), t([[1.0, 2.0]]))
-
-
-class TestSoftmax:
-    def test_symmetry(self):
-        np.testing.assert_allclose(softmax(t([0.0, 0.0])).data, [0.5, 0.5])
-
-    def test_large_values_stable(self):
-        out = softmax(t([1000.0, 1000.0])).data
-        np.testing.assert_allclose(out, [0.5, 0.5])
-
-    def test_closed_form(self):
-        out = softmax(t([0.0, math.log(3.0)])).data
-        np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-7)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = t(rng.uniform(-50, 50, (4, 9)))
-            sums = softmax(x, axis=-1).data.sum(axis=-1)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-6)
-
-    def test_bad_axis(self):
-        with pytest.raises(ShapeError):
-            softmax(t([1.0, 2.0]), axis=3)
 
 
 class TestLayerNorm:

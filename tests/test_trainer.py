@@ -303,6 +303,21 @@ class TestTensorFileFormat:
             read_tensor_file(path)
 
 
+class TestGoldenBytes:
+    # The default config's initial checkpoint, pinned. Initialization draws
+    # from seeded generators and uses no BLAS, so the bytes are the same on
+    # every machine; a change means the init draw order, a tensor name or the
+    # file format moved.
+    INIT_SHA256 = "5df28a5cd3c509a3289902942b245b3371b4f8f33021ef7c54784c77b112d72e"
+    INIT_BYTES = 4_374_003
+
+    def test_default_initial_checkpoint_digest(self, tmp_path):
+        save_checkpoint(PretrainState.initialize(TiJepaConfig()), tmp_path / "init.tijp")
+        blob = (tmp_path / "init.tijp").read_bytes()
+        assert len(blob) == self.INIT_BYTES
+        assert hashlib.sha256(blob).hexdigest() == self.INIT_SHA256
+
+
 class TestCheckpointing:
     def test_roundtrip_restores_everything(self, tmp_path):
         cfg = tiny_config(total_steps=2)
