@@ -108,14 +108,20 @@ class FusionModule:
                                         cross_std=CROSS_ATTN_INIT_STD)
                        for _ in range(cfg.layers)]
 
-    def __call__(self, patch_reps: Tensor, text_reps: Tensor) -> Tensor:
-        """Run patch tokens through the fusion stack conditioned on text tokens."""
+    def __call__(self, patch_reps: Tensor, text_reps: Tensor, segments=None,
+                 text_segments=None) -> Tensor:
+        """Run patch tokens through the fusion stack conditioned on text tokens.
+
+        ``segments`` and ``text_segments`` give each example's patch and text
+        row counts when several examples are stacked; the patches of one
+        example attend only to each other and to that example's text.
+        """
         tokens = linear(patch_reps, *self.patch_in) if self.patch_in else patch_reps
         text = linear(text_reps, *self.text_in) if self.text_in else text_reps
         if tokens.shape[-1] != self.cfg.hidden or text.shape[-1] != self.cfg.hidden:
             raise ShapeError("fusion input width does not match module hidden size")
         for layer in self.layers:
-            tokens = layer(tokens, context=text)
+            tokens = layer(tokens, segments, context=text, context_segments=text_segments)
         return linear(tokens, *self.patch_out) if self.patch_out else tokens
 
     def named_parameters(self, prefix: str = "fusion") -> dict[str, Tensor]:
@@ -174,19 +180,30 @@ class Predictor:
 
     def predict(self, context_reps: Tensor, context_positions, target_blocks,
                 grid: tuple[int, int]) -> Tensor:
-        """Predict every target block of one example in a single pass.
+        """Predict every target block of every example in a single pass.
 
-        ``target_blocks`` holds one sequence of grid positions per block. Each
-        block is its own attention segment, the context tokens followed by
-        the block's mask tokens, so blocks never see one another. Returns the
-        predicted rows of all blocks stacked in block order.
+        ``context_positions`` holds one sequence of grid positions per
+        example, and ``context_reps`` their rows stacked example by example.
+        ``target_blocks`` holds, per example, one sequence of grid positions
+        per block. Each (example, block) pair is its own attention segment,
+        the example's context tokens followed by the block's mask tokens, so
+        no block sees another block or another example. Returns the predicted
+        rows stacked example by example, blocks in order.
         """
-        ctx_idx = np.asarray(context_positions, dtype=np.int64)
-        tgt_blocks = [np.asarray(block, dtype=np.int64) for block in target_blocks]
-        if not tgt_blocks:
-            raise ShapeError("no target blocks to predict")
-        tgt_idx = np.concatenate(tgt_blocks)
-        if np.intersect1d(ctx_idx, tgt_idx).size:
+        ctx_pos = [np.asarray(p, dtype=np.int64).reshape(-1) for p in context_positions]
+        blocks = [[np.asarray(b, dtype=np.int64).reshape(-1) for b in ex] for ex in target_blocks]
+        if len(ctx_pos) != len(blocks) or not blocks or not all(blocks):
+            raise ShapeError("need target blocks for every example")
+        # one attention segment per (example, block); owner[j] is segment j's example
+        owner = np.repeat(np.arange(len(blocks)), [len(ex) for ex in blocks])
+        flat_blocks = [b for ex in blocks for b in ex]
+        ctx_sizes = np.array([p.size for p in ctx_pos])
+        block_sizes = np.array([b.size for b in flat_blocks])
+        ctx_idx, tgt_idx = np.concatenate(ctx_pos), np.concatenate(flat_blocks)
+        # give each example its own grid so that overlaps are found per example
+        cells = grid[0] * grid[1]
+        if np.intersect1d(ctx_idx + cells * np.repeat(np.arange(len(ctx_pos)), ctx_sizes),
+                          tgt_idx + cells * np.repeat(owner, block_sizes)).size:
             raise ShapeError("target positions overlap context positions")
         n_ctx = ctx_idx.size
         if context_reps.shape[0] != n_ctx:
@@ -194,12 +211,13 @@ class Predictor:
         pos = sincos_pos_2d(grid[0], grid[1], self.cfg.width, self.dtype)
         ctx = add(linear(context_reps, self.in_w, self.in_b), Tensor(pos[ctx_idx], dtype=self.dtype))
         masks = add(Tensor(pos[tgt_idx], dtype=self.dtype), self.mask_token)
-        # rows of concat_rows([ctx, masks]) that make up each block's segment
-        starts = np.cumsum([n_ctx] + [block.size for block in tgt_blocks[:-1]])
-        layout = np.concatenate([np.r_[0:n_ctx, start:start + block.size]
-                                 for start, block in zip(starts, tgt_blocks)])
+        # rows of concat_rows([ctx, masks]) that make up each segment
+        ctx_starts = np.cumsum(ctx_sizes) - ctx_sizes
+        block_starts = n_ctx + np.cumsum(block_sizes) - block_sizes
+        layout = np.concatenate([np.r_[ctx_starts[i]:ctx_starts[i] + ctx_sizes[i], start:start + size]
+                                 for i, start, size in zip(owner, block_starts, block_sizes)])
         tokens = gather_rows(concat_rows([ctx, masks]), layout)
-        segments = [n_ctx + block.size for block in tgt_blocks]
+        segments = ctx_sizes[owner] + block_sizes
         for block in self.blocks:
             tokens = block(tokens, segments)
         slots = gather_rows(tokens, np.flatnonzero(layout >= n_ctx))
@@ -222,75 +240,89 @@ class Predictor:
 # forward paths
 
 
-def fuse_image(image: np.ndarray, caption, image_encoder: ImageEncoder,
-               text_encoder: TextEncoder, fusion: FusionModule, visible=None) -> Tensor:
-    """Tokenize and encode the caption, encode the image and fuse the two.
+def fuse_image(images, captions, image_encoder: ImageEncoder, text_encoder: TextEncoder,
+               fusion: FusionModule, visible=None) -> tuple[Tensor, list[int]]:
+    """Tokenize and encode the captions, encode the images and fuse each pair.
 
-    ``visible`` limits the image encoder to those patches (rows follow
-    ascending patch index); by default every patch is encoded. Gradients flow
-    wherever parameters require them.
+    ``visible`` limits the image encoder to one set of patches per image
+    (rows follow ascending patch index); by default every patch is encoded.
+    Returns the fused rows, example by example, and each example's row
+    count. Gradients flow wherever parameters require them.
     """
-    text_reps = text_encoder.encode(tokenize_text(caption, text_encoder.cfg.max_text_len))
-    return fusion(image_encoder.encode(image, visible=visible), text_reps)
+    ids = [tokenize_text(caption, text_encoder.cfg.max_text_len) for caption in captions]
+    text_reps, text_sizes = text_encoder.encode([i for seq in ids for i in seq],
+                                                [len(seq) for seq in ids])
+    patch_reps, sizes = image_encoder.encode(images, visible=visible)
+    return fusion(patch_reps, text_reps, sizes, text_sizes), sizes
 
 
-def make_targets(image: np.ndarray, caption, masks: MaskSet, image_encoder: ImageEncoder,
+def make_targets(images, captions, masks: list[MaskSet], image_encoder: ImageEncoder,
                  text_encoder: TextEncoder, target_fusion: FusionModule) -> tuple[Tensor, Tensor]:
     """Fused full-image representations and their target-block rows, gradient-free.
 
-    Returns ``(targets, fused)``. Target rows follow the blocks in order, each
-    block's patches in ``indices()`` order, matching the rows
+    Returns ``(targets, fused)``: ``fused`` stacks every example's patch
+    rows; ``targets`` its target-block rows, example by example, blocks in
+    order, each block's patches in ``indices()`` order, matching the rows
     ``Predictor.predict`` returns.
     """
     with no_grad():
-        fused = fuse_image(image, caption, image_encoder, text_encoder, target_fusion)
-        targets = gather_rows(fused, [i for block in masks.targets for i in block.indices()])
+        fused, sizes = fuse_image(images, captions, image_encoder, text_encoder, target_fusion)
+        starts = np.cumsum(sizes) - sizes
+        targets = gather_rows(fused, [start + i for start, m in zip(starts, masks)
+                                      for block in m.targets for i in block.indices()])
     return targets, fused
 
 
-def make_context(image: np.ndarray, caption, masks: MaskSet, image_encoder: ImageEncoder,
+def make_context(images, captions, masks: list[MaskSet], image_encoder: ImageEncoder,
                  text_encoder: TextEncoder, fusion: FusionModule) -> Tensor:
-    """Fused representations of the visible context patches; gradients flow."""
-    if not masks.context:
+    """Fused representations of every example's visible context patches, stacked; gradients flow."""
+    if not all(m.context for m in masks):
         raise ShapeError("context index set is empty")
-    return fuse_image(image, caption, image_encoder, text_encoder, fusion, visible=masks.context)
+    return fuse_image(images, captions, image_encoder, text_encoder, fusion,
+                      visible=[m.context for m in masks])[0]
 
 
 def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
                     kind: str = "l2") -> Tensor:
-    """Per-block distances between predictions and targets, averaged over blocks.
+    """Mean over examples of each example's per-block distances averaged over blocks.
 
-    Rows hold the target blocks stacked in order, ``block_sizes`` rows each.
-    ``l2`` (default) sums squared differences; ``l1`` sums absolute ones. The
-    mean over blocks of per-block sums is the sum over all rows divided by
-    the block count.
+    Rows hold each example's target blocks stacked in order; ``block_sizes``
+    lists, per example, the row count of each of its blocks. ``l2``
+    (default) sums squared differences; ``l1`` sums absolute ones. Each
+    row's distance is weighted by one over its example's block count.
     """
-    sizes = [int(n) for n in block_sizes]
-    if not sizes:
+    sizes = [[int(n) for n in example] for example in block_sizes]
+    if not sizes or not all(sizes):
         raise ShapeError("no prediction blocks")
     if kind not in ("l2", "l1"):
         raise ShapeError(f"unknown loss kind '{kind}'")
     if predictions.shape != targets.shape:
         raise ShapeError(f"predictions {predictions.shape} vs targets {targets.shape}")
-    if sum(sizes) != predictions.shape[0]:
+    rows = [sum(example) for example in sizes]
+    if sum(rows) != predictions.shape[0]:
         raise ShapeError(f"block sizes {sizes} do not add up to {predictions.shape[0]} rows")
+    row_weight = np.repeat([1.0 / len(example) for example in sizes], rows)
+    weights = np.repeat(row_weight[:, None], predictions.shape[1], axis=1)
     diff = sub(predictions, targets)
-    total = sum_all(mul(diff, diff)) if kind == "l2" else sum_all(abs_val(diff))
-    return scale(total, 1.0 / len(sizes))
+    per_entry = mul(diff, diff) if kind == "l2" else abs_val(diff)
+    return scale(sum_all(mul(per_entry, Tensor(weights, dtype=predictions.dtype))),
+                 1.0 / len(sizes))
 
 
-def example_loss(encoders, fusion: FusionModule, predictor: Predictor, image: np.ndarray,
-                 caption, masks: MaskSet, targets: Tensor, kind: str) -> Tensor:
-    """Prediction loss of one example whose context path reads ``caption``.
+def example_loss(encoders, fusion: FusionModule, predictor: Predictor, images, captions,
+                 masks: list[MaskSet], targets: Tensor, kind: str) -> Tensor:
+    """Prediction loss of a batch whose context path reads ``captions``.
 
     ``encoders`` is the (image, text) encoder pair, plain or memoized;
-    ``targets`` are the rows :func:`make_targets` returns for ``masks``.
+    ``targets`` are the rows :func:`make_targets` returns for ``masks``. A
+    single example is a batch of one.
     """
-    context = make_context(image, caption, masks, *encoders, fusion)
-    preds = predictor.predict(context, masks.context,
-                              [block.indices() for block in masks.targets],
-                              (masks.grid_h, masks.grid_w))
-    return prediction_loss(preds, targets, [block.area for block in masks.targets], kind)
+    context = make_context(images, captions, masks, *encoders, fusion)
+    preds = predictor.predict(context, [m.context for m in masks],
+                              [[block.indices() for block in m.targets] for m in masks],
+                              (masks[0].grid_h, masks[0].grid_w))
+    return prediction_loss(preds, targets, [[block.area for block in m.targets] for m in masks],
+                           kind)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +346,7 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
 
     Targets are precomputed constants (they are gradient-free in training),
     so the check covers the context, predictor, and loss paths, including
-    unfrozen encoders and the predictor's one pass over two target blocks.
+    unfrozen encoders and one batched pass over two examples.
     """
     rng = np.random.default_rng(seed)
     enc_cfg = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
@@ -327,16 +359,18 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
     predictor = Predictor(PredictorConfig(depth=1, heads=2, width=8), 8, rng,
                           requires_grad=True, dtype=np.float64)
 
-    # a 3x3 grid fits two target blocks, usually of unequal size, so the
-    # predictor's segmented attention is part of the check
-    image = rng.uniform(0, 1, (3, 12, 12))
-    masks = sample_masks((3, 3), 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
-                         np.random.default_rng(seed + 1))
+    # two examples on a 3x3 grid, each with two target blocks (usually of
+    # unequal size), captions of unequal length and, at seed 0, contexts of 3
+    # and 6 patches, so the padded and masked attention paths are checked
+    images = rng.uniform(0, 1, (2, 3, 12, 12))
+    captions = ["ab", "wxyz"]
+    masks = [sample_masks((3, 3), 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
+                          np.random.default_rng(seed + i)) for i in (1, 2)]
     encoders = (image_encoder, text_encoder)
-    targets, _ = make_targets(image, "ab", masks, *encoders, target_fusion)
+    targets, _ = make_targets(images, captions, masks, *encoders, target_fusion)
 
     def build():
-        return example_loss(encoders, fusion, predictor, image, "ab", masks, targets, "l2")
+        return example_loss(encoders, fusion, predictor, images, captions, masks, targets, "l2")
 
     params: dict[str, Tensor] = {}
     params.update(image_encoder.named_parameters())

@@ -22,6 +22,7 @@ from .numerics import (
     Tensor,
     add,
     attention,
+    concat_rows,
     gather_rows,
     gelu,
     layer_norm,
@@ -124,17 +125,21 @@ def sincos_pos_2d(grid_h: int, grid_w: int, dim: int, dtype=DEFAULT_DTYPE) -> np
 
 
 def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
-    """Split a (3, H, W) image into N x (3*p*p) rows in row-major grid order."""
+    """Split a (3, H, W) image into N x (3*p*p) rows in row-major grid order.
+
+    A (B, 3, H, W) batch gives one such (N, 3*p*p) block per image.
+    """
     img = np.asarray(image)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ShapeError(f"expected a (3, H, W) image, got {img.shape}")
-    _, h, w = img.shape
+    if img.ndim not in (3, 4) or img.shape[-3] != 3:
+        raise ShapeError(f"expected a (3, H, W) image or a batch of them, got {img.shape}")
+    *lead, _, h, w = img.shape
     p = patch_size
     if h % p != 0 or w % p != 0:
         raise ShapeError(f"image {h}x{w} not divisible by patch size {p}")
     gh, gw = h // p, w // p
-    tiles = img.reshape(3, gh, p, gw, p).transpose(1, 3, 0, 2, 4)
-    return np.ascontiguousarray(tiles.reshape(gh * gw, 3 * p * p))
+    b = len(lead)
+    tiles = img.reshape(*lead, 3, gh, p, gw, p).transpose(*range(b), b + 1, b + 3, b, b + 2, b + 4)
+    return np.ascontiguousarray(tiles.reshape(*lead, gh * gw, 3 * p * p))
 
 
 def unpatchify(patches: np.ndarray, grid_h: int, grid_w: int, patch_size: int) -> np.ndarray:
@@ -184,15 +189,19 @@ class TransformerBlock:
         self.mlp_w1, self.mlp_b1 = w((dim, hidden)), zeros(hidden)
         self.mlp_w2, self.mlp_b2 = w((hidden, dim)), zeros(dim)
 
-    def __call__(self, x: Tensor, segments=None, context: Tensor | None = None) -> Tensor:
-        """``segments``: row counts of independent sequences stacked in ``x``."""
+    def __call__(self, x: Tensor, segments=None, context: Tensor | None = None,
+                 context_segments=None, pad_to: int | None = None) -> Tensor:
+        """``segments``: row counts of independent sequences stacked in ``x``;
+        ``context_segments``: those of the same sequences' context tokens.
+        ``pad_to`` fixes the self-attention padding (see ``attention``)."""
         if (context is None) != (self.cross_attn is None):
             raise ShapeError("context tokens go with a cross-attention sublayer, and only there")
         normed = layer_norm(x, self.ln1_g, self.ln1_b)
-        x = add(x, attention(normed, normed, self.attn, self.heads, segments))
+        x = add(x, attention(normed, normed, self.attn, self.heads, segments, pad_to=pad_to))
         if context is not None:
             normed = layer_norm(x, self.ln_cross_g, self.ln_cross_b)
-            x = add(x, attention(normed, context, self.cross_attn, self.heads))
+            x = add(x, attention(normed, context, self.cross_attn, self.heads, segments,
+                                 context_segments))
         h = linear(gelu(linear(layer_norm(x, self.ln2_g, self.ln2_b), self.mlp_w1, self.mlp_b1)),
                    self.mlp_w2, self.mlp_b2)
         return add(x, h)
@@ -218,8 +227,8 @@ class TransformerBlock:
 class ImageEncoder:
     """Linear patch embedding + fixed 2-D positions + transformer blocks.
 
-    ``encode`` accepts an optional set of visible patch indices; only those
-    tokens enter the blocks, and output rows follow ascending patch index.
+    ``encode`` runs a batch of images, each one attention segment, and accepts
+    an optional set of visible patch indices per image.
     """
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
@@ -235,27 +244,40 @@ class ImageEncoder:
         self.norm_g = Tensor(np.ones(cfg.embed_dim), trainable, dtype=dtype)
         self.norm_b = Tensor(np.zeros(cfg.embed_dim), trainable, dtype=dtype)
 
-    def grid_shape(self, image: np.ndarray) -> tuple[int, int]:
-        return image.shape[1] // self.cfg.patch_size, image.shape[2] // self.cfg.patch_size
+    def encode(self, images, visible=None) -> tuple[Tensor, list[int]]:
+        """Encode a batch of (3, H, W) images as one stack of rows.
 
-    def encode(self, image: np.ndarray, visible=None) -> Tensor:
-        patches = patchify(image, self.cfg.patch_size)
-        gh, gw = self.grid_shape(image)
-        n = gh * gw
+        ``visible`` holds one collection of patch indices per image; only
+        those patches are encoded, each image's rows in ascending patch index.
+        By default every patch is. Returns the rows, image by image, and each
+        image's row count.
+        """
+        batch = np.asarray(images)
+        if batch.ndim != 4:
+            raise ShapeError(f"encode takes a batch of (3, H, W) images, got {batch.shape}")
+        patches = patchify(batch, self.cfg.patch_size)
+        b, n = patches.shape[:2]
         if visible is None:
-            idx = np.arange(n)
+            idx = [np.arange(n)] * b
         else:
-            idx = np.asarray(sorted(visible), dtype=np.int64)
-            if idx.size == 0:
-                raise ShapeError("visible patch set is empty")
-            if idx.min() < 0 or idx.max() >= n:
-                raise ShapeError(f"visible patch index out of range [0, {n})")
+            if len(visible) != b:
+                raise ShapeError(f"{len(visible)} visible patch sets for {b} images")
+            idx = [np.asarray(sorted(v), dtype=np.int64) for v in visible]
+        sizes = [i.size for i in idx]
+        if min(sizes) == 0:
+            raise ShapeError("visible patch set is empty")
+        flat = np.concatenate(idx)
+        if flat.min() < 0 or flat.max() >= n:
+            raise ShapeError(f"visible patch index out of range [0, {n})")
+        rows = np.repeat(np.arange(b) * n, sizes) + flat
+        gh, gw = batch.shape[2] // self.cfg.patch_size, batch.shape[3] // self.cfg.patch_size
         pos = sincos_pos_2d(gh, gw, self.cfg.embed_dim, self.dtype)
-        x = linear(Tensor(patches[idx], dtype=self.dtype), self.patch_w, self.patch_b)
-        x = add(x, Tensor(pos[idx], dtype=self.dtype))
+        x = linear(Tensor(patches.reshape(b * n, -1)[rows], dtype=self.dtype),
+                   self.patch_w, self.patch_b)
+        x = add(x, Tensor(pos[flat], dtype=self.dtype))
         for block in self.blocks:
-            x = block(x)
-        return layer_norm(x, self.norm_g, self.norm_b)
+            x = block(x, sizes)
+        return layer_norm(x, self.norm_g, self.norm_b), sizes
 
     __call__ = encode
 
@@ -285,17 +307,30 @@ class TextEncoder:
         self.norm_g = Tensor(np.ones(cfg.embed_dim), trainable, dtype=dtype)
         self.norm_b = Tensor(np.zeros(cfg.embed_dim), trainable, dtype=dtype)
 
-    def encode(self, token_ids) -> Tensor:
-        ids = list(token_ids)
-        if len(ids) < 2:
-            raise ShapeError("token id list must hold at least BOS and EOS")
-        if any(not 0 <= i < VOCAB_SIZE for i in ids):
+    def encode(self, token_ids, sizes=None) -> tuple[Tensor, list[int]]:
+        """Encode a batch of token-id sequences as one stack of rows.
+
+        ``token_ids`` holds the sequences back to back, ``sizes`` their
+        lengths (one sequence when omitted). Returns the rows, sequence by
+        sequence, and ``sizes``. Attention pads every sequence to
+        ``max_text_len``, so a caption's rows do not depend on the other
+        captions of its batch.
+        """
+        ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
+        sizes = [ids.size] if sizes is None else [int(n) for n in sizes]
+        if not sizes or min(sizes) < 2 or sum(sizes) != ids.size:
+            raise ShapeError("each token id sequence must hold at least BOS and EOS")
+        if max(sizes) > self.cfg.max_text_len:
+            raise ShapeError(f"token id sequence longer than max_text_len={self.cfg.max_text_len}")
+        if ids.min() < 0 or ids.max() >= VOCAB_SIZE:
             raise ShapeError(f"token id out of range [0, {VOCAB_SIZE})")
-        pos = sincos_pos_1d(len(ids), self.cfg.embed_dim, self.dtype)
-        x = add(gather_rows(self.embed, ids), Tensor(pos, dtype=self.dtype))
+        starts = np.cumsum(sizes) - sizes
+        pos = sincos_pos_1d(self.cfg.max_text_len, self.cfg.embed_dim, self.dtype)
+        offsets = np.arange(ids.size) - np.repeat(starts, sizes)
+        x = add(gather_rows(self.embed, ids), Tensor(pos[offsets], dtype=self.dtype))
         for block in self.blocks:
-            x = block(x)
-        return layer_norm(x, self.norm_g, self.norm_b)
+            x = block(x, sizes, pad_to=self.cfg.max_text_len)
+        return layer_norm(x, self.norm_g, self.norm_b), sizes
 
     __call__ = encode
 
@@ -314,9 +349,11 @@ class EncodingMemo:
     """An encoder's ``encode`` that runs once per distinct input.
 
     Valid only while the encoder's weights stay fixed, so a caller builds one
-    per call and drops it on return. Token ids are keyed as a tuple, a full
-    image by its shape, dtype and SHA-256; a repeat returns the stored
-    gradient-free tensor, whose array is read-only. Calls with ``visible``
+    per call and drops it on return. A batch is split into its inputs: token
+    id sequences are keyed as tuples, a full image by its shape, dtype and
+    SHA-256. The inputs not seen before are encoded together in one batch
+    and stored as gradient-free tensors with read-only arrays; a batch of one
+    stored input returns the stored tensor itself. Calls with ``visible``
     patches always run the encoder and are never stored.
     """
 
@@ -325,20 +362,31 @@ class EncodingMemo:
         self.cfg = encoder.cfg
         self._store: dict[tuple, Tensor] = {}
 
-    def encode(self, x, visible=None) -> Tensor:
+    def encode(self, inputs, sizes=None, visible=None) -> tuple[Tensor, list[int]]:
         if visible is not None:
-            return self.encoder.encode(x, visible=visible)
-        if isinstance(x, np.ndarray):
-            key = (x.shape, x.dtype.str, hashlib.sha256(np.ascontiguousarray(x)).digest())
+            return self.encoder.encode(inputs, visible=visible)
+        text = isinstance(self.encoder, TextEncoder)
+        if text:
+            ids = np.asarray(inputs, dtype=np.int64).reshape(-1)
+            items = np.split(ids, np.cumsum([ids.size] if sizes is None else sizes)[:-1])
+            keys = [tuple(item.tolist()) for item in items]
         else:
-            key = tuple(x)
-        out = self._store.get(key)
-        if out is None:
+            items = list(inputs)
+            keys = [(x.shape, x.dtype.str, hashlib.sha256(np.ascontiguousarray(x)).digest())
+                    for x in items]
+        missing = {key: item for key, item in zip(keys, items) if key not in self._store}
+        if missing:
+            batch = list(missing.values())
             with no_grad():
-                out = self.encoder.encode(x)
-            out.data.setflags(write=False)
-            self._store[key] = out
-        return out
+                rows, counts = (self.encoder.encode(np.concatenate(batch), [b.size for b in batch])
+                                if text else self.encoder.encode(batch))
+            for key, part in zip(missing, np.split(rows.data, np.cumsum(counts)[:-1])):
+                stored = Tensor(part)
+                stored.data.setflags(write=False)
+                self._store[key] = stored
+        parts = [self._store[key] for key in keys]
+        out = parts[0] if len(parts) == 1 else concat_rows(parts)
+        return out, [part.shape[0] for part in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def pooled_representation(image: np.ndarray, caption, image_encoder: ImageEncode
                           text_encoder: TextEncoder, fusion: FusionModule) -> np.ndarray:
     """Mean over fused patch tokens of the full image, gradient-free."""
     with no_grad():
-        fused = fuse_image(image, caption, image_encoder, text_encoder, fusion)
+        fused, _ = fuse_image([image], [caption], image_encoder, text_encoder, fusion)
         return mean_rows(fused).data.copy()
 
 

@@ -138,8 +138,9 @@ def _record(op: str, inputs: Sequence[Tensor], arr: np.ndarray, backward) -> Ten
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: ``g`` may be shared
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -270,9 +271,14 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
 
+    # rows of g grouped by the row of ``a`` they came from, in order
+    order = np.argsort(idx, kind="stable")
+    firsts = np.flatnonzero(np.diff(idx[order], prepend=-1))
+
     def back(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if idx.size:
+            ga[idx[order[firsts]]] = np.add.reduceat(g[order], firsts, axis=0)
         return (ga,)
 
     return _record("gather_rows", (a,), a.data[idx].copy(), back)
@@ -324,11 +330,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xh = (x.data - mu) * inv
-    y = xh * gain.data + bias.data
+    xh = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xh * xh).mean(axis=-1, keepdims=True) + eps)
+    xh *= inv
+    y = xh * gain.data
+    y += bias.data
 
     def back(g):
         dxh = g * gain.data
@@ -342,16 +348,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU."""
+    """tanh-approximation GELU, computed in place to spare full-size temporaries."""
     x = a.data
-    x_sq = x * x
-    t = np.tanh(_GELU_C * (x + _GELU_K * x_sq * x))
-    y = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= _GELU_K
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)  # tanh(C * (x + K * x^3))
+    y = t + 1.0
+    y *= x
+    y *= 0.5
 
     def back(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x_sq)
-        dydx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * dydx,)
+        d_inner = x * x
+        d_inner *= 3.0 * _GELU_K
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        dydx = t * t
+        np.subtract(1.0, dydx, out=dydx)
+        dydx *= x
+        dydx *= d_inner
+        dydx += t
+        dydx += 1.0
+        dydx *= 0.5  # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * d_inner
+        dydx *= g
+        return (dydx,)
 
     return _record("gelu", (a,), y, back)
 
@@ -419,63 +441,101 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matmul(x, w), b)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, d = x.shape  # (N, heads * dh) -> a (heads, N, dh) view
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+def _padded_rows(sizes: np.ndarray, width: int) -> np.ndarray | None:
+    """Row of each stacked row in a (segments * width) padding, or None when
+    every segment fills its width and a reshape pads it."""
+    if sizes.min() == width:
+        return None
+    starts = np.cumsum(sizes) - sizes
+    return np.arange(sizes.sum()) + np.repeat(np.arange(sizes.size) * width - starts, sizes)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    heads, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, heads * dh)
+def _to_heads(x: np.ndarray, rows, segments: int, width: int, heads: int) -> np.ndarray:
+    """Stacked rows (N, heads * dh) to a padded (segments, heads, width, dh) view."""
+    if rows is not None:
+        padded = np.zeros((segments * width, x.shape[1]), dtype=x.dtype)
+        padded[rows] = x
+        x = padded
+    return x.reshape(segments, width, heads, x.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
-def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments) -> Tensor:
-    """softmax(Q K^T / sqrt(dh)) V of every head of projected Q/K/V, as one tape op."""
-    (nq, d), nk = q.shape, k.shape[0]
-    if segments is None:
-        spans = [(slice(0, nq), slice(0, nk))]
-    else:
-        sizes = [int(n) for n in segments]
-        if nq != nk or not sizes or min(sizes) < 1 or sum(sizes) != nq:
-            raise ShapeError(f"attention: segments {sizes} do not tile {nq} queries / {nk} keys")
-        bounds = np.cumsum([0] + sizes)
-        spans = [(slice(lo, hi), slice(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    c = 1.0 / math.sqrt(d // heads)
-    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    out = np.empty_like(qh)
-    weights = []
-    for qs, ks in spans:
-        p = np.matmul(qh[:, qs], kh[:, ks].transpose(0, 2, 1)) * c
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[:, qs] = p @ vh[:, ks]
-        weights.append(p)
+def _from_heads(x: np.ndarray, rows) -> np.ndarray:
+    """Inverse of :func:`_to_heads`: the stacked rows, padding dropped."""
+    segments, heads, width, dh = x.shape
+    x = x.transpose(0, 2, 1, 3).reshape(segments * width, heads * dh)
+    return x if rows is None else x[rows]
+
+
+def _segment_sizes(sizes, rows: int, what: str) -> np.ndarray:
+    out = np.asarray([rows] if sizes is None else sizes, dtype=np.int64).reshape(-1)
+    if not out.size or out.min() < 1 or out.sum() != rows:
+        raise ShapeError(f"attention: {what} segments {out.tolist()} do not tile {rows} rows")
+    return out
+
+
+def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_segments,
+                     pad_to) -> Tensor:
+    """softmax(Q K^T / sqrt(dh)) V of every head of every segment, as one tape op.
+
+    All segments run as one padded (segments, heads, width, dh) batch; an
+    additive key mask hides the padding. The backward keeps only the softmax
+    weights and re-pads Q/K/V from the op's inputs.
+    """
+    q_sizes = _segment_sizes(segments, q.shape[0], "query")
+    kv_sizes = _segment_sizes(segments if kv_segments is None else kv_segments, k.shape[0],
+                              "key/value")
+    if q_sizes.size != kv_sizes.size:
+        raise ShapeError(f"attention: {q_sizes.size} query segments vs {kv_sizes.size} key/value")
+    longest = max(q_sizes.max(), kv_sizes.max())
+    width = longest if pad_to is None else int(pad_to)
+    if width < longest:
+        raise ShapeError(f"attention: a segment of {longest} rows exceeds pad_to={width}")
+    s = q_sizes.size
+    q_rows, kv_rows = _padded_rows(q_sizes, width), _padded_rows(kv_sizes, width)
+    c = 1.0 / math.sqrt(q.shape[1] // heads)
+    qh = _to_heads(q.data * np.asarray(c, dtype=q.dtype), q_rows, s, width, heads)
+    kh, vh = (_to_heads(t.data, kv_rows, s, width, heads) for t in (k, v))
+    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    if kv_rows is not None:
+        mask = np.where(np.arange(width) < kv_sizes[:, None], 0.0, -np.inf).astype(p.dtype)
+        p += mask[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = _from_heads(p @ vh, q_rows)
 
     def back(g):
-        gh = _split_heads(g, heads)
-        dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
-        for (qs, ks), p in zip(spans, weights):
-            go = gh[:, qs]
-            dv[:, ks] = p.transpose(0, 2, 1) @ go
-            dp = go @ vh[:, ks].transpose(0, 2, 1)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            ds *= c
-            dq[:, qs] = ds @ kh[:, ks]
-            dk[:, ks] = ds.transpose(0, 2, 1) @ qh[:, qs]
-        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+        qh, kh, vh, gh = (_to_heads(a, rows, s, width, heads) for a, rows in
+                          ((q.data, q_rows), (k.data, kv_rows), (v.data, kv_rows), (g, q_rows)))
+        # rowsum(dP * P) equals rowsum(dO * O), which sums a head width, not a key count
+        rowdot = _to_heads((g * out).reshape(-1, heads, g.shape[1] // heads).sum(axis=-1),
+                           q_rows, s, width, heads)
+        dv = p.transpose(0, 1, 3, 2) @ gh
+        ds = gh @ vh.transpose(0, 1, 3, 2)
+        ds -= rowdot
+        ds *= p
+        ds *= c
+        dq = ds @ kh
+        dk = ds.transpose(0, 1, 3, 2) @ qh
+        return _from_heads(dq, q_rows), _from_heads(dk, kv_rows), _from_heads(dv, kv_rows)
 
-    return _record("attention", (q, k, v), _merge_heads(out), back)
+    return _record("attention", (q, k, v), out, back)
 
 
 def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int,
-              segments=None) -> Tensor:
-    """Multi-head scaled dot-product attention.
+              segments=None, kv_segments=None, pad_to: int | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over stacked independent sequences.
 
     Self-attention when ``q_src is kv_src``, cross-attention otherwise; the
-    output keeps ``q_src``'s sequence length. ``segments`` lists the row
-    counts of independent sequences stacked in a self-attention input; no
-    query attends to a key of another segment.
+    output keeps ``q_src``'s rows. ``segments`` lists the row counts of the
+    sequences stacked in ``q_src`` and ``kv_segments`` those of the same
+    sequences in ``kv_src`` (``segments`` again by default; one sequence each
+    when both are None). Sequence i's queries attend only to sequence i's keys.
+
+    Sequences are padded to the longest one, or to ``pad_to`` rows. Padding
+    leaves values unchanged but its length can move float rounding, so a
+    caller whose rows must not depend on the other sequences of a batch fixes
+    ``pad_to``.
     """
     if q_src.ndim != 2 or kv_src.ndim != 2:
         raise ShapeError("attention expects 2-D token matrices")
@@ -487,7 +547,7 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
     q = linear(q_src, params.wq, params.bq)
     k = linear(kv_src, params.wk, params.bk)
     v = linear(kv_src, params.wv, params.bv)
-    merged = _attention_heads(q, k, v, heads, segments)
+    merged = _attention_heads(q, k, v, heads, segments, kv_segments, pad_to)
     return linear(merged, params.wo, params.bo)
 
 
@@ -620,5 +680,18 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     r = _const64(rng, (7, 8))
     checks.append(("attention_segments", check_gradients(
         lambda: sum_all(mul(attention(x, x, ap, 2, segments=(2, 4, 1)), r)), [x] + cp[2:])))
+
+    # example i's queries against example i's keys, with unequal counts on both sides
+    q, kv = _rand64(rng, (7, 8)), _rand64(rng, (6, 8))
+    r = _const64(rng, (7, 8))
+    checks.append(("attention_cross_segments", check_gradients(
+        lambda: sum_all(mul(attention(q, kv, ap, 2, (2, 4, 1), (3, 1, 2)), r)),
+        [q, kv] + cp[2:])))
+
+    # self-attention padded past its longest segment, as the text encoder runs it
+    x = _rand64(rng, (6, 8))
+    r = _const64(rng, (6, 8))
+    checks.append(("attention_padded", check_gradients(
+        lambda: sum_all(mul(attention(x, x, ap, 2, (1, 5), pad_to=7), r)), [x] + cp[2:])))
 
     return checks

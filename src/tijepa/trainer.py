@@ -30,7 +30,7 @@ from .core import (
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
 from .masking import sample_masks
-from .numerics import Tensor, active_tape, backward, no_grad, scale, zero_grads
+from .numerics import Tensor, active_tape, backward, no_grad, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -403,6 +403,17 @@ def _memo_if_frozen(encoder):
     return EncodingMemo(encoder)
 
 
+def _drop_rows_after(log: Path, step: int) -> None:
+    """Remove the rows past ``step`` from a metrics log, which a run resumed
+    from the checkpoint of ``step`` is about to log again."""
+    if not log.exists():
+        return
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if int(line.split("\t", 1)[0]) <= step]
+    if len(kept) != len(lines):
+        log.write_text("".join(kept), encoding="utf-8")
+
+
 def train(config: TiJepaConfig, dataset, out_dir=None,
           state: PretrainState | None = None) -> TrainResult:
     """Run pretraining until ``config.total_steps``; resumes when given a state.
@@ -421,6 +432,7 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        _drop_rows_after(out_path / "metrics.log", state.step)
 
     n = len(dataset)
     batch_size = min(config.batch_size, n)
@@ -445,32 +457,26 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
 
         active_tape().clear()
         zero_grads(trainable)
-        loss_terms = []
-        fused_stack = []
+        examples, masks = [], []
         for example_index in batch:
-            example = dataset[int(example_index)]
             mask_rng = np.random.default_rng(
                 [config.seed, _STREAM_MASK, epoch, int(example_index)])
             try:
-                masks = sample_masks(rng=mask_rng, **config.mask_args())
+                masks.append(sample_masks(rng=mask_rng, **config.mask_args()))
             except MaskSamplingError as exc:
                 skipped += 1
                 logger.warning("step %d: skipping example %d (%s)", s + 1,
                                int(example_index), exc)
                 continue
-            targets, fused = make_targets(example.image, example.caption, masks, *encoders,
-                                          state.target_fusion)
-            loss_terms.append(example_loss(encoders, state.fusion, state.predictor, example.image,
-                                           example.caption, masks, targets,
-                                           state.config.loss_type))
-            fused_stack.append(fused.data)
-        if not loss_terms:
+            examples.append(dataset[int(example_index)])
+        if not examples:
             raise NumericalError(f"step {s + 1}: every example in the batch was skipped")
 
-        total = loss_terms[0]
-        for term in loss_terms[1:]:
-            total = total + term
-        batch_loss = scale(total, 1.0 / len(loss_terms))
+        images = [example.image for example in examples]
+        captions = [example.caption for example in examples]
+        targets, fused = make_targets(images, captions, masks, *encoders, state.target_fusion)
+        batch_loss = example_loss(encoders, state.fusion, state.predictor, images, captions,
+                                  masks, targets, config.loss_type)
         loss_value = batch_loss.item()
         if not np.isfinite(loss_value):
             raise NumericalError(f"non-finite loss at step {s + 1}")
@@ -484,8 +490,8 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
 
         done = state.step
         if done == 1 or done % config.log_interval == 0 or done == config.total_steps:
-            collapse = collapse_metric(np.stack(fused_stack)) if len(fused_stack) >= 2 \
-                else 0.0
+            collapse = collapse_metric(fused.data.reshape(len(examples), -1, fused.shape[1])) \
+                if len(examples) >= 2 else 0.0
             row = MetricsRow(done, loss_value, collapse, m)
             rows.append(row)
             logger.info("step %d: loss=%.6f collapse=%.6f ema_m=%.6f",
@@ -515,23 +521,25 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
     n = len(dataset) if limit is None else min(limit, len(dataset))
     if n < 2:
         raise DataError("caption sensitivity needs at least 2 examples")
-    true_losses = []
-    permuted_losses = []
+    masks = [sample_masks(rng=np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i]),
+                          **config.mask_args()) for i in range(n)]
+    images = [dataset[i].image for i in range(n)]
+    captions = [dataset[i].caption for i in range(n)]
+    permuted = captions[1:] + captions[:1]
     # no weight moves here, so the encoders count as frozen even when they train
     encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
+    totals = [0.0, 0.0]
     with no_grad():
-        for i in range(n):
-            example = dataset[i]
-            other = dataset[(i + 1) % n]
-            rng = np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i])
-            masks = sample_masks(rng=rng, **config.mask_args())
-            targets, _ = make_targets(example.image, example.caption, masks, *encoders,
+        # batches of the training size bound the memory of one forward
+        for lo in range(0, n, config.batch_size):
+            part = slice(lo, lo + config.batch_size)
+            targets, _ = make_targets(images[part], captions[part], masks[part], *encoders,
                                       state.target_fusion)
-            for caption, sink in ((example.caption, true_losses),
-                                  (other.caption, permuted_losses)):
-                sink.append(example_loss(encoders, state.fusion, state.predictor, example.image,
-                                         caption, masks, targets, config.loss_type).item())
-    return float(np.mean(true_losses)), float(np.mean(permuted_losses))
+            for j, shown in enumerate((captions, permuted)):
+                loss = example_loss(encoders, state.fusion, state.predictor, images[part],
+                                    shown[part], masks[part], targets, config.loss_type)
+                totals[j] += loss.item() * len(masks[part])
+    return totals[0] / n, totals[1] / n
 
 
 # ---------------------------------------------------------------------------

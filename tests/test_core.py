@@ -155,7 +155,7 @@ class TestMakeTargets:
         image_encoder, text_encoder = small_encoders()
         target_fusion = small_fusion(requires_grad=False)
         masks = mask_set()
-        targets, fused = make_targets(small_image(), "cap", masks, image_encoder,
+        targets, fused = make_targets([small_image()], ["cap"], [masks], image_encoder,
                                       text_encoder, target_fusion)
         assert targets.shape == (sum(block.area for block in masks.targets), DIM)
         assert not targets.requires_grad
@@ -170,7 +170,7 @@ class TestMakeTargets:
         target_fusion = small_fusion(requires_grad=False)
         single = BlockMask(2, 2, row=1, col=0, height=1, width=1, requested_area=1)
         masks = MaskSet(2, 2, single, (0, 1, 3), (single,))
-        targets, fused = make_targets(small_image(), "cap", masks, image_encoder,
+        targets, fused = make_targets([small_image()], ["cap"], [masks], image_encoder,
                                       text_encoder, target_fusion)
         np.testing.assert_array_equal(targets.data, fused.data[2:3])
 
@@ -183,11 +183,11 @@ class TestMakeTargets:
         ctx = BlockMask(2, 2, row=1, col=1, height=1, width=1, requested_area=1)
         masks = MaskSet(2, 2, ctx, (3,), (target,))
         img = small_image()
-        first = make_targets(img, "cap", masks, image_encoder, text_encoder,
+        first = make_targets([img], ["cap"], [masks], image_encoder, text_encoder,
                              target_fusion)[0].data
         img2 = img.copy()
         img2[:, 8:, 8:] = 1.0 - img2[:, 8:, 8:]  # patch 3 only (context area)
-        second = make_targets(img2, "cap", masks, image_encoder, text_encoder,
+        second = make_targets([img2], ["cap"], [masks], image_encoder, text_encoder,
                               target_fusion)[0].data
         assert np.abs(first - second).max() > 1e-6
 
@@ -197,7 +197,7 @@ class TestMakeContext:
         image_encoder, text_encoder = small_encoders()
         fusion = small_fusion()
         masks = mask_set()
-        out = make_context(small_image(), "cap", masks, image_encoder,
+        out = make_context([small_image()], ["cap"], [masks], image_encoder,
                            text_encoder, fusion)
         assert out.shape == (len(masks.context), DIM)
 
@@ -209,8 +209,8 @@ class TestMakeContext:
         dummy_target = BlockMask(2, 2, 0, 0, 1, 1, 1)
         masks = MaskSet(2, 2, full_block, (0, 1, 2, 3), (dummy_target,))
         img = small_image()
-        context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
-        _, fused = make_targets(img, "cap", masks, image_encoder, text_encoder, twin)
+        context = make_context([img], ["cap"], [masks], image_encoder, text_encoder, fusion)
+        _, fused = make_targets([img], ["cap"], [masks], image_encoder, text_encoder, twin)
         np.testing.assert_allclose(context.data, fused.data, atol=1e-6)
 
     def test_masking_changes_representation(self):
@@ -221,9 +221,9 @@ class TestMakeContext:
         full = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 2, 2, 4), (0, 1, 2, 3),
                        (BlockMask(2, 2, 0, 0, 1, 1, 1),))
         img = small_image()
-        seen_partial = make_context(img, "cap", partial, image_encoder,
+        seen_partial = make_context([img], ["cap"], [partial], image_encoder,
                                     text_encoder, fusion).data
-        seen_full = make_context(img, "cap", full, image_encoder,
+        seen_full = make_context([img], ["cap"], [full], image_encoder,
                                  text_encoder, fusion).data
         assert np.abs(seen_partial - seen_full[:2]).max() > 1e-6
 
@@ -233,7 +233,7 @@ class TestMakeContext:
         masks = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 1, 1, 1), (),
                         (BlockMask(2, 2, 0, 0, 2, 2, 4),))
         with pytest.raises(ShapeError):
-            make_context(small_image(), "cap", masks, image_encoder,
+            make_context([small_image()], ["cap"], [masks], image_encoder,
                          text_encoder, fusion)
 
 
@@ -245,13 +245,13 @@ class TestPredict:
     def test_one_prediction_row_per_mask_token(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.random.default_rng(0).uniform(-1, 1, (2, DIM)).astype(np.float32))
-        out = predictor.predict(ctx, [0, 1], [[2, 3]], GRID)
+        out = predictor.predict(ctx, [[0, 1]], [[[2, 3]]], GRID)
         assert out.shape == (2, DIM)
 
     def test_positions_differentiate_predictions(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.random.default_rng(1).uniform(-1, 1, (1, DIM)).astype(np.float32))
-        out = predictor.predict(ctx, [0], [[1, 2]], GRID).data
+        out = predictor.predict(ctx, [[0]], [[[1, 2]]], GRID).data
         assert np.abs(out[0] - out[1]).max() > 1e-6
 
     def test_depth_zero_is_affine_and_ignores_context(self):
@@ -259,8 +259,8 @@ class TestPredict:
         rng = np.random.default_rng(2)
         ctx_a = Tensor(rng.uniform(-1, 1, (2, DIM)).astype(np.float32))
         ctx_b = Tensor(rng.uniform(-1, 1, (2, DIM)).astype(np.float32))
-        out_a = predictor.predict(ctx_a, [0, 1], [[3]], GRID).data
-        out_b = predictor.predict(ctx_b, [0, 1], [[3]], GRID).data
+        out_a = predictor.predict(ctx_a, [[0, 1]], [[[3]]], GRID).data
+        out_b = predictor.predict(ctx_b, [[0, 1]], [[[3]]], GRID).data
         np.testing.assert_array_equal(out_a, out_b)
 
         from tijepa.encoders import sincos_pos_2d
@@ -271,17 +271,17 @@ class TestPredict:
     def test_row_order_follows_position_enumeration(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.random.default_rng(3).uniform(-1, 1, (1, DIM)).astype(np.float32))
-        forward = predictor.predict(ctx, [0], [[1, 2, 3]], GRID).data
-        permuted = predictor.predict(ctx, [0], [[3, 1, 2]], GRID).data
+        forward = predictor.predict(ctx, [[0]], [[[1, 2, 3]]], GRID).data
+        permuted = predictor.predict(ctx, [[0]], [[[3, 1, 2]]], GRID).data
         np.testing.assert_allclose(permuted, forward[[2, 0, 1]], atol=1e-6)
 
     def test_position_overlap_rejected(self):
         predictor = self.make_predictor()
         ctx = Tensor(np.zeros((2, DIM), dtype=np.float32))
         with pytest.raises(ShapeError):
-            predictor.predict(ctx, [0, 1], [[1, 2]], GRID)
+            predictor.predict(ctx, [[0, 1]], [[[1, 2]]], GRID)
         with pytest.raises(ShapeError):
-            predictor.predict(ctx, [0, 1], [[2], [3, 0]], GRID)
+            predictor.predict(ctx, [[0, 1]], [[[2], [3, 0]]], GRID)
 
     def test_multi_block_pass_matches_single_block_calls(self):
         grid = (4, 4)
@@ -301,9 +301,9 @@ class TestPredict:
             backward(sum_all(mul(out, weights)))
             return out.data, {n: p.grad.copy() for n, p in [("ctx", ctx), *params.items()]}
 
-        joint, joint_grads = run(lambda: predictor.predict(ctx, ctx_pos, blocks, grid))
+        joint, joint_grads = run(lambda: predictor.predict(ctx, [ctx_pos], [blocks], grid))
         single, single_grads = run(lambda: concat_rows(
-            [predictor.predict(ctx, ctx_pos, [block], grid) for block in blocks]))
+            [predictor.predict(ctx, [ctx_pos], [[block]], grid) for block in blocks]))
         assert joint.shape == (10, DIM)
         assert np.abs(joint - single).max() < 1e-5
         for name, grad in single_grads.items():
@@ -313,46 +313,48 @@ class TestPredict:
 class TestPredictionLoss:
     def test_zero_when_equal(self):
         x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32))
-        assert prediction_loss(x, x.detach(), [3]).item() == 0.0
+        assert prediction_loss(x, x.detach(), [[3]]).item() == 0.0
 
     def test_three_four_five(self):
         pred = Tensor(np.array([[3.0, 4.0]]))
         tgt = Tensor(np.array([[0.0, 0.0]]))
-        assert prediction_loss(pred, tgt, [1]).item() == pytest.approx(25.0)
+        assert prediction_loss(pred, tgt, [[1]]).item() == pytest.approx(25.0)
 
     def test_hand_evaluated_two_blocks(self):
         # blocks of 2 and 3 patches, one dim, unit differences -> (2 + 3) / 2
         pred, tgt = Tensor(np.ones((5, 1))), Tensor(np.zeros((5, 1)))
-        loss = prediction_loss(pred, tgt, [2, 3])
+        loss = prediction_loss(pred, tgt, [[2, 3]])
         assert loss.item() == pytest.approx(2.5)
 
     def test_l1_variant(self):
         pred = Tensor(np.array([[3.0, -4.0]]))
         tgt = Tensor(np.zeros((1, 2)))
-        assert prediction_loss(pred, tgt, [1], kind="l1").item() == pytest.approx(7.0)
+        assert prediction_loss(pred, tgt, [[1]], kind="l1").item() == pytest.approx(7.0)
 
     def test_non_negative(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             pred = Tensor(rng.uniform(-2, 2, (4, 3)).astype(np.float32))
             tgt = Tensor(rng.uniform(-2, 2, (4, 3)).astype(np.float32))
-            assert prediction_loss(pred, tgt, [1, 3]).item() >= 0.0
+            assert prediction_loss(pred, tgt, [[1, 3]]).item() >= 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            prediction_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))), [2])
+            prediction_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))), [[2]])
 
     def test_block_count_mismatch(self):
         x = Tensor(np.zeros((1, 1)))
         with pytest.raises(ShapeError):
-            prediction_loss(x, x, [1, 1])
+            prediction_loss(x, x, [[1, 1]])
         with pytest.raises(ShapeError):
             prediction_loss(x, x, [])
+        with pytest.raises(ShapeError):
+            prediction_loss(x, x, [[]])
 
     def test_unknown_kind(self):
         x = Tensor(np.zeros((1, 1)))
         with pytest.raises(ShapeError):
-            prediction_loss(x, x, [1], kind="huber")
+            prediction_loss(x, x, [[1]], kind="huber")
 
 
 class TestExampleLoss:
@@ -364,12 +366,12 @@ class TestExampleLoss:
                               np.random.default_rng(9))
         masks = mask_set()
         img = small_image()
-        targets, _ = make_targets(img, "cap", masks, *encoders, fusion.clone())
-        context = make_context(img, "cap", masks, *encoders, fusion)
-        preds = predictor.predict(context, masks.context,
-                                  [block.indices() for block in masks.targets], GRID)
-        expected = prediction_loss(preds, targets, [block.area for block in masks.targets], kind)
-        loss = example_loss(encoders, fusion, predictor, img, "cap", masks, targets, kind)
+        targets, _ = make_targets([img], ["cap"], [masks], *encoders, fusion.clone())
+        context = make_context([img], ["cap"], [masks], *encoders, fusion)
+        preds = predictor.predict(context, [masks.context],
+                                  [[block.indices() for block in masks.targets]], GRID)
+        expected = prediction_loss(preds, targets, [[block.area for block in masks.targets]], kind)
+        loss = example_loss(encoders, fusion, predictor, [img], ["cap"], [masks], targets, kind)
         assert loss.data.tobytes() == expected.data.tobytes()
         assert loss.requires_grad
 
@@ -384,12 +386,12 @@ class TestStopGradient:
         masks = mask_set()
         img = small_image()
 
-        targets, _ = make_targets(img, "cap", masks, image_encoder, text_encoder,
+        targets, _ = make_targets([img], ["cap"], [masks], image_encoder, text_encoder,
                                   target_fusion)
-        context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
-        preds = predictor.predict(context, masks.context,
-                                  [block.indices() for block in masks.targets], GRID)
-        backward(prediction_loss(preds, targets, [block.area for block in masks.targets]))
+        context = make_context([img], ["cap"], [masks], image_encoder, text_encoder, fusion)
+        preds = predictor.predict(context, [masks.context],
+                                  [[block.indices() for block in masks.targets]], GRID)
+        backward(prediction_loss(preds, targets, [[block.area for block in masks.targets]]))
 
         for p in {**image_encoder.named_parameters(), **text_encoder.named_parameters(),
                   **target_fusion.named_parameters("target")}.values():
@@ -410,11 +412,11 @@ class TestStopGradient:
         target = BlockMask(2, 2, 1, 1, 1, 1, 1)
         masks = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 2, 2, 4), (0, 1, 2), (target,))
         img = small_image()
-        targets, _ = make_targets(img, "cap", masks, image_encoder, text_encoder, twin)
-        context = make_context(img, "cap", masks, image_encoder, text_encoder, fusion)
-        preds = predictor.predict(context, masks.context,
-                                  [block.indices() for block in masks.targets], GRID)
-        loss = prediction_loss(preds, targets, [block.area for block in masks.targets])
+        targets, _ = make_targets([img], ["cap"], [masks], image_encoder, text_encoder, twin)
+        context = make_context([img], ["cap"], [masks], image_encoder, text_encoder, fusion)
+        preds = predictor.predict(context, [masks.context],
+                                  [[block.indices() for block in masks.targets]], GRID)
+        loss = prediction_loss(preds, targets, [[block.area for block in masks.targets]])
         assert np.isfinite(loss.item())
 
 
@@ -432,3 +434,82 @@ class TestCompositeGradients:
         with pytest.raises(ShapeError):
             Predictor(PredictorConfig(depth=1, heads=3, width=DIM), DIM,
                       np.random.default_rng(0))
+
+
+class TestBatchedForward:
+    """One batched pass equals the examples run as batches of one."""
+
+    GRID3 = (3, 3)
+    CAPTIONS = ["red", "a long caption", "xy"]
+
+    def build(self, frozen=True):
+        cfg = EncoderConfig(patch_size=4, embed_dim=DIM, depth=1, heads=2,
+                            max_text_len=16, frozen=frozen)
+        rng = np.random.default_rng(21)
+        encoders = (ImageEncoder(cfg, rng), TextEncoder(cfg, rng))
+        fusion = small_fusion(rng=rng)
+        predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM, rng)
+        images = [np.random.default_rng(30 + i).uniform(0, 1, (3, 12, 12)).astype(np.float32)
+                  for i in range(3)]
+        masks = [sample_masks(self.GRID3, 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
+                              np.random.default_rng(40 + i)) for i in range(3)]
+        assert len({len(m.context) for m in masks}) > 1  # padding is real
+        return encoders, fusion, predictor, images, masks
+
+    def predictions(self, encoders, fusion, predictor, images, captions, masks):
+        context = make_context(images, captions, masks, *encoders, fusion)
+        preds = predictor.predict(context, [m.context for m in masks],
+                                  [[b.indices() for b in m.targets] for m in masks], self.GRID3)
+        sizes = np.cumsum([0] + [sum(b.area for b in m.targets) for m in masks])
+        return [preds.data[lo:hi] for lo, hi in zip(sizes[:-1], sizes[1:])]
+
+    def test_changing_one_example_leaves_the_others_bitwise_unchanged(self):
+        encoders, fusion, predictor, images, masks = self.build()
+        base = self.predictions(encoders, fusion, predictor, images, self.CAPTIONS, masks)
+        other_image = [images[0], 1.0 - images[1], images[2]]
+        # a caption of the same token count keeps every padded width as it was
+        other_caption = [self.CAPTIONS[0], "A LONG CAPTION", self.CAPTIONS[2]]
+        for imgs, caps in ((other_image, self.CAPTIONS), (images, other_caption)):
+            changed = self.predictions(encoders, fusion, predictor, imgs, caps, masks)
+            assert changed[1].tobytes() != base[1].tobytes()
+            for i in (0, 2):
+                assert changed[i].tobytes() == base[i].tobytes()
+
+    def losses(self, encoders, fusion, predictor, images, masks, after=lambda loss: None):
+        """The batched loss, then each batch-of-one loss; ``after`` sees each as it is made."""
+        out = []
+        for picked in (slice(0, 3), slice(0, 1), slice(1, 2), slice(2, 3)):
+            batch = (images[picked], self.CAPTIONS[picked], masks[picked])
+            targets, _ = make_targets(*batch, *encoders, fusion.clone())
+            out.append(example_loss(encoders, fusion, predictor, *batch, targets, "l2"))
+            after(out[-1])
+        return out[0], out[1:]
+
+    def test_batched_loss_is_the_mean_of_batch_of_one_losses(self):
+        batched, singles = self.losses(*self.build())
+        mean = np.mean([loss.item() for loss in singles])
+        assert abs(batched.item() - mean) <= 1e-6 * abs(mean)
+
+    def test_batched_gradients_match_batch_of_one_gradients(self):
+        encoders, fusion, predictor, images, masks = self.build(frozen=False)
+        params = {}
+        for prefix, module in zip(("img", "txt", "fusion", "predictor"),
+                                  (*encoders, fusion, predictor)):
+            params.update(module.named_parameters(prefix))
+        grads = []
+
+        def collect(loss):
+            for p in params.values():
+                p.grad = None
+            backward(loss)
+            grads.append({name: p.grad.copy() for name, p in params.items()})
+
+        self.losses(encoders, fusion, predictor, images, masks, after=collect)
+        joint = grads[0]
+        summed = {name: sum(g[name] for g in grads[1:]) / 3 for name in params}
+        largest = max(np.abs(g).max() for g in summed.values())
+        for name, grad in summed.items():
+            # softmax ignores a shift shared by all keys, so key biases carry
+            # only roundoff; compare them against the largest gradient
+            scale = largest if name.endswith(".bk") else np.abs(grad).max()
+            assert np.abs(joint[name] - grad).max() <= 1e-5 * scale, name

@@ -102,35 +102,36 @@ class TestImageEncoder:
     def test_output_shape_full_visibility(self):
         enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
         img = np.random.default_rng(1).uniform(0, 1, (3, 64, 64)).astype(np.float32)
-        out = enc.encode(img)
+        out, sizes = enc.encode([img])
         assert out.shape == (64, 16)
+        assert sizes == [64]
 
     def test_subset_matches_full_at_depth_zero(self):
         enc = ImageEncoder(small_cfg(depth=0), np.random.default_rng(0))
         img = np.random.default_rng(1).uniform(0, 1, (3, 64, 64)).astype(np.float32)
-        full = enc.encode(img).data
-        subset = enc.encode(img, visible=range(10)).data
+        full = enc.encode([img])[0].data
+        subset = enc.encode([img], visible=[range(10)])[0].data
         np.testing.assert_array_equal(subset, full[:10])
 
     def test_subset_differs_from_full_with_depth(self):
         enc = ImageEncoder(small_cfg(depth=1), np.random.default_rng(0))
         img = np.random.default_rng(1).uniform(0, 1, (3, 64, 64)).astype(np.float32)
-        full = enc.encode(img).data
-        subset = enc.encode(img, visible=range(10)).data
+        full = enc.encode([img])[0].data
+        subset = enc.encode([img], visible=[range(10)])[0].data
         assert np.abs(subset - full[:10]).max() > 1e-6
 
     def test_visible_rows_follow_ascending_patch_index(self):
         enc = ImageEncoder(small_cfg(depth=0), np.random.default_rng(0))
         img = np.random.default_rng(2).uniform(0, 1, (3, 64, 64)).astype(np.float32)
-        shuffled = enc.encode(img, visible=[9, 3, 27]).data
-        ordered = enc.encode(img, visible=[3, 9, 27]).data
+        shuffled = enc.encode([img], visible=[[9, 3, 27]])[0].data
+        ordered = enc.encode([img], visible=[[3, 9, 27]])[0].data
         np.testing.assert_array_equal(shuffled, ordered)
 
     def test_out_of_range_patch_index(self):
         enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
         img = np.zeros((3, 64, 64), dtype=np.float32)
         with pytest.raises(ShapeError):
-            enc.encode(img, visible=[64])
+            enc.encode([img], visible=[[64]])
 
     def test_frozen_parameters_not_trainable(self):
         enc = ImageEncoder(small_cfg(frozen=True), np.random.default_rng(0))
@@ -142,8 +143,8 @@ class TestImageEncoder:
 
     def test_deterministic(self):
         img = np.random.default_rng(3).uniform(0, 1, (3, 64, 64)).astype(np.float32)
-        a = ImageEncoder(small_cfg(), np.random.default_rng(5)).encode(img).data
-        b = ImageEncoder(small_cfg(), np.random.default_rng(5)).encode(img).data
+        a = ImageEncoder(small_cfg(), np.random.default_rng(5)).encode([img])[0].data
+        b = ImageEncoder(small_cfg(), np.random.default_rng(5)).encode([img])[0].data
         np.testing.assert_array_equal(a, b)
 
 
@@ -151,17 +152,19 @@ class TestTextEncoder:
     def test_one_row_per_token(self):
         enc = TextEncoder(small_cfg(), np.random.default_rng(0))
         ids = tokenize_text("hello", 16)
-        assert enc.encode(ids).shape == (len(ids), 16)
+        out, sizes = enc.encode(ids)
+        assert out.shape == (len(ids), 16)
+        assert sizes == [len(ids)]
 
     def test_identical_captions_identical_outputs(self):
         enc = TextEncoder(small_cfg(), np.random.default_rng(0))
         ids = tokenize_text("same text", 16)
-        np.testing.assert_array_equal(enc.encode(ids).data, enc.encode(ids).data)
+        np.testing.assert_array_equal(enc.encode(ids)[0].data, enc.encode(ids)[0].data)
 
     def test_position_sensitivity(self):
         enc = TextEncoder(small_cfg(), np.random.default_rng(0))
-        a = enc.encode(tokenize_text("ab", 16)).data
-        b = enc.encode(tokenize_text("ba", 16)).data
+        a = enc.encode(tokenize_text("ab", 16))[0].data
+        b = enc.encode(tokenize_text("ba", 16))[0].data
         assert np.abs(a - b).max() > 1e-6
 
     def test_rejects_empty_ids(self):
@@ -175,6 +178,67 @@ class TestTextEncoder:
             enc.encode([258, 0])
 
 
+class TestBatchedEncode:
+    def test_caption_rows_do_not_depend_on_the_batch(self):
+        # widely spread lengths: padded to the batch's longest, a short
+        # caption's softmax sums would group their terms differently
+        enc = TextEncoder(small_cfg(max_text_len=64), np.random.default_rng(0))
+        ids = [tokenize_text(c, 64) for c in ("ab", "twenty-one characters", "x" * 60, "xyz")]
+        rows, sizes = enc.encode([i for seq in ids for i in seq], [len(seq) for seq in ids])
+        assert sizes == [len(seq) for seq in ids]
+        row = 0
+        for seq in ids:
+            alone = enc.encode(seq)[0].data
+            assert rows.data[row:row + len(seq)].tobytes() == alone.tobytes()
+            row += len(seq)
+
+    def test_image_rows_do_not_depend_on_the_batch(self):
+        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
+        images = np.random.default_rng(1).uniform(0, 1, (3, 3, 16, 16)).astype(np.float32)
+        rows, sizes = enc.encode(images)
+        assert sizes == [4, 4, 4]
+        for i in range(3):
+            alone = enc.encode(images[i:i + 1])[0].data
+            assert rows.data[4 * i:4 * i + 4].tobytes() == alone.tobytes()
+
+    def test_each_image_keeps_its_visible_patches(self):
+        enc = ImageEncoder(small_cfg(depth=1), np.random.default_rng(0))
+        images = np.random.default_rng(2).uniform(0, 1, (2, 3, 64, 64)).astype(np.float32)
+        visible = [[5, 1, 9], list(range(20))]
+        rows, sizes = enc.encode(images, visible=visible)
+        assert sizes == [3, 20]
+        first = enc.encode(images[:1], visible=visible[:1])[0].data
+        second = enc.encode(images[1:], visible=visible[1:])[0].data
+        assert np.abs(rows.data[:3] - first).max() < 1e-6
+        assert np.abs(rows.data[3:] - second).max() < 1e-6
+        with pytest.raises(ShapeError):
+            enc.encode(images, visible=visible[:1])
+        with pytest.raises(ShapeError):
+            enc.encode(images, visible=[[0], []])
+
+    def test_rejects_sizes_that_do_not_tile_the_ids(self):
+        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        ids = tokenize_text("ab", 16) + tokenize_text("cd", 16)
+        for sizes in ([4], [4, 3], [1, 7], []):
+            with pytest.raises(ShapeError):
+                enc.encode(ids, sizes)
+        with pytest.raises(ShapeError):
+            enc.encode(list(range(17)))  # longer than max_text_len
+
+    def test_memo_batch_stores_each_input(self):
+        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
+        counting = CountingEncoder(enc)
+        memo = EncodingMemo(counting)
+        images = [np.random.default_rng(s).uniform(0, 1, (3, 16, 16)).astype(np.float32)
+                  for s in (3, 4, 3)]
+        rows, sizes = memo.encode(images)
+        assert sizes == [4, 4, 4] and len(counting.calls) == 1
+        assert rows.data[:4].tobytes() == rows.data[8:].tobytes()
+        single, _ = memo.encode(images[1:2])
+        assert single.data.tobytes() == rows.data[4:8].tobytes()
+        assert len(counting.calls) == 1
+
+
 class CountingEncoder:
     """Forwards to an encoder and records the ``visible`` of every call."""
 
@@ -183,11 +247,9 @@ class CountingEncoder:
         self.inner = encoder
         self.calls = []
 
-    def encode(self, x, visible=None):
+    def encode(self, images, visible=None):
         self.calls.append(visible)
-        if visible is None:
-            return self.inner.encode(x)
-        return self.inner.encode(x, visible=visible)
+        return self.inner.encode(images, visible=visible)
 
 
 class TestEncodingMemo:
@@ -198,37 +260,38 @@ class TestEncodingMemo:
         enc = TextEncoder(small_cfg(), np.random.default_rng(0))
         memo = EncodingMemo(enc)
         ids = tokenize_text("red square", 16)
-        first = memo.encode(ids)
-        again = memo.encode(list(ids))
+        first, sizes = memo.encode(ids)
+        again, _ = memo.encode(list(ids))
         assert again is first
-        assert again.data.tobytes() == enc.encode(ids).data.tobytes()
-        assert memo.encode(tokenize_text("blue square", 16)) is not first
+        assert sizes == [len(ids)]
+        assert again.data.tobytes() == enc.encode(ids)[0].data.tobytes()
+        assert memo.encode(tokenize_text("blue square", 16))[0] is not first
         assert memo.cfg is enc.cfg
 
     def test_image_hit_is_bitwise_equal_to_fresh_encode(self):
         enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
         memo = EncodingMemo(enc)
         img = self.image()
-        first = memo.encode(img)
-        again = memo.encode(img.copy())  # equal bytes in another array still hit
+        first, _ = memo.encode([img])
+        again, _ = memo.encode([img.copy()])  # equal bytes in another array still hit
         assert again is first
-        assert again.data.tobytes() == enc.encode(img).data.tobytes()
+        assert again.data.tobytes() == enc.encode([img])[0].data.tobytes()
         assert not again.requires_grad
 
     def test_key_separates_values_shapes_and_dtypes(self):
         counting = CountingEncoder(ImageEncoder(small_cfg(), np.random.default_rng(0)))
         memo = EncodingMemo(counting)
         img = self.image()
-        memo.encode(img)
-        memo.encode(self.image(seed=4))
-        memo.encode(img.astype(np.float64))
-        memo.encode(np.ascontiguousarray(img.transpose(0, 2, 1)))
-        memo.encode(img)
+        memo.encode([img])
+        memo.encode([self.image(seed=4)])
+        memo.encode([img.astype(np.float64)])
+        memo.encode([np.ascontiguousarray(img.transpose(0, 2, 1))])
+        memo.encode([img])
         assert counting.calls == [None] * 4
 
     def test_stored_array_rejects_writes(self):
         memo = EncodingMemo(TextEncoder(small_cfg(), np.random.default_rng(0)))
-        out = memo.encode(tokenize_text("abc", 16))
+        out, _ = memo.encode(tokenize_text("abc", 16))
         with pytest.raises(ValueError):
             out.data[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -239,17 +302,17 @@ class TestEncodingMemo:
         counting = CountingEncoder(enc)
         memo = EncodingMemo(counting)
         img = self.image()
-        a = memo.encode(img, visible=[0, 2])
-        b = memo.encode(img, visible=[0, 2])
+        a, _ = memo.encode([img], visible=[[0, 2]])
+        b, _ = memo.encode([img], visible=[[0, 2]])
         assert a is not b
         assert a.shape == (2, 16)
-        np.testing.assert_array_equal(a.data, enc.encode(img, visible=[0, 2]).data)
+        np.testing.assert_array_equal(a.data, enc.encode([img], visible=[[0, 2]])[0].data)
         assert a.data.flags.writeable
-        assert counting.calls == [[0, 2], [0, 2]]
+        assert counting.calls == [[[0, 2]], [[0, 2]]]
         # a full encode afterwards is still a first sighting
-        memo.encode(img)
-        memo.encode(img)
-        assert counting.calls == [[0, 2], [0, 2], None]
+        memo.encode([img])
+        memo.encode([img])
+        assert counting.calls == [[[0, 2]], [[0, 2]], None]
 
 
 class TestConfigValidation:

@@ -73,8 +73,8 @@ class TestPoolAndClassify:
                                        state.text_encoder, state.fusion)
         with no_grad():
             ids = tokenize_text(example.caption, 16)
-            fused = state.fusion(state.image_encoder.encode(example.image),
-                                 state.text_encoder.encode(ids))
+            fused = state.fusion(state.image_encoder.encode([example.image])[0],
+                                 state.text_encoder.encode(ids)[0])
         np.testing.assert_allclose(pooled, fused.data.mean(axis=0), atol=1e-6)
 
 
@@ -183,13 +183,16 @@ class TestEncodingMemoInFinetuneAndEval:
         calls = {"text": 0, "image": 0}
         text_encode, image_encode = TextEncoder.encode, ImageEncoder.encode
 
-        def counted_text(self, token_ids):
-            calls["text"] += 1
-            return text_encode(self, token_ids)
+        # count encoded inputs, however they are batched
+        def counted_text(self, token_ids, sizes=None):
+            rows, sizes = text_encode(self, token_ids, sizes)
+            calls["text"] += len(sizes)
+            return rows, sizes
 
-        def counted_image(self, image, visible=None):
-            calls["image"] += 1
-            return image_encode(self, image, visible)
+        def counted_image(self, images, visible=None):
+            rows, sizes = image_encode(self, images, visible)
+            calls["image"] += len(sizes)
+            return rows, sizes
 
         monkeypatch.setattr(TextEncoder, "encode", counted_text)
         monkeypatch.setattr(ImageEncoder, "encode", counted_image)

@@ -198,6 +198,33 @@ class TestAttention:
         with pytest.raises(ShapeError):
             attention(x, t(np.zeros((3, 4))), params, 2, segments=(5,))
 
+    def test_cross_segments_pair_each_query_segment_with_its_keys(self):
+        rng = np.random.default_rng(10)
+        params = AttentionParams.create(8, rng, std=0.5)
+        q, kv = t(rng.uniform(-1, 1, (7, 8))), t(rng.uniform(-1, 1, (6, 8)))
+        out = attention(q, kv, params, 2, (2, 4, 1), (3, 1, 2)).data
+        q_row = kv_row = 0
+        for nq, nk in ((2, 3), (4, 1), (1, 2)):
+            expected = attention(t(q.data[q_row:q_row + nq]), t(kv.data[kv_row:kv_row + nk]),
+                                 params, 2).data
+            assert np.abs(out[q_row:q_row + nq] - expected).max() < 1e-6
+            q_row, kv_row = q_row + nq, kv_row + nk
+
+    def test_pad_to_changes_no_value(self):
+        rng = np.random.default_rng(11)
+        params = AttentionParams.create(8, rng, std=0.5)
+        x = t(rng.uniform(-1, 1, (6, 8)))
+        plain = attention(x, x, params, 2, (1, 5)).data
+        padded = attention(x, x, params, 2, (1, 5), pad_to=9).data
+        assert np.abs(plain - padded).max() < 1e-6
+        with pytest.raises(ShapeError):
+            attention(x, x, params, 2, (1, 5), pad_to=4)
+
+    def test_query_and_key_segment_counts_must_agree(self):
+        params = AttentionParams.create(4, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            attention(t(np.zeros((5, 4))), t(np.zeros((3, 4))), params, 2, (2, 3), (3,))
+
     def test_one_call_records_nine_tape_entries(self):
         params = AttentionParams.create(8, np.random.default_rng(8))
         x = t(np.random.default_rng(9).uniform(-1, 1, (3, 8)))

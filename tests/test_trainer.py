@@ -9,7 +9,7 @@ from tijepa.dataprep import synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
 from tijepa.masking import sample_masks
-from tijepa.numerics import Tensor
+from tijepa.numerics import Tensor, active_tape
 from tijepa.trainer import (
     AdamWState,
     EmaSchedule,
@@ -445,6 +445,55 @@ class TestTrainLoop:
         assert [line.split("\t")[0] for line in lines] == ["1", "2"]
         assert all(len(line.split("\t")) == 4 for line in lines)
 
+    def test_resumed_run_logs_each_step_once(self, tmp_path, monkeypatch):
+        real_step = trainer_module.adamw_step
+        calls = []
+
+        def step_that_fails_fourth(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise NumericalError("injected")
+            real_step(*args, **kwargs)
+
+        cfg = tiny_config(total_steps=5, log_interval=1, checkpoint_interval=2)
+        monkeypatch.setattr(trainer_module, "adamw_step", step_that_fails_fourth)
+        with pytest.raises(NumericalError, match="injected"):
+            train(cfg, tiny_dataset(), out_dir=tmp_path)
+        monkeypatch.setattr(trainer_module, "adamw_step", real_step)
+        state = load_checkpoint(tmp_path / "checkpoint_000002.tijp")
+        train(cfg, tiny_dataset(), out_dir=tmp_path, state=state)
+        lines = (tmp_path / "metrics.log").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["1", "2", "3", "4", "5"]
+
+    def test_nan_in_one_example_stops_the_step_before_any_update(self):
+        cfg = tiny_config(batch_size=4, total_steps=1)
+        data = tiny_dataset(n=4)
+        data[2].image[1, 3, 5] = np.nan
+        state = PretrainState.initialize(cfg)
+        before = param_bytes(state.named_parameters())
+        moments = [arr.copy() for arr in (*state.opt.m.values(), *state.opt.v.values())]
+        with pytest.raises(NumericalError):
+            train(cfg, data, state=state)
+        assert param_bytes(state.named_parameters()) == before
+        for old, new in zip(moments, (*state.opt.m.values(), *state.opt.v.values())):
+            assert new.tobytes() == old.tobytes()
+        assert state.opt.t == 0 and state.step == 0
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_tape_size_does_not_grow_with_the_batch(self, monkeypatch, frozen):
+        sizes = []
+        real_backward = trainer_module.backward
+
+        def counted_backward(loss):
+            sizes.append(len(active_tape()))
+            real_backward(loss)
+
+        monkeypatch.setattr(trainer_module, "backward", counted_backward)
+        for batch_size in (1, 4):
+            train(tiny_config(batch_size=batch_size, total_steps=1, freeze_encoders=frozen),
+                  tiny_dataset())
+        assert sizes[0] == sizes[1] > 0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
             train(tiny_config(), [])
@@ -479,21 +528,28 @@ class TestFreezeVariants:
 
 
 def count_encoder_calls(monkeypatch):
-    """Count real text encodes and full-image / context image encodes."""
+    """Count the inputs of real text encodes and of full-image / context
+    image encodes, and the batched calls that carried them."""
     counts = {"text": 0, "image_full": 0, "image_ctx": 0}
+    calls = {"text": 0, "image_full": 0, "image_ctx": 0}
     text_encode, image_encode = TextEncoder.encode, ImageEncoder.encode
 
-    def counted_text(self, token_ids):
-        counts["text"] += 1
-        return text_encode(self, token_ids)
+    def counted_text(self, token_ids, sizes=None):
+        rows, sizes = text_encode(self, token_ids, sizes)
+        counts["text"] += len(sizes)
+        calls["text"] += 1
+        return rows, sizes
 
-    def counted_image(self, image, visible=None):
-        counts["image_full" if visible is None else "image_ctx"] += 1
-        return image_encode(self, image, visible)
+    def counted_image(self, images, visible=None):
+        rows, sizes = image_encode(self, images, visible)
+        kind = "image_full" if visible is None else "image_ctx"
+        counts[kind] += len(sizes)
+        calls[kind] += 1
+        return rows, sizes
 
     monkeypatch.setattr(TextEncoder, "encode", counted_text)
     monkeypatch.setattr(ImageEncoder, "encode", counted_image)
-    return counts
+    return counts, calls
 
 
 class TestEncodingMemoInTraining:
@@ -502,20 +558,24 @@ class TestEncodingMemoInTraining:
 
     def test_frozen_run_encodes_each_distinct_input_once(self, monkeypatch):
         data = tiny_dataset()
-        counts = count_encoder_calls(monkeypatch)
+        counts, calls = count_encoder_calls(monkeypatch)
         train(tiny_config(total_steps=self.STEPS, batch_size=self.BATCH), data)
         captions = {tuple(tokenize_text(e.caption, 16)) for e in data}
         images = {e.image.tobytes() for e in data}
         assert counts == {"text": len(captions), "image_full": len(images),
                           "image_ctx": self.STEPS * self.BATCH}
+        assert calls["image_ctx"] == self.STEPS
 
     def test_unfrozen_run_encodes_every_time(self, monkeypatch):
-        counts = count_encoder_calls(monkeypatch)
+        counts, calls = count_encoder_calls(monkeypatch)
         train(tiny_config(total_steps=self.STEPS, batch_size=self.BATCH,
                           freeze_encoders=False), tiny_dataset())
         examples = self.STEPS * self.BATCH
         assert counts == {"text": 2 * examples, "image_full": examples,
                           "image_ctx": examples}
+        # one batched call per path per step
+        assert calls == {"text": 2 * self.STEPS, "image_full": self.STEPS,
+                         "image_ctx": self.STEPS}
 
     def test_memo_leaves_checkpoint_bytes_unchanged(self, tmp_path, monkeypatch):
         cfg = tiny_config(total_steps=4, checkpoint_interval=2)
