@@ -281,7 +281,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
             ga[idx[order[firsts]]] = np.add.reduceat(g[order], firsts, axis=0)
         return (ga,)
 
-    return _record("gather_rows", (a,), a.data[idx].copy(), back)
+    return _record("gather_rows", (a,), a.data[idx], back)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:

@@ -9,9 +9,11 @@ exactly like an uninterrupted one.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import logging
 import os
+import platform
 import struct
 import zlib
 from dataclasses import dataclass
@@ -414,13 +416,33 @@ def _drop_rows_after(log: Path, step: int) -> None:
         log.write_text("".join(kept), encoding="utf-8")
 
 
+def _keep_freed_memory() -> None:
+    """On glibc, keep freed heap memory in the process; elsewhere do nothing.
+
+    ``backward`` frees a step's activations when it clears the tape. Under
+    glibc's adaptive thresholds that memory went back to the kernel and was
+    faulted in again: ~20,000 minor faults per desk step, ~10 with these.
+    Where memory comes from changes, not what is computed.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
+    libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: return the heap top only past 1 GiB free
+
+
 def train(config: TiJepaConfig, dataset, out_dir=None,
           state: PretrainState | None = None) -> TrainResult:
     """Run pretraining until ``config.total_steps``; resumes when given a state.
 
     Batches come from a per-epoch seeded shuffle and masks from per-example
-    seeds, so results depend only on (config, dataset), not wall clock.
+    seeds, so results depend only on (config, dataset), not wall clock. On
+    glibc it first fixes the process's allocator thresholds (see
+    :func:`_keep_freed_memory`).
     """
+    _keep_freed_memory()
     config.validate()
     if not dataset:
         raise DataError("dataset is empty")

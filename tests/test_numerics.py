@@ -302,6 +302,7 @@ class TestGradientSuite:
     def test_duplicate_gather_indices_accumulate(self):
         x = t([[1.0, 1.0], [2.0, 2.0]], requires_grad=True)
         out = gather_rows(x, [0, 0, 1])
+        assert not np.shares_memory(out.data, x.data)
         backward(sum_all(out))
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
