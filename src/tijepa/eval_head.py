@@ -2,8 +2,9 @@
 
 The backbone (encoders + online fusion module) runs gradient-free; only the
 single linear layer trains. Because the backbone never moves, pooled features
-are computed once per example and reused across epochs, and each fine-tune or
-eval call encodes every distinct caption and image once.
+are computed once, ``batch_size`` pairs per forward, and reused across epochs;
+each fine-tune or eval call encodes every distinct caption and image once.
+A head step, validation and evaluation each run on a whole batch of features.
 """
 
 from __future__ import annotations
@@ -17,18 +18,7 @@ from .core import FusionModule, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
 from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
-from .numerics import (
-    Tensor,
-    add,
-    backward,
-    cross_entropy_logits,
-    matmul,
-    mean_rows,
-    no_grad,
-    reshape,
-    scale,
-    zero_grads,
-)
+from .numerics import Tensor, backward, cross_entropy_logits, linear, no_grad, scale, zero_grads
 from .trainer import AdamWState, PretrainState, adamw_step, read_tensor_file, write_tensor_file
 
 logger = logging.getLogger(__name__)
@@ -49,19 +39,39 @@ class ClassifierHead:
         self.bias = Tensor(np.zeros(len(LABELS)), requires_grad=True, dtype=np.float32)
 
     def logits(self, pooled: Tensor) -> Tensor:
-        row = reshape(pooled, (1, self.feature_dim))
-        return reshape(add(matmul(row, self.weight), self.bias), (len(LABELS),))
+        """(B, feature_dim) pooled features to (B, 3) class logits."""
+        return linear(pooled, self.weight, self.bias)
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        """The highest-scoring class index of every feature row."""
+        with no_grad():
+            return np.argmax(self.logits(Tensor(features)).data, axis=1)
 
     def named_parameters(self, prefix: str = "head") -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
-def pooled_representation(image: np.ndarray, caption, image_encoder: ImageEncoder,
+def pooled_representation(images, captions, image_encoder: ImageEncoder,
                           text_encoder: TextEncoder, fusion: FusionModule) -> np.ndarray:
-    """Mean over fused patch tokens of the full image, gradient-free."""
+    """Each pair's mean over its fused full-image patch rows, (B, D), gradient-free."""
     with no_grad():
-        fused, _ = fuse_image([image], [caption], image_encoder, text_encoder, fusion)
-        return mean_rows(fused).data.copy()
+        fused, sizes = fuse_image(images, captions, image_encoder, text_encoder, fusion)
+    return fused.data.reshape(len(sizes), sizes[0], -1).mean(axis=1)
+
+
+def _pooled_features(state: PretrainState, examples) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled features and label indices of labeled examples, pooled in chunks
+    of ``batch_size`` through one encoding memo per encoder."""
+    if any(example.label is None for example in examples):
+        raise DataError("fine-tuning and evaluation require labeled examples")
+    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
+    step = state.config.batch_size
+    chunks = [examples[i:i + step] for i in range(0, len(examples), step)]
+    pooled = [pooled_representation([e.image for e in chunk], [e.caption for e in chunk],
+                                    *encoders, state.fusion) for chunk in chunks]
+    features = (np.concatenate(pooled) if pooled
+                else np.zeros((0, state.config.embed_dim), dtype=np.float32))
+    return features, np.array([LABEL_TO_INDEX[e.label] for e in examples], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -74,44 +84,23 @@ class FinetuneHistory:
     val_accuracies: list[float] = field(default_factory=list)
 
 
-def _pooled_features(state: PretrainState, examples) -> list[tuple[np.ndarray, int]]:
-    features = []
-    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
-    for example in examples:
-        if example.label is None:
-            raise DataError("fine-tuning requires labeled examples")
-        pooled = pooled_representation(example.image, example.caption, *encoders, state.fusion)
-        features.append((pooled, LABEL_TO_INDEX[example.label]))
-    return features
-
-
-def _accuracy(head: ClassifierHead, features) -> float:
-    if not features:
-        return 0.0
-    correct = 0
-    with no_grad():
-        for pooled, label in features:
-            logits = head.logits(Tensor(pooled))
-            correct += int(np.argmax(logits.data) == label)
-    return correct / len(features)
-
-
 def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int = 40,
              lr: float = 0.001, batch_size: int = 16, seed: int = 0,
              head: ClassifierHead | None = None) -> tuple[ClassifierHead, FinetuneHistory]:
     """Train the head with Adam (no weight decay) on frozen backbone features."""
     if not train_examples:
         raise DataError("fine-tuning train split is empty")
-    feature_dim = state.config.embed_dim
+    if epochs < 1 or batch_size < 1:
+        raise DataError(f"epochs and batch size must be positive, got {epochs} and {batch_size}")
     if head is None:
-        head = ClassifierHead(feature_dim, np.random.default_rng([seed, _STREAM_HEAD]))
-    train_features = _pooled_features(state, train_examples)
-    val_features = _pooled_features(state, val_examples) if val_examples else []
+        head = ClassifierHead(state.config.embed_dim, np.random.default_rng([seed, _STREAM_HEAD]))
+    features, labels = _pooled_features(state, train_examples)
+    val_features, val_labels = _pooled_features(state, val_examples)
 
     params = head.named_parameters()
     opt = AdamWState.create(params)
     history = FinetuneHistory()
-    n = len(train_features)
+    n = len(labels)
     batch_size = min(batch_size, n)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, _STREAM_HEAD, epoch + 1]).permutation(n)
@@ -119,20 +108,14 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             zero_grads(params)
-            terms = []
-            for i in batch:
-                pooled, label = train_features[int(i)]
-                terms.append(cross_entropy_logits(head.logits(Tensor(pooled)), label))
-            total = terms[0]
-            for term in terms[1:]:
-                total = add(total, term)
-            loss = scale(total, 1.0 / len(terms))
+            total = cross_entropy_logits(head.logits(Tensor(features[batch])), labels[batch])
+            loss = scale(total, 1.0 / len(batch))
             epoch_losses.append(loss.item())
             backward(loss)
             adamw_step(params, opt, lr, weight_decay=0.0)
         history.train_losses.append(float(np.mean(epoch_losses)))
-        if val_features:
-            acc = _accuracy(head, val_features)
+        if len(val_labels):
+            acc = float(np.mean(head.predict(val_features) == val_labels))
             history.val_accuracies.append(acc)
             logger.info("epoch %d: train_loss=%.4f val_acc=%.4f",
                         epoch + 1, history.train_losses[-1], acc)
@@ -152,9 +135,12 @@ def load_head(path) -> ClassifierHead:
     weight = tensors["head.weight"]
     if weight.ndim != 2 or weight.shape[1] != len(LABELS):
         raise DataError(f"head weight must be (dim, {len(LABELS)}), got {weight.shape}")
+    bias = tensors["head.bias"]
+    if bias.shape != (len(LABELS),):
+        raise DataError(f"head bias must be ({len(LABELS)},), got {bias.shape}")
     head = ClassifierHead(weight.shape[0])
     head.weight.data[...] = weight
-    head.bias.data[...] = tensors["head.bias"]
+    head.bias.data[...] = bias
     return head
 
 
@@ -230,15 +216,9 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 
 def evaluate(state: PretrainState, head: ClassifierHead, examples) -> ConfusionMatrix:
+    features, labels = _pooled_features(state, examples)
     cm = ConfusionMatrix()
-    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
-    for example in examples:
-        if example.label is None:
-            raise DataError("evaluation requires labeled examples")
-        pooled = pooled_representation(example.image, example.caption, *encoders, state.fusion)
-        with no_grad():
-            logits = head.logits(Tensor(pooled))
-        cm.add(LABEL_TO_INDEX[example.label], int(np.argmax(logits.data)))
+    np.add.at(cm.counts, (labels, head.predict(features)), 1)
     return cm
 
 

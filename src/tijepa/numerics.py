@@ -250,17 +250,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a.data @ b.data, back)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def back(g):
-        return (g.reshape(a.shape),)
-
-    return _record("reshape", (a,), a.data.reshape(shape).copy(), back)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor; duplicate indices accumulate gradient."""
     if a.ndim != 2:
@@ -305,18 +294,6 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full_like(a.data, g),)
 
     return _record("sum", (a,), a.data.sum(), back)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the leading axis of a 2-D tensor."""
-    if a.ndim != 2:
-        raise ShapeError(f"mean_rows expects a 2-D tensor, got {a.shape}")
-    n = a.shape[0]
-
-    def back(g):
-        return (np.tile(g / n, (n, 1)),)
-
-    return _record("mean_rows", (a,), a.data.mean(axis=0), back)
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +355,27 @@ def gelu(a: Tensor) -> Tensor:
     return _record("gelu", (a,), y, back)
 
 
-def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
-    """Negative log softmax probability of ``label``, via log-sum-exp."""
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-D logits, got {logits.shape}")
-    k = logits.shape[0]
-    if not 0 <= label < k:
-        raise ShapeError(f"cross_entropy: label {label} out of range [0, {k})")
+def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
+    """Summed negative log softmax probability of each row's label, via log-sum-exp."""
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy expects (rows, classes) logits, got {logits.shape}")
+    n, k = logits.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ShapeError(f"cross_entropy: {labels.shape} labels for {n} rows")
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise ShapeError(f"cross_entropy: labels out of range [0, {k})")
     z = logits.data
-    m = z.max()
+    rows = np.arange(n)
+    m = z.max(axis=1, keepdims=True)
     shifted = z - m
-    lse = m + np.log(np.exp(shifted).sum())
-    loss = np.asarray(lse - z[label], dtype=z.dtype)
+    lse = m[:, 0] + np.log(np.exp(shifted).sum(axis=1))
+    loss = np.asarray((lse - z[rows, labels]).sum(), dtype=z.dtype)
 
     def back(g):
         p = np.exp(shifted)
-        p = p / p.sum()
-        p[label] -= 1.0
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows, labels] -= 1.0
         return (g * p,)
 
     return _record("cross_entropy", (logits,), loss, back)
@@ -650,17 +631,9 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     checks.append(("concat_rows", check_gradients(
         lambda: sum_all(mul(concat_rows([p1, p2]), r)), [p1, p2])))
 
-    x = _rand64(rng, (4, 5))
-    r = _const64(rng, (5,))
-    checks.append(("mean_rows", check_gradients(lambda: sum_all(mul(mean_rows(x), r)), [x])))
-
-    x = _rand64(rng, (3, 4))
-    r = _const64(rng, (2, 6))
-    checks.append(("reshape", check_gradients(
-        lambda: sum_all(mul(reshape(x, (2, 6)), r)), [x])))
-
-    z = _rand64(rng, (5,), -2.0, 2.0)
-    checks.append(("cross_entropy", check_gradients(lambda: cross_entropy_logits(z, 2), [z])))
+    z = _rand64(rng, (4, 5), -2.0, 2.0)
+    checks.append(("cross_entropy", check_gradients(
+        lambda: cross_entropy_logits(z, [2, 0, 2, 4]), [z])))
 
     ap = AttentionParams.create(8, rng, dtype=np.float64)
     x = _rand64(rng, (3, 8))

@@ -4,7 +4,7 @@ import pytest
 
 from tijepa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, dispatch
 from tijepa.dataprep import LABELS
-from tijepa.trainer import TiJepaConfig
+from tijepa.trainer import PretrainState, TiJepaConfig, save_checkpoint
 
 
 def tiny_config_text():
@@ -151,6 +151,16 @@ class TestDataErrors:
         assert dispatch(["pretrain", "--config", str(config_path),
                          "--data", str(tmp_path / "ghost.tsv"),
                          "--out", str(tmp_path / "o")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-3"),
+                                             ("--epochs", "0")])
+    def test_non_positive_finetune_sizes_exit_two(self, tmp_path, synth_dir, flag, value):
+        ckpt = tmp_path / "init.tijp"
+        save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+        out = tmp_path / "head"
+        assert dispatch(["finetune", "--ckpt", str(ckpt), "--data", str(synth_dir / "manifest.tsv"),
+                         "--out", str(out), flag, value]) == EXIT_DATA
+        assert not (out / "head.tijp").exists()
 
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         bogus = tmp_path / "bogus.tijp"

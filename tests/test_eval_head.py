@@ -20,8 +20,8 @@ from tijepa.eval_head import (
     pooled_representation,
     save_head,
 )
-from tijepa.numerics import Tensor, check_gradients, cross_entropy_logits
-from tijepa.trainer import PretrainState, TiJepaConfig
+from tijepa.numerics import Tensor, active_tape, backward, check_gradients, cross_entropy_logits
+from tijepa.trainer import PretrainState, TiJepaConfig, adamw_step
 
 
 def tiny_state():
@@ -40,10 +40,13 @@ def backbone_digest(state):
     return digest.hexdigest()
 
 
-def classify(state, head, example):
-    pooled = pooled_representation(example.image, example.caption, state.image_encoder,
-                                   state.text_encoder, state.fusion)
-    return head.logits(Tensor(pooled))
+def pool(state, examples):
+    return pooled_representation([e.image for e in examples], [e.caption for e in examples],
+                                 state.image_encoder, state.text_encoder, state.fusion)
+
+
+def classify(state, head, examples):
+    return head.logits(Tensor(pool(state, examples)))
 
 
 class TestPoolAndClassify:
@@ -52,51 +55,68 @@ class TestPoolAndClassify:
         head = ClassifierHead(16)
         head.bias.data[...] = [1.0, 0.0, 0.0]
         examples = synth_generate(4, seed=0, image_size=16)
-        for e in examples:
-            logits = classify(state, head, e)
-            assert int(np.argmax(logits.data)) == 0
+        logits = classify(state, head, examples)
+        assert logits.shape == (4, 3)
+        np.testing.assert_array_equal(np.argmax(logits.data, axis=1), 0)
 
     def test_different_inputs_different_logits(self):
         state = tiny_state()
         head = ClassifierHead(16, np.random.default_rng(1))
         examples = synth_generate(8, seed=0, image_size=16)
-        a = classify(state, head, examples[0])
-        b = classify(state, head, examples[1])
-        assert np.abs(a.data - b.data).max() > 1e-7
+        a, b = classify(state, head, examples[:2]).data
+        assert np.abs(a - b).max() > 1e-7
 
     def test_pooled_rep_is_mean_of_fused_tokens(self):
         from tijepa.numerics import no_grad
 
         state = tiny_state()
-        example = synth_generate(1, seed=3, image_size=16)[0]
-        pooled = pooled_representation(example.image, example.caption, state.image_encoder,
-                                       state.text_encoder, state.fusion)
-        with no_grad():
-            ids = tokenize_text(example.caption, 16)
-            fused = state.fusion(state.image_encoder.encode([example.image])[0],
-                                 state.text_encoder.encode(ids)[0])
-        np.testing.assert_allclose(pooled, fused.data.mean(axis=0), atol=1e-6)
+        examples = synth_generate(2, seed=3, image_size=16)
+        pooled = pool(state, examples)
+        assert pooled.shape == (2, 16)
+        for row, example in zip(pooled, examples):
+            with no_grad():
+                ids = tokenize_text(example.caption, 16)
+                fused = state.fusion(state.image_encoder.encode([example.image])[0],
+                                     state.text_encoder.encode(ids)[0])
+            np.testing.assert_allclose(row, fused.data.mean(axis=0), atol=1e-6)
+
+    def test_rows_do_not_depend_on_batch_size_or_batch_mates(self):
+        # desk config: fine-tune and eval pool in chunks, and the memo-versus-
+        # fresh-encode test expects the same bytes whatever the chunking
+        state = PretrainState.initialize(TiJepaConfig())
+        examples = synth_generate(16, seed=0)
+        whole = pool(state, examples)
+        for chunk in (1, 5):
+            parts = [pool(state, examples[i:i + chunk]) for i in range(0, 16, chunk)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+        np.testing.assert_array_equal(pool(state, examples[::-1]), whole[::-1])
 
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log3(self):
         for label in range(3):
-            loss = cross_entropy_logits(Tensor(np.zeros(3, dtype=np.float32)), label)
+            loss = cross_entropy_logits(Tensor(np.zeros((1, 3), dtype=np.float32)), [label])
             assert loss.item() == pytest.approx(math.log(3.0), abs=1e-6)
 
     def test_confident_correct_is_near_zero(self):
-        logits = Tensor(np.array([20.0, 0.0, 0.0], dtype=np.float32))
-        assert cross_entropy_logits(logits, 0).item() < 1e-6
+        logits = Tensor(np.array([[20.0, 0.0, 0.0]], dtype=np.float32))
+        assert cross_entropy_logits(logits, [0]).item() < 1e-6
 
     def test_gradient_matches_finite_differences(self):
-        logits = Tensor(np.array([0.3, -1.2, 0.7]), requires_grad=True,
+        logits = Tensor(np.array([[0.3, -1.2, 0.7]]), requires_grad=True,
                         dtype=np.float64)
-        err = check_gradients(lambda: cross_entropy_logits(logits, 2), [logits])
+        err = check_gradients(lambda: cross_entropy_logits(logits, [2]), [logits])
         assert err < 1e-4
 
     def test_bad_label(self):
         with pytest.raises(ShapeError):
-            cross_entropy_logits(Tensor(np.zeros(3, dtype=np.float32)), 3)
+            cross_entropy_logits(Tensor(np.zeros((1, 3), dtype=np.float32)), [3])
+
+    def test_rows_sum(self):
+        logits = Tensor(np.array([[0.3, -1.2, 0.7], [2.0, 0.1, -0.4]], dtype=np.float32))
+        rows = [cross_entropy_logits(Tensor(logits.data[i:i + 1]), [label]).item()
+                for i, label in enumerate([2, 0])]
+        assert cross_entropy_logits(logits, [2, 0]).item() == pytest.approx(sum(rows))
 
 
 class TestFinetune:
@@ -120,7 +140,7 @@ class TestFinetune:
         import tijepa.eval_head as eh
         original = eh.pooled_representation
         eh.pooled_representation = \
-            lambda img, cap, image_encoder, text_encoder, fusion: features[int(cap[1:])]
+            lambda images, captions, *modules: np.stack([features[int(c[1:])] for c in captions])
         try:
             head, history = finetune(state, examples, examples, epochs=20,
                                      lr=0.05, seed=0)
@@ -159,6 +179,29 @@ class TestFinetune:
     def test_empty_train_split_rejected(self):
         with pytest.raises(DataError):
             finetune(tiny_state(), [], epochs=1)
+
+    @pytest.mark.parametrize("epochs, batch_size", [(0, 4), (-2, 4), (1, 0), (1, -3)])
+    def test_non_positive_epochs_or_batch_size_rejected(self, epochs, batch_size):
+        with pytest.raises(DataError, match="must be positive"):
+            finetune(tiny_state(), self.labeled_examples(4), epochs=epochs,
+                     batch_size=batch_size)
+
+    def test_a_head_step_is_one_batched_loss(self, monkeypatch):
+        taped, steps = [], []
+
+        def recorded_backward(loss):
+            taped.append([record[0] for record in active_tape()])
+            backward(loss)
+
+        def counted_adamw_step(*args, **kwargs):
+            steps.append(len(taped))
+            return adamw_step(*args, **kwargs)
+
+        monkeypatch.setattr(eval_head_module, "backward", recorded_backward)
+        monkeypatch.setattr(eval_head_module, "adamw_step", counted_adamw_step)
+        finetune(tiny_state(), self.labeled_examples(11), epochs=3, batch_size=4)
+        assert len(steps) == 3 * math.ceil(11 / 4)
+        assert taped == [["matmul", "add", "cross_entropy", "scale"]] * len(steps)
 
 
 class TestEncodingMemoInFinetuneAndEval:
@@ -219,6 +262,15 @@ class TestHeadCheckpoint:
         path = tmp_path / "other.tijp"
         write_tensor_file(path, {"something": np.zeros(2, dtype=np.float32)})
         with pytest.raises(DataError):
+            load_head(path)
+
+    @pytest.mark.parametrize("shape", [(1,), (), (4,)])
+    def test_rejects_a_bias_not_of_one_value_per_class(self, tmp_path, shape):
+        from tijepa.trainer import write_tensor_file
+        path = tmp_path / "head.tijp"
+        write_tensor_file(path, {"head.weight": np.zeros((16, 3), dtype=np.float32),
+                                 "head.bias": np.zeros(shape, dtype=np.float32)})
+        with pytest.raises(DataError, match="bias"):
             load_head(path)
 
 
