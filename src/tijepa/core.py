@@ -189,6 +189,10 @@ class Predictor:
         the example's context tokens followed by the block's mask tokens, so
         no block sees another block or another example. Returns the predicted
         rows stacked example by example, blocks in order.
+
+        Only the mask tokens are read back, so the last block computes only
+        their rows: its queries, output projection and MLP skip the context
+        rows, which serve it as keys and values alone.
         """
         ctx_pos = [np.asarray(p, dtype=np.int64).reshape(-1) for p in context_positions]
         blocks = [[np.asarray(b, dtype=np.int64).reshape(-1) for b in ex] for ex in target_blocks]
@@ -218,10 +222,13 @@ class Predictor:
                                  for i, start, size in zip(owner, block_starts, block_sizes)])
         tokens = gather_rows(concat_rows([ctx, masks]), layout)
         segments = ctx_sizes[owner] + block_sizes
-        for block in self.blocks:
+        slots = np.flatnonzero(layout >= n_ctx)
+        if not self.blocks:
+            return linear(gather_rows(tokens, slots), self.out_w, self.out_b)
+        for block in self.blocks[:-1]:
             tokens = block(tokens, segments)
-        slots = gather_rows(tokens, np.flatnonzero(layout >= n_ctx))
-        return linear(slots, self.out_w, self.out_b)
+        tokens = self.blocks[-1](tokens, segments, keep=slots, keep_segments=block_sizes)
+        return linear(tokens, self.out_w, self.out_b)
 
     __call__ = predict
 

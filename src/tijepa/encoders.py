@@ -190,17 +190,27 @@ class TransformerBlock:
         self.mlp_w2, self.mlp_b2 = w((hidden, dim)), zeros(dim)
 
     def __call__(self, x: Tensor, segments=None, context: Tensor | None = None,
-                 context_segments=None, pad_to: int | None = None) -> Tensor:
+                 context_segments=None, pad_to: int | None = None, keep=None,
+                 keep_segments=None) -> Tensor:
         """``segments``: row counts of independent sequences stacked in ``x``;
         ``context_segments``: those of the same sequences' context tokens.
-        ``pad_to`` fixes the self-attention padding (see ``attention``)."""
+        ``pad_to`` fixes the self-attention padding (see ``attention``).
+
+        ``keep`` limits the output to those rows of ``x``, sequence by
+        sequence, ``keep_segments`` per sequence: they alone are queries and
+        go through the MLP, while every row stays a key and value.
+        """
         if (context is None) != (self.cross_attn is None):
             raise ShapeError("context tokens go with a cross-attention sublayer, and only there")
         normed = layer_norm(x, self.ln1_g, self.ln1_b)
-        x = add(x, attention(normed, normed, self.attn, self.heads, segments, pad_to=pad_to))
+        queries, q_segments = normed, segments
+        if keep is not None:
+            x, queries, q_segments = gather_rows(x, keep), gather_rows(normed, keep), keep_segments
+        x = add(x, attention(queries, normed, self.attn, self.heads, q_segments, segments,
+                             pad_to=pad_to))
         if context is not None:
             normed = layer_norm(x, self.ln_cross_g, self.ln_cross_b)
-            x = add(x, attention(normed, context, self.cross_attn, self.heads, segments,
+            x = add(x, attention(normed, context, self.cross_attn, self.heads, q_segments,
                                  context_segments))
         h = linear(gelu(linear(layer_norm(x, self.ln2_g, self.ln2_b), self.mlp_w1, self.mlp_b1)),
                    self.mlp_w2, self.mlp_b2)

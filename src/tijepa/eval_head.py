@@ -10,6 +10,7 @@ A head step, validation and evaluation each run on a whole batch of features.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,8 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
         raise DataError("fine-tuning train split is empty")
     if epochs < 1 or batch_size < 1:
         raise DataError(f"epochs and batch size must be positive, got {epochs} and {batch_size}")
+    if not (math.isfinite(lr) and lr >= 0.0):
+        raise DataError(f"learning rate must be finite and >= 0, got {lr}")
     if head is None:
         head = ClassifierHead(state.config.embed_dim, np.random.default_rng([seed, _STREAM_HEAD]))
     features, labels = _pooled_features(state, train_examples)

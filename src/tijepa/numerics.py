@@ -458,9 +458,11 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
                      pad_to) -> Tensor:
     """softmax(Q K^T / sqrt(dh)) V of every head of every segment, as one tape op.
 
-    All segments run as one padded (segments, heads, width, dh) batch; an
-    additive key mask hides the padding. The backward keeps only the softmax
-    weights and re-pads Q/K/V from the op's inputs.
+    All segments run as one padded batch: queries as (segments, heads,
+    q_width, dh), keys and values as (segments, heads, kv_width, dh); an
+    additive key mask hides the key padding. The backward keeps only the
+    softmax weights and re-pads Q/K/V from the op's inputs, each side at
+    its own width.
     """
     q_sizes = _segment_sizes(segments, q.shape[0], "query")
     kv_sizes = _segment_sizes(segments if kv_segments is None else kv_segments, k.shape[0],
@@ -468,17 +470,20 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
     if q_sizes.size != kv_sizes.size:
         raise ShapeError(f"attention: {q_sizes.size} query segments vs {kv_sizes.size} key/value")
     longest = max(q_sizes.max(), kv_sizes.max())
-    width = longest if pad_to is None else int(pad_to)
-    if width < longest:
-        raise ShapeError(f"attention: a segment of {longest} rows exceeds pad_to={width}")
+    if pad_to is None:
+        q_width, kv_width = q_sizes.max(), longest
+    elif int(pad_to) < longest:
+        raise ShapeError(f"attention: a segment of {longest} rows exceeds pad_to={pad_to}")
+    else:
+        q_width = kv_width = int(pad_to)
     s = q_sizes.size
-    q_rows, kv_rows = _padded_rows(q_sizes, width), _padded_rows(kv_sizes, width)
+    q_rows, kv_rows = _padded_rows(q_sizes, q_width), _padded_rows(kv_sizes, kv_width)
     c = 1.0 / math.sqrt(q.shape[1] // heads)
-    qh = _to_heads(q.data * np.asarray(c, dtype=q.dtype), q_rows, s, width, heads)
-    kh, vh = (_to_heads(t.data, kv_rows, s, width, heads) for t in (k, v))
+    qh = _to_heads(q.data * np.asarray(c, dtype=q.dtype), q_rows, s, q_width, heads)
+    kh, vh = (_to_heads(t.data, kv_rows, s, kv_width, heads) for t in (k, v))
     p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     if kv_rows is not None:
-        mask = np.where(np.arange(width) < kv_sizes[:, None], 0.0, -np.inf).astype(p.dtype)
+        mask = np.where(np.arange(kv_width) < kv_sizes[:, None], 0.0, -np.inf).astype(p.dtype)
         p += mask[:, None, None, :]
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
@@ -486,11 +491,12 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
     out = _from_heads(p @ vh, q_rows)
 
     def back(g):
-        qh, kh, vh, gh = (_to_heads(a, rows, s, width, heads) for a, rows in
-                          ((q.data, q_rows), (k.data, kv_rows), (v.data, kv_rows), (g, q_rows)))
+        qh, kh, vh, gh = (_to_heads(a, rows, s, width, heads) for a, rows, width in
+                          ((q.data, q_rows, q_width), (k.data, kv_rows, kv_width),
+                           (v.data, kv_rows, kv_width), (g, q_rows, q_width)))
         # rowsum(dP * P) equals rowsum(dO * O), which sums a head width, not a key count
         rowdot = _to_heads((g * out).reshape(-1, heads, g.shape[1] // heads).sum(axis=-1),
-                           q_rows, s, width, heads)
+                           q_rows, s, q_width, heads)
         dv = p.transpose(0, 1, 3, 2) @ gh
         ds = gh @ vh.transpose(0, 1, 3, 2)
         ds -= rowdot
@@ -513,10 +519,11 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
     sequences in ``kv_src`` (``segments`` again by default; one sequence each
     when both are None). Sequence i's queries attend only to sequence i's keys.
 
-    Sequences are padded to the longest one, or to ``pad_to`` rows. Padding
-    leaves values unchanged but its length can move float rounding, so a
-    caller whose rows must not depend on the other sequences of a batch fixes
-    ``pad_to``.
+    Queries are padded to the longest query sequence; keys and values to the
+    longest sequence of either side. With ``pad_to``, both sides are padded
+    to ``pad_to`` rows. Padding leaves values unchanged but its length can
+    move float rounding, so a caller whose rows must not depend on the other
+    sequences of a batch fixes ``pad_to``.
     """
     if q_src.ndim != 2 or kv_src.ndim != 2:
         raise ShapeError("attention expects 2-D token matrices")
@@ -666,5 +673,12 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     r = _const64(rng, (6, 8))
     checks.append(("attention_padded", check_gradients(
         lambda: sum_all(mul(attention(x, x, ap, 2, (1, 5), pad_to=7), r)), [x] + cp[2:])))
+
+    # queries padded narrower than keys, as the predictor's last block runs them
+    q, kv = _rand64(rng, (6, 8)), _rand64(rng, (12, 8))
+    r = _const64(rng, (6, 8))
+    checks.append(("attention_query_rows", check_gradients(
+        lambda: sum_all(mul(attention(q, kv, ap, 2, (1, 3, 2), (4, 5, 3)), r)),
+        [q, kv] + cp[2:])))
 
     return checks

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import logging
+import math
 import os
 import platform
 import struct
@@ -90,8 +91,8 @@ class TiJepaConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.image_size % self.patch_size != 0:
-            raise DataError("image_size must be divisible by patch_size")
+        if self.patch_size < 1 or self.image_size % self.patch_size != 0:
+            raise DataError("image_size must be divisible by a positive patch_size")
         if self.loss_type not in ("l2", "l1"):
             raise DataError(f"loss_type must be 'l2' or 'l1', got '{self.loss_type}'")
         if not (0.0 <= self.ema_start <= self.ema_end <= 1.0):
@@ -100,6 +101,20 @@ class TiJepaConfig:
             raise DataError("batch_size, total_steps, and log_interval must be positive")
         if self.checkpoint_interval < 1 or self.num_targets < 1:
             raise DataError("checkpoint_interval and num_targets must be positive")
+        if not all(math.isfinite(x) and x >= 0.0 for x in (self.learning_rate, self.weight_decay)):
+            raise DataError("learning_rate and weight_decay must be finite and >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise DataError("need 0 <= beta1, beta2 < 1")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
+            raise DataError("adam_eps must be finite and positive")
+        for name in ("ctx_scale", "tgt_scale"):
+            lo, hi = getattr(self, f"{name}_lo"), getattr(self, f"{name}_hi")
+            if not (0.0 < lo <= hi <= 1.0):
+                raise DataError(f"need 0 < {name}_lo <= {name}_hi <= 1")
+        if not (0.0 < self.tgt_aspect_lo <= self.tgt_aspect_hi < math.inf):
+            raise DataError("need 0 < tgt_aspect_lo <= tgt_aspect_hi, both finite")
+        if self.mask_max_retries < 0:
+            raise DataError("mask_max_retries must be >= 0")
 
     def grid(self) -> tuple[int, int]:
         side = self.image_size // self.patch_size

@@ -162,6 +162,17 @@ class TestDataErrors:
                          "--out", str(out), flag, value]) == EXIT_DATA
         assert not (out / "head.tijp").exists()
 
+    @pytest.mark.parametrize("setting", ["learning_rate=nan", "tgt_aspect_lo=-1",
+                                         "mask_max_retries=-1"])
+    def test_bad_optimizer_or_masking_value_exits_two(self, tmp_path, synth_dir, setting):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        out = tmp_path / "o"
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(synth_dir / "manifest.tsv"),
+                         "--out", str(out), "--set", setting]) == EXIT_DATA
+        assert not (out / "checkpoint_final.tijp").exists()
+
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         bogus = tmp_path / "bogus.tijp"
         bogus.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")

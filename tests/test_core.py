@@ -23,6 +23,7 @@ from tijepa.numerics import (
     attention,
     backward,
     concat_rows,
+    gather_rows,
     gelu,
     layer_norm,
     linear,
@@ -308,6 +309,80 @@ class TestPredict:
         assert np.abs(joint - single).max() < 1e-5
         for name, grad in single_grads.items():
             assert np.abs(joint_grads[name] - grad).max() < 1e-5, name
+
+
+class TestPredictorKeptRows:
+    """The last block computes only the mask rows that ``predict`` returns."""
+
+    GRID4 = (4, 4)
+    CTX_POS = [[0, 1, 4, 5, 8], [0, 1, 2, 4, 5, 6, 12, 13]]
+    BLOCKS = [[[2, 3, 6, 7], [15]], [[10, 11], [3, 7, 14, 15, 9]]]
+
+    def inputs(self, depth):
+        predictor = Predictor(PredictorConfig(depth=depth, heads=2, width=DIM), DIM,
+                              np.random.default_rng(31))
+        ctx = Tensor(np.random.default_rng(32).uniform(-1, 1, (13, DIM)).astype(np.float32),
+                     requires_grad=True)
+        return predictor, ctx
+
+    def all_rows(self, predictor, ctx):
+        """Every block on every row of each (example, block) segment, then the mask rows."""
+        from tijepa.encoders import sincos_pos_2d
+        pos = sincos_pos_2d(*self.GRID4, DIM)
+        ctx = add(linear(ctx, predictor.in_w, predictor.in_b),
+                  Tensor(pos[np.concatenate(self.CTX_POS)]))
+        starts = np.cumsum([0] + [len(p) for p in self.CTX_POS])
+        parts, segments, slots = [], [], []
+        for e, blocks in enumerate(self.BLOCKS):
+            example = gather_rows(ctx, np.arange(starts[e], starts[e + 1]))
+            for block in blocks:
+                masks = add(Tensor(pos[block]), predictor.mask_token)
+                row = sum(segments) + example.shape[0]
+                parts += [example, masks]
+                segments.append(example.shape[0] + len(block))
+                slots += range(row, row + len(block))
+        tokens = concat_rows(parts)
+        for block in predictor.blocks:
+            tokens = block(tokens, segments)
+        return linear(gather_rows(tokens, slots), predictor.out_w, predictor.out_b)
+
+    def run(self, predictor, ctx, forward):
+        params = {"ctx": ctx, **predictor.named_parameters()}
+        weights = Tensor(np.random.default_rng(33).uniform(-1, 1, (12, DIM)).astype(np.float32))
+        for p in params.values():
+            p.grad = None
+        out = forward()
+        backward(sum_all(mul(out, weights)))
+        return out.data, {name: p.grad.copy() for name, p in params.items()}
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_equals_the_all_rows_computation(self, depth):
+        predictor, ctx = self.inputs(depth)
+        kept, kept_grads = self.run(predictor, ctx, lambda: predictor.predict(
+            ctx, self.CTX_POS, self.BLOCKS, self.GRID4))
+        full, full_grads = self.run(predictor, ctx, lambda: self.all_rows(predictor, ctx))
+        assert kept.shape == (12, DIM)
+        assert np.abs(kept - full).max() <= 1e-6
+        largest = max(np.abs(g).max() for g in full_grads.values())
+        for name, grad in full_grads.items():
+            # key-bias gradients are roundoff (softmax ignores a shared shift)
+            scale = largest if name.endswith(".bk") else np.abs(grad).max()
+            assert np.abs(kept_grads[name] - grad).max() <= 1e-5 * scale, name
+
+    def test_last_block_mlp_sees_only_the_mask_rows(self, monkeypatch):
+        from tijepa import encoders
+        rows = []
+
+        def counted_gelu(a):
+            rows.append(a.shape[0])
+            return gelu(a)
+
+        monkeypatch.setattr(encoders, "gelu", counted_gelu)
+        predictor, ctx = self.inputs(2)
+        predictor.predict(ctx, self.CTX_POS, self.BLOCKS, self.GRID4)
+        block_rows = [len(b) for blocks in self.BLOCKS for b in blocks]
+        segment_rows = sum(len(p) * len(b) for p, b in zip(self.CTX_POS, self.BLOCKS))
+        assert rows == [segment_rows + sum(block_rows), sum(block_rows)]
 
 
 class TestPredictionLoss:

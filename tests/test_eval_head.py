@@ -186,6 +186,11 @@ class TestFinetune:
             finetune(tiny_state(), self.labeled_examples(4), epochs=epochs,
                      batch_size=batch_size)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.001])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(DataError, match="learning rate"):
+            finetune(tiny_state(), self.labeled_examples(4), epochs=1, lr=lr)
+
     def test_a_head_step_is_one_batched_loss(self, monkeypatch):
         taped, steps = [], []
 

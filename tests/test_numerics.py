@@ -200,14 +200,17 @@ class TestAttention:
     def test_cross_segments_pair_each_query_segment_with_its_keys(self):
         rng = np.random.default_rng(10)
         params = AttentionParams.create(8, rng, std=0.5)
-        q, kv = t(rng.uniform(-1, 1, (7, 8))), t(rng.uniform(-1, 1, (6, 8)))
-        out = attention(q, kv, params, 2, (2, 4, 1), (3, 1, 2)).data
-        q_row = kv_row = 0
-        for nq, nk in ((2, 3), (4, 1), (1, 2)):
-            expected = attention(t(q.data[q_row:q_row + nq]), t(kv.data[kv_row:kv_row + nk]),
-                                 params, 2).data
-            assert np.abs(out[q_row:q_row + nq] - expected).max() < 1e-6
-            q_row, kv_row = q_row + nq, kv_row + nk
+        # the second case pads queries narrower than keys, as the predictor's last block does
+        for q_sizes, kv_sizes in (((2, 4, 1), (3, 1, 2)), ((1, 3, 2), (4, 5, 3))):
+            q = t(rng.uniform(-1, 1, (sum(q_sizes), 8)))
+            kv = t(rng.uniform(-1, 1, (sum(kv_sizes), 8)))
+            out = attention(q, kv, params, 2, q_sizes, kv_sizes).data
+            q_row = kv_row = 0
+            for nq, nk in zip(q_sizes, kv_sizes):
+                expected = attention(t(q.data[q_row:q_row + nq]),
+                                     t(kv.data[kv_row:kv_row + nk]), params, 2).data
+                assert np.abs(out[q_row:q_row + nq] - expected).max() < 1e-6
+                q_row, kv_row = q_row + nq, kv_row + nk
 
     def test_pad_to_changes_no_value(self):
         rng = np.random.default_rng(11)

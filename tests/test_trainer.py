@@ -220,12 +220,36 @@ class TestConfig:
         assert cfg.batch_size == 2
 
     def test_validation_catches_bad_geometry(self):
-        with pytest.raises(DataError):
-            TiJepaConfig(image_size=60, patch_size=8).validate()
+        for image_size, patch_size in ((60, 8), (64, 0), (64, -8)):
+            with pytest.raises(DataError):
+                TiJepaConfig(image_size=image_size, patch_size=patch_size).validate()
 
     def test_validation_catches_bad_loss(self):
         with pytest.raises(DataError):
             tiny_config(loss_type="huber").validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-0.001"),
+        ("weight_decay", "nan"), ("weight_decay", "-0.05"),
+        ("beta1", "1.0"), ("beta1", "-0.1"), ("beta2", "1.0"), ("beta2", "nan"),
+        ("adam_eps", "0"), ("adam_eps", "-1e-8"), ("adam_eps", "inf"),
+        ("ctx_scale_lo", "0"), ("ctx_scale_lo", "nan"), ("ctx_scale_hi", "1.5"),
+        ("tgt_scale_lo", "0.5"), ("tgt_scale_lo", "-0.1"), ("tgt_scale_hi", "1.01"),
+        ("tgt_aspect_lo", "-1"), ("tgt_aspect_lo", "0"), ("tgt_aspect_lo", "2"),
+        ("tgt_aspect_hi", "inf"), ("tgt_aspect_hi", "nan"),
+        ("mask_max_retries", "-1"),
+    ])
+    def test_validation_catches_bad_optimizer_and_masking_values(self, key, value):
+        with pytest.raises(DataError, match=key):
+            TiJepaConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "0"), ("weight_decay", "0"), ("beta1", "0"), ("beta2", "0.5"),
+        ("tgt_scale_lo", "0.2"), ("ctx_scale_hi", "1"), ("tgt_aspect_lo", "1.5"),
+        ("mask_max_retries", "0"),
+    ])
+    def test_validation_keeps_boundary_values(self, key, value):
+        TiJepaConfig.from_mapping({key: value})
 
     def test_mask_args_spell_out_the_sampling_keys(self):
         cfg = tiny_config(num_targets=3, ctx_scale_lo=0.8, tgt_aspect_hi=1.25,
