@@ -137,10 +137,9 @@ def _record(op: str, inputs: Sequence[Tensor], arr: np.ndarray, backward) -> Ten
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)  # a copy: ``g`` may be shared
-    else:
-        t.grad += g
+    # no gradient array is ever written in place, so the first one is kept as
+    # it is even when it is shared (``add`` hands one array to both inputs)
+    t.grad = np.asarray(g, dtype=t.data.dtype) if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor) -> None:
@@ -185,7 +184,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return g, g
     elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         def back(g):
-            return g, g.sum(axis=0)
+            return g, np.ones(g.shape[0], dtype=g.dtype) @ g
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     return _record("add", (a, b), a.data + b.data, back)
@@ -301,25 +300,35 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Row means and row dot products are einsum contractions over the last
+    axis: one pass per row, and each row's sum is the same wherever the row
+    sits, so a row's output does not depend on the other rows of the input
+    (a BLAS ``x @ ones`` rounds a row by its position in the matrix). The
+    backward's column sums for ``gain`` and ``bias`` run as ``ones @ rows``.
+    """
     if eps <= 0:
         raise ShapeError("layer_norm: eps must be positive")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must have shape ({d},)")
-    xh = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xh * xh).mean(axis=-1, keepdims=True) + eps)
+    ones = np.ones(d, dtype=x.dtype)
+    xh = x.data - (np.einsum("...i,i->...", x.data, ones) / d)[..., None]
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xh, xh) / d + eps)[..., None]
     xh *= inv
     y = xh * gain.data
     y += bias.data
 
     def back(g):
         dxh = g * gain.data
-        dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True) - xh * (dxh * xh).mean(axis=-1, keepdims=True))
-        axes = tuple(range(x.ndim - 1))
-        dgain = (g * xh).sum(axis=axes) if axes else g * xh
-        dbias = g.sum(axis=axes) if axes else g.copy()
-        return dx, dgain, dbias
+        proj = xh * (np.einsum("...i,...i->...", dxh, xh) / d)[..., None]
+        dxh -= (np.einsum("...i,i->...", dxh, ones) / d)[..., None]
+        dxh -= proj
+        dxh *= inv
+        rows = g.reshape(-1, d)
+        column_ones = np.ones(rows.shape[0], dtype=g.dtype)
+        return dxh, column_ones @ (rows * xh.reshape(-1, d)), column_ones @ rows
 
     return _record("layer_norm", (x, gain, bias), y, back)
 
@@ -328,10 +337,9 @@ def gelu(a: Tensor) -> Tensor:
     """tanh-approximation GELU, computed in place to spare full-size temporaries."""
     x = a.data
     t = x * x
-    t *= _GELU_K
-    t += 1.0
+    t *= _GELU_C * _GELU_K
+    t += _GELU_C
     t *= x
-    t *= _GELU_C
     np.tanh(t, out=t)  # tanh(C * (x + K * x^3))
     y = t + 1.0
     y *= x
@@ -339,9 +347,8 @@ def gelu(a: Tensor) -> Tensor:
 
     def back(g):
         d_inner = x * x
-        d_inner *= 3.0 * _GELU_K
-        d_inner += 1.0
-        d_inner *= _GELU_C
+        d_inner *= 3.0 * _GELU_C * _GELU_K
+        d_inner += _GELU_C  # C * (1 + 3K * x^2)
         dydx = t * t
         np.subtract(1.0, dydx, out=dydx)
         dydx *= x
@@ -460,9 +467,13 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
 
     All segments run as one padded batch: queries as (segments, heads,
     q_width, dh), keys and values as (segments, heads, kv_width, dh); an
-    additive key mask hides the key padding. The backward keeps only the
-    softmax weights and re-pads Q/K/V from the op's inputs, each side at
-    its own width.
+    additive key mask hides the key padding. Scores and softmax weights are
+    key-major, (segments, heads, kv_width, q_width): the softmax max and sum
+    reduce over axis -2, which numpy runs as elementwise passes along the
+    contiguous query axis, where a reduction along each short key row would
+    cost several times the ``exp``. The backward keeps only the softmax
+    weights and re-pads Q/K/V from the op's inputs, each side at its own
+    width.
     """
     q_sizes = _segment_sizes(segments, q.shape[0], "query")
     kv_sizes = _segment_sizes(segments if kv_segments is None else kv_segments, k.shape[0],
@@ -481,29 +492,32 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
     c = 1.0 / math.sqrt(q.shape[1] // heads)
     qh = _to_heads(q.data * np.asarray(c, dtype=q.dtype), q_rows, s, q_width, heads)
     kh, vh = (_to_heads(t.data, kv_rows, s, kv_width, heads) for t in (k, v))
-    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    # key-major scores: the softmax reduces over axis -2, so each max and sum
+    # runs along the contiguous query axis instead of along a short key row
+    p = np.matmul(kh, qh.transpose(0, 1, 3, 2))
     if kv_rows is not None:
         mask = np.where(np.arange(kv_width) < kv_sizes[:, None], 0.0, -np.inf).astype(p.dtype)
-        p += mask[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
+        p += mask[:, None, :, None]
+    p -= p.max(axis=-2, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = _from_heads(p @ vh, q_rows)
+    p /= p.sum(axis=-2, keepdims=True)
+    out = _from_heads(p.transpose(0, 1, 3, 2) @ vh, q_rows)
 
     def back(g):
         qh, kh, vh, gh = (_to_heads(a, rows, s, width, heads) for a, rows, width in
                           ((q.data, q_rows, q_width), (k.data, kv_rows, kv_width),
                            (v.data, kv_rows, kv_width), (g, q_rows, q_width)))
         # rowsum(dP * P) equals rowsum(dO * O), which sums a head width, not a key count
-        rowdot = _to_heads((g * out).reshape(-1, heads, g.shape[1] // heads).sum(axis=-1),
-                           q_rows, s, q_width, heads)
-        dv = p.transpose(0, 1, 3, 2) @ gh
-        ds = gh @ vh.transpose(0, 1, 3, 2)
-        ds -= rowdot
-        ds *= p
-        ds *= c
-        dq = ds @ kh
-        dk = ds.transpose(0, 1, 3, 2) @ qh
+        dh = g.shape[1] // heads
+        rowdot = _to_heads(np.einsum("nhd,nhd->nh", g.reshape(-1, heads, dh),
+                                     out.reshape(-1, heads, dh)), q_rows, s, q_width, heads)
+        dv = p @ gh
+        ds_t = vh @ gh.transpose(0, 1, 3, 2)  # dS^T, key-major like p
+        ds_t -= rowdot.transpose(0, 1, 3, 2)
+        ds_t *= p
+        ds_t *= c
+        dq = ds_t.transpose(0, 1, 3, 2) @ kh
+        dk = ds_t @ qh
         return _from_heads(dq, q_rows), _from_heads(dk, kv_rows), _from_heads(dv, kv_rows)
 
     return _record("attention", (q, k, v), out, back)
@@ -523,7 +537,8 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
     longest sequence of either side. With ``pad_to``, both sides are padded
     to ``pad_to`` rows. Padding leaves values unchanged but its length can
     move float rounding, so a caller whose rows must not depend on the other
-    sequences of a batch fixes ``pad_to``.
+    sequences of a batch fixes ``pad_to``. All heads of all sequences run as
+    one tape op with key-major scores (see :func:`_attention_heads`).
     """
     if q_src.ndim != 2 or kv_src.ndim != 2:
         raise ShapeError("attention expects 2-D token matrices")

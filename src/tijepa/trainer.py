@@ -266,14 +266,24 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
     bc2 = 1.0 - beta2 ** t
     for name, g in grads.items():
         p, m, v = params[name], state.m[name], state.v[name]
+        # ``term`` is the one scratch array of every term; the ufuncs apply the
+        # operations of the expressions in the comments, in the same order
+        term = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += term  # m = beta1 * m + (1 - beta1) * g
         v *= beta2
-        v += (1.0 - beta2) * g * g
+        np.multiply(g, 1.0 - beta2, term)
+        term *= g
+        v += term  # v = beta2 * v + (1 - beta2) * g * g
         if weight_decay:
             p.data *= 1.0 - lr * weight_decay
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.data -= lr * update
+        denom = v / bc2
+        np.sqrt(denom, denom)
+        denom += eps
+        np.divide(m, bc1, term)
+        term /= denom
+        term *= lr
+        p.data -= term  # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +512,17 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
                 masks.append(sample_masks(rng=mask_rng, **config.mask_args()))
             except MaskSamplingError as exc:
                 skipped += 1
+                mask_failure = exc
                 logger.warning("step %d: skipping example %d (%s)", s + 1,
                                int(example_index), exc)
                 continue
             examples.append(dataset[int(example_index)])
         if not examples:
-            raise NumericalError(f"step {s + 1}: every example in the batch was skipped")
+            # a masking config that fails for a whole batch is a config error
+            raise DataError(
+                f"step {s + 1}: no example of the batch could be masked ({mask_failure}); "
+                "num_targets, ctx_scale_lo/hi, tgt_scale_lo/hi, tgt_aspect_lo/hi and "
+                "mask_max_retries leave no context on this grid")
 
         images = [example.image for example in examples]
         captions = [example.caption for example in examples]
@@ -707,14 +722,28 @@ def load_checkpoint(path) -> PretrainState:
         if missing:
             detail.append(f"missing tensors: {', '.join(missing[:5])}")
         raise DataError(f"checkpoint does not match model ({'; '.join(detail)}): {path}")
-    for name, p in params.items():
-        arr = tensors[name]
-        if arr.shape != p.data.shape:
-            raise DataError(f"tensor '{name}' has shape {arr.shape}, expected {p.data.shape}")
-        p.data[...] = arr
+    targets = {name: p.data for name, p in params.items()}
     for name in state.opt.m:
-        state.opt.m[name][...] = tensors[f"optimizer.m.{name}"]
-        state.opt.v[name][...] = tensors[f"optimizer.v.{name}"]
-    state.opt.t = int(tensors["optimizer.t"][0])
-    state.step = int(tensors["meta.step"][0])
+        targets[f"optimizer.m.{name}"] = state.opt.m[name]
+        targets[f"optimizer.v.{name}"] = state.opt.v[name]
+    for name, dst in targets.items():
+        arr = tensors[name]
+        if arr.shape != dst.shape:
+            raise DataError(f"tensor '{name}' has shape {arr.shape}, expected {dst.shape}")
+        # the max/min scan of numerics._check_finite: no bool array per tensor
+        if arr.size and not (math.isfinite(float(arr.max())) and math.isfinite(float(arr.min()))):
+            raise DataError(f"non-finite values in tensor '{name}': {path}")
+        dst[...] = arr
+    counters = {}
+    for name in ("optimizer.t", "meta.step"):
+        arr = tensors[name]
+        value = float(arr[0]) if arr.shape == (1,) else math.nan
+        if not (value >= 0 and value.is_integer()):
+            raise DataError(f"'{name}' must be one non-negative integer, got {arr.tolist()}: "
+                            f"{path}")
+        counters[name] = int(value)
+    if counters["optimizer.t"] != counters["meta.step"]:
+        raise DataError(f"optimizer.t {counters['optimizer.t']} != meta.step "
+                        f"{counters['meta.step']}: {path}")
+    state.opt.t = state.step = counters["meta.step"]
     return state

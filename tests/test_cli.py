@@ -173,6 +173,17 @@ class TestDataErrors:
                          "--out", str(out), "--set", setting]) == EXIT_DATA
         assert not (out / "checkpoint_final.tijp").exists()
 
+    def test_masking_config_that_leaves_no_context_exits_two(self, tmp_path, synth_dir, caplog):
+        # 50 target blocks cover the whole 2x2 patch grid of every example
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        out = tmp_path / "o"
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(synth_dir / "manifest.tsv"),
+                         "--out", str(out), "--set", "num_targets=50"]) == EXIT_DATA
+        assert "num_targets" in caplog.text
+        assert not list(out.glob("*.tijp"))
+
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         bogus = tmp_path / "bogus.tijp"
         bogus.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tijepa.eval_head as eval_head_module
+import tijepa.trainer as trainer_module
 from tijepa.dataprep import LABELS, PairedExample, synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, ShapeError
@@ -21,7 +22,7 @@ from tijepa.eval_head import (
     save_head,
 )
 from tijepa.numerics import Tensor, active_tape, backward, check_gradients, cross_entropy_logits
-from tijepa.trainer import PretrainState, TiJepaConfig, adamw_step
+from tijepa.trainer import PretrainState, TiJepaConfig, adamw_step, train
 
 
 def tiny_state():
@@ -207,6 +208,27 @@ class TestFinetune:
         finetune(tiny_state(), self.labeled_examples(11), epochs=3, batch_size=4)
         assert len(steps) == 3 * math.ceil(11 / 4)
         assert taped == [["matmul", "add", "cross_entropy", "scale"]] * len(steps)
+
+
+class TestBenchmarkedTapeOps:
+    def test_pretrain_and_head_steps_record_matmul_add_and_scale(self, monkeypatch):
+        # the benchmark reports per-op tape counts for these three ops and
+        # drops a count that reads 0, so a step that stops recording one
+        # would leave its metric out without a failure
+        taped = []
+        for module in (trainer_module, eval_head_module):
+            def recorded_backward(loss, real=module.backward):
+                taped.append({record[0] for record in active_tape()})
+                real(loss)
+
+            monkeypatch.setattr(module, "backward", recorded_backward)
+        state = tiny_state()
+        examples = synth_generate(4, seed=0, image_size=16, labeled=True)
+        train(state.config, examples, state=state)
+        finetune(state, examples, epochs=1, batch_size=4)
+        assert len(taped) == 2
+        for ops in taped:
+            assert {"matmul", "add", "scale"} <= ops
 
 
 class TestEncodingMemoInFinetuneAndEval:

@@ -94,6 +94,34 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             layer_norm(t([[1.0, 2.0]]), t([1.0, 1.0]), t([0.0, 0.0]), eps=0.0)
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+    @pytest.mark.parametrize("shape, constant_row", [((6,), False), ((6,), True),
+                                                     ((4, 6), True), ((2, 3, 6), True)])
+    def test_forward_and_gradients_match_a_float64_reference(self, shape, constant_row,
+                                                             dtype, rtol):
+        eps = 1e-5
+        rng = np.random.default_rng(len(shape))
+        x = rng.uniform(-2.0, 2.0, shape)
+        if constant_row:
+            x.reshape(-1, 6)[-1] = 0.75
+        gain, bias = rng.uniform(0.5, 1.5, 6), rng.uniform(-1.0, 1.0, 6)
+        g = rng.uniform(-1.0, 1.0, shape)
+        xt, gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias))
+        out = layer_norm(xt, gt, bt, eps)
+        backward(sum_all(mul(out, Tensor(g, dtype=dtype))))
+
+        # float64 reference: each row's Jacobian written out as a matrix
+        rows, grads = x.reshape(-1, 6), g.reshape(-1, 6)
+        sigma = np.sqrt(rows.var(axis=1) + eps)
+        xh = (rows - rows.mean(axis=1, keepdims=True)) / sigma[:, None]
+        dx = np.stack([(gr * gain) @ ((np.eye(6) - 1.0 / 6 - np.outer(h, h) / 6) / s)
+                       for gr, h, s in zip(grads, xh, sigma)])
+        y = (xh * gain + bias).reshape(shape)
+        np.testing.assert_allclose(out.data, y, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(xt.grad, dx.reshape(shape), rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(gt.grad, (grads * xh).sum(axis=0), rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(bt.grad, grads.sum(axis=0), rtol=rtol, atol=rtol)
+
 
 class TestGelu:
     def test_zero(self):
@@ -274,6 +302,18 @@ class TestBackward:
         backward(sum_all(mul(w, t([3.0]))))
         backward(sum_all(mul(w, t([4.0]))))
         np.testing.assert_allclose(w.grad, [7.0])
+
+    def test_a_shared_gradient_array_is_never_written_in_place(self):
+        # add hands one gradient array to both a and b; a's second contribution,
+        # from the mul recorded before the add, must not reach b through it
+        rng = np.random.default_rng(0)
+        a, b, r0, r1 = (rng.uniform(-1.0, 1.0, (2, 3)).astype(np.float32) for _ in range(4))
+        a, b = t(a, requires_grad=True), t(b, requires_grad=True)
+        z0 = mul(a, t(r0))
+        y = add(a, b)
+        backward(sum_all(add(z0, mul(y, t(r1)))))
+        np.testing.assert_array_equal(b.grad, r1)
+        np.testing.assert_array_equal(a.grad, r0 + r1)
 
     def test_no_grad_blocks_recording(self):
         w = t([1.0], requires_grad=True)

@@ -87,6 +87,24 @@ class TestAdamW:
         adamw_step(params, state, lr=lr, weight_decay=wd)
         assert p.data[0] == pytest.approx(2.0 * (1 - lr * wd) ** 2, rel=1e-6)
 
+    def test_matches_the_plain_update_expressions_bitwise(self):
+        rng = np.random.default_rng(1)
+        params = {"w": Tensor(rng.normal(0, 1, (3, 4)), requires_grad=True, dtype=np.float32)}
+        state = AdamWState.create(params)
+        p = params["w"].data.copy()
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        lr, beta1, beta2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.05
+        for t in range(1, 4):
+            g = rng.normal(0, 1, (3, 4)).astype(np.float32)
+            params["w"].grad = g
+            adamw_step(params, state, lr, beta1, beta2, eps, wd)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            p = p * (1.0 - lr * wd)
+            p = p - lr * ((m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps))
+            assert (params["w"].data.tobytes(), state.m["w"].tobytes(), state.v["w"].tobytes()) \
+                == (p.tobytes(), m.tobytes(), v.tobytes())
+
     def test_nan_gradient_aborts_with_name(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([np.nan], dtype=np.float32)
@@ -381,6 +399,42 @@ class TestCheckpointing:
         del tensors["predictor.mask_token"]
         write_tensor_file(path, tensors)
         with pytest.raises(DataError, match="missing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value, match", [
+        ("fusion.layers.0.cross_attn.bk", np.nan, "non-finite"),
+        ("predictor.mask_token", np.inf, "non-finite"),
+        ("optimizer.m.predictor.mask_token", -np.inf, "non-finite"),
+        ("optimizer.v.fusion.layers.0.cross_attn.bk", np.nan, "non-finite"),
+    ])
+    def test_non_finite_parameter_or_moment_rejected(self, tmp_path, name, value, match):
+        path = tmp_path / "ckpt.tijp"
+        save_checkpoint(PretrainState.initialize(tiny_config(total_steps=1)), path)
+        tensors = read_tensor_file(path)
+        tensors[name].reshape(-1)[0] = value
+        write_tensor_file(path, tensors)
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("step", [-1.0, 2.5, np.nan])
+    def test_negative_or_fractional_counters_rejected(self, tmp_path, step):
+        path = tmp_path / "ckpt.tijp"
+        save_checkpoint(PretrainState.initialize(tiny_config(total_steps=1)), path)
+        tensors = read_tensor_file(path)
+        for name in ("optimizer.t", "meta.step"):
+            tensors[name][0] = step
+            write_tensor_file(path, tensors)
+            with pytest.raises(DataError, match=name):
+                load_checkpoint(path)
+            tensors[name][0] = 0.0
+
+    def test_optimizer_t_must_equal_meta_step(self, tmp_path):
+        path = tmp_path / "ckpt.tijp"
+        save_checkpoint(train(tiny_config(total_steps=2), tiny_dataset()).state, path)
+        tensors = read_tensor_file(path)
+        tensors["optimizer.t"][0] = 7.0
+        write_tensor_file(path, tensors)
+        with pytest.raises(DataError, match="optimizer.t 7 != meta.step 2"):
             load_checkpoint(path)
 
     def test_save_load_save_byte_identical(self, tmp_path):
