@@ -28,8 +28,8 @@ from .masking import MaskSet, sample_masks
 from .numerics import (
     DEFAULT_DTYPE,
     Tensor,
-    abs_val,
     add,
+    block_distance,
     check_gradients,
     concat_rows,
     gather_rows,
@@ -37,7 +37,6 @@ from .numerics import (
     mul,
     no_grad,
     scale,
-    sub,
     sum_all,
 )
 
@@ -309,11 +308,7 @@ def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
     if sum(rows) != predictions.shape[0]:
         raise ShapeError(f"block sizes {sizes} do not add up to {predictions.shape[0]} rows")
     row_weight = np.repeat([1.0 / len(example) for example in sizes], rows)
-    weights = np.repeat(row_weight[:, None], predictions.shape[1], axis=1)
-    diff = sub(predictions, targets)
-    per_entry = mul(diff, diff) if kind == "l2" else abs_val(diff)
-    return scale(sum_all(mul(per_entry, Tensor(weights, dtype=predictions.dtype))),
-                 1.0 / len(sizes))
+    return scale(block_distance(predictions, targets, row_weight, kind), 1.0 / len(sizes))
 
 
 def example_loss(encoders, fusion: FusionModule, predictor: Predictor, images, captions,

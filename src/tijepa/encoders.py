@@ -70,10 +70,6 @@ def tokenize_text(caption: str | bytes, max_len: int) -> list[int]:
     return ids[:max_len]
 
 
-def detokenize(ids) -> bytes:
-    return bytes(i for i in ids if 0 <= i < 256)
-
-
 # ---------------------------------------------------------------------------
 # fixed sine-cosine positional encodings
 
@@ -140,16 +136,6 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
     b = len(lead)
     tiles = img.reshape(*lead, 3, gh, p, gw, p).transpose(*range(b), b + 1, b + 3, b, b + 2, b + 4)
     return np.ascontiguousarray(tiles.reshape(*lead, gh * gw, 3 * p * p))
-
-
-def unpatchify(patches: np.ndarray, grid_h: int, grid_w: int, patch_size: int) -> np.ndarray:
-    """Exact inverse of :func:`patchify`."""
-    p = patch_size
-    arr = np.asarray(patches)
-    if arr.shape != (grid_h * grid_w, 3 * p * p):
-        raise ShapeError(f"bad patch matrix shape {arr.shape}")
-    tiles = arr.reshape(grid_h, grid_w, 3, p, p).transpose(2, 0, 3, 1, 4)
-    return np.ascontiguousarray(tiles.reshape(3, grid_h * p, grid_w * p))
 
 
 # ---------------------------------------------------------------------------

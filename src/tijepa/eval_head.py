@@ -19,7 +19,8 @@ from .core import FusionModule, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
 from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
-from .numerics import Tensor, backward, cross_entropy_logits, linear, no_grad, scale, zero_grads
+from .numerics import (Tensor, _all_finite, backward, cross_entropy_logits, linear, no_grad, scale,
+                       zero_grads)
 from .trainer import AdamWState, PretrainState, adamw_step, read_tensor_file, write_tensor_file
 
 logger = logging.getLogger(__name__)
@@ -141,6 +142,9 @@ def load_head(path) -> ClassifierHead:
     bias = tensors["head.bias"]
     if bias.shape != (len(LABELS),):
         raise DataError(f"head bias must be ({len(LABELS)},), got {bias.shape}")
+    for name, arr in tensors.items():
+        if not _all_finite(arr):
+            raise DataError(f"non-finite values in tensor '{name}': {path}")
     head = ClassifierHead(weight.shape[0])
     head.weight.data[...] = weight
     head.bias.data[...] = bias
@@ -162,12 +166,6 @@ class ConfusionMatrix:
             if arr.shape != (len(LABELS), len(LABELS)) or (arr < 0).any():
                 raise ShapeError("confusion matrix must be 3x3 with non-negative counts")
             self.counts = arr.copy()
-
-    def add(self, true_index: int, predicted_index: int) -> None:
-        self.counts[true_index, predicted_index] += 1
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(self.counts + other.counts)
 
     @property
     def total(self) -> int:

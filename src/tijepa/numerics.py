@@ -27,9 +27,13 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def _all_finite(arr: np.ndarray) -> bool:
     # min/max propagate NaN and expose Inf without allocating a bool array
-    if arr.size and not (math.isfinite(float(arr.max())) and math.isfinite(float(arr.min()))):
+    return not arr.size or (math.isfinite(float(arr.max())) and math.isfinite(float(arr.min())))
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not _all_finite(arr):
         raise NumericalError(f"non-finite values in {what}")
 
 
@@ -80,30 +84,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor._result(self.data.copy(), False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
 
 # one (op, inputs, output, backward) tuple per recorded op; backward maps the
@@ -190,16 +172,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), a.data + b.data, back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g):
-        return g, -g
-
-    return _record("sub", (a, b), a.data - b.data, back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
@@ -219,22 +191,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _record("scale", (a,), a.data * np.asarray(c, dtype=a.dtype), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        return (-g,)
-
-    return _record("neg", (a,), -a.data, back)
-
-
-def abs_val(a: Tensor) -> Tensor:
-    """Elementwise absolute value; subgradient 0 at exactly 0."""
-
-    def back(g):
-        return (g * np.sign(a.data),)
-
-    return _record("abs", (a,), np.abs(a.data), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -293,6 +249,36 @@ def sum_all(a: Tensor) -> Tensor:
         return (np.full_like(a.data, g),)
 
     return _record("sum", (a,), a.data.sum(), back)
+
+
+def block_distance(a: Tensor, b: Tensor, row_weights, kind: str = "l2") -> Tensor:
+    """Weighted distance between the rows of ``a`` and ``b`` as one scalar.
+
+    ``l2`` sums squared differences and ``l1`` absolute ones; row i's sum is
+    multiplied by ``row_weights[i]``. The ``l1`` subgradient is 0 where the
+    rows are equal.
+    """
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ShapeError(f"block_distance: incompatible shapes {a.shape} and {b.shape}")
+    if kind not in ("l2", "l1"):
+        raise ShapeError(f"block_distance: unknown kind '{kind}'")
+    w = np.asarray(row_weights, dtype=a.dtype)
+    if w.shape != (a.shape[0],):
+        raise ShapeError(f"block_distance: {w.shape} row weights for {a.shape[0]} rows")
+    d = a.data - b.data
+    per_entry = d * d if kind == "l2" else np.abs(d)
+    per_entry *= w[:, None]
+
+    def back(g):
+        gw = (g * w)[:, None]
+        if kind == "l2":
+            ga = gw * d
+            ga += ga  # the two d factors of d * d each contribute g * w * d
+        else:
+            ga = gw * np.sign(d)
+        return ga, -ga
+
+    return _record("block_distance", (a, b), per_entry.sum(), back)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +612,7 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     u, v = _rand64(rng, (2, 3)), _rand64(rng, (2, 3))
     r = _const64(rng, (2, 3))
     checks.append(("elementwise", check_gradients(
-        lambda: sum_all(mul(scale(sub(mul(u, v), neg(u)), 0.7), r)), [u, v])))
+        lambda: sum_all(mul(scale(mul(u, v), 0.7), r)), [u, v])))
 
     x, g_, b_ = _rand64(rng, (4, 6)), _rand64(rng, (6,), 0.5, 1.5), _rand64(rng, (6,))
     r = _const64(rng, (4, 6))
@@ -636,11 +622,6 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     x = _rand64(rng, (3, 4), -2.0, 2.0)
     r = _const64(rng, (3, 4))
     checks.append(("gelu", check_gradients(lambda: sum_all(mul(gelu(x), r)), [x])))
-
-    signs = np.sign(rng.uniform(-1, 1, (3, 4)))
-    x = Tensor(rng.uniform(0.5, 1.5, (3, 4)) * signs, requires_grad=True, dtype=np.float64)
-    r = _const64(rng, (3, 4))
-    checks.append(("abs", check_gradients(lambda: sum_all(mul(abs_val(x), r)), [x])))
 
     x = _rand64(rng, (5, 3))
     r = _const64(rng, (4, 3))
@@ -695,5 +676,11 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     checks.append(("attention_query_rows", check_gradients(
         lambda: sum_all(mul(attention(q, kv, ap, 2, (1, 3, 2), (4, 5, 3)), r)),
         [q, kv] + cp[2:])))
+
+    a, b = _rand64(rng, (5, 4)), _rand64(rng, (5, 4))
+    w = rng.uniform(0.5, 1.5, 5)
+    for kind in ("l2", "l1"):
+        checks.append((f"block_distance_{kind}", check_gradients(
+            lambda: block_distance(a, b, w, kind), [a, b])))
 
     return checks

@@ -33,7 +33,7 @@ from .core import (
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
 from .masking import sample_masks
-from .numerics import Tensor, active_tape, backward, no_grad, zero_grads
+from .numerics import Tensor, _all_finite, active_tape, backward, no_grad, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +91,14 @@ class TiJepaConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for key in ("image_size", "embed_dim", "text_embed_dim", "encoder_heads", "fusion_layers",
+                    "fusion_heads", "fusion_hidden", "mlp_ratio", "predictor_heads",
+                    "predictor_width"):
+            if getattr(self, key) < 1:
+                raise DataError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("encoder_depth", "predictor_depth"):
+            if getattr(self, key) < 0:
+                raise DataError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.patch_size < 1 or self.image_size % self.patch_size != 0:
             raise DataError("image_size must be divisible by a positive patch_size")
         if self.loss_type not in ("l2", "l1"):
@@ -258,7 +266,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
         if p.data.shape != state.m[name].shape:
             raise ShapeError(f"optimizer state shape mismatch for '{name}'")
         grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(grads[name])):
+        if not _all_finite(grads[name]):
             raise NumericalError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
     t = state.t
@@ -730,8 +738,7 @@ def load_checkpoint(path) -> PretrainState:
         arr = tensors[name]
         if arr.shape != dst.shape:
             raise DataError(f"tensor '{name}' has shape {arr.shape}, expected {dst.shape}")
-        # the max/min scan of numerics._check_finite: no bool array per tensor
-        if arr.size and not (math.isfinite(float(arr.max())) and math.isfinite(float(arr.min()))):
+        if not _all_finite(arr):
             raise DataError(f"non-finite values in tensor '{name}': {path}")
         dst[...] = arr
     counters = {}

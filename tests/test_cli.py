@@ -163,7 +163,8 @@ class TestDataErrors:
         assert not (out / "head.tijp").exists()
 
     @pytest.mark.parametrize("setting", ["learning_rate=nan", "tgt_aspect_lo=-1",
-                                         "mask_max_retries=-1"])
+                                         "mask_max_retries=-1", "mlp_ratio=-1", "mlp_ratio=0",
+                                         "embed_dim=0", "predictor_width=0", "image_size=0"])
     def test_bad_optimizer_or_masking_value_exits_two(self, tmp_path, synth_dir, setting):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(tiny_config_text())

@@ -388,7 +388,7 @@ class TestPredictorKeptRows:
 class TestPredictionLoss:
     def test_zero_when_equal(self):
         x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32))
-        assert prediction_loss(x, x.detach(), [[3]]).item() == 0.0
+        assert prediction_loss(x, Tensor(x.data), [[3]]).item() == 0.0
 
     def test_three_four_five(self):
         pred = Tensor(np.array([[3.0, 4.0]]))
@@ -430,6 +430,46 @@ class TestPredictionLoss:
         x = Tensor(np.zeros((1, 1)))
         with pytest.raises(ShapeError):
             prediction_loss(x, x, [[1]], kind="huber")
+
+    @staticmethod
+    def composed_reference(pred, tgt, sizes, kind):
+        """The loss and prediction gradient of the float32 op chain the loss
+        once ran as: sub, mul (or abs), mul by a (rows, D) weight array, sum,
+        scale, each backward step as that op's own."""
+        rows = [sum(example) for example in sizes]
+        row_weight = np.repeat([1.0 / len(example) for example in sizes], rows)
+        weights = np.repeat(row_weight[:, None], pred.shape[1], axis=1).astype(np.float32)
+        c = 1.0 / len(sizes)
+        diff = pred - tgt
+        per_entry = diff * diff if kind == "l2" else np.abs(diff)
+        loss = (per_entry * weights).sum() * np.asarray(c, dtype=np.float32)
+        g_entry = np.full_like(per_entry, np.ones_like(loss) * c) * weights
+        grad = g_entry * diff + g_entry * diff if kind == "l2" else g_entry * np.sign(diff)
+        return loss, grad
+
+    @pytest.mark.parametrize("kind", ["l2", "l1"])
+    def test_loss_and_gradient_bitwise_equal_the_composed_chain(self, kind):
+        # two examples with two and three target blocks of unequal sizes
+        sizes = [[3, 2], [4, 1, 2]]
+        rng = np.random.default_rng(12)
+        pred = rng.uniform(-2, 2, (12, 6)).astype(np.float32)
+        tgt = rng.uniform(-2, 2, (12, 6)).astype(np.float32)
+        pt = Tensor(pred, requires_grad=True)
+        loss = prediction_loss(pt, Tensor(tgt), sizes, kind)
+        backward(loss)
+        ref_loss, ref_grad = self.composed_reference(pred, tgt, sizes, kind)
+        assert loss.data.dtype == np.float32 and pt.grad.dtype == np.float32
+        assert np.asarray(loss.data).tobytes() == np.asarray(ref_loss).tobytes()
+        assert pt.grad.tobytes() == ref_grad.tobytes()
+
+    def test_l1_subgradient_is_zero_at_equality(self):
+        tgt = np.random.default_rng(13).uniform(-1, 1, (4, 3)).astype(np.float32)
+        pred = tgt.copy()
+        pred[1] += 0.5
+        pt = Tensor(pred, requires_grad=True)
+        backward(prediction_loss(pt, Tensor(tgt), [[1, 3]], kind="l1"))
+        np.testing.assert_array_equal(pt.grad[[0, 2, 3]], 0.0)
+        np.testing.assert_array_equal(pt.grad[1], np.float32(1.0 / 2))
 
 
 class TestExampleLoss:

@@ -20,7 +20,6 @@ from tijepa.numerics import (
     matmul,
     mul,
     no_grad,
-    sub,
     sum_all,
 )
 
@@ -400,6 +399,6 @@ class TestShapes:
         backward(sum_all(add(x, b)))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
-    def test_sub_shape_mismatch(self):
+    def test_mul_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sub(t([1.0]), t([1.0, 2.0]))
+            mul(t([1.0]), t([1.0, 2.0]))

@@ -256,6 +256,11 @@ class TestConfig:
         ("tgt_aspect_lo", "-1"), ("tgt_aspect_lo", "0"), ("tgt_aspect_lo", "2"),
         ("tgt_aspect_hi", "inf"), ("tgt_aspect_hi", "nan"),
         ("mask_max_retries", "-1"),
+        ("image_size", "0"), ("embed_dim", "0"), ("text_embed_dim", "0"),
+        ("encoder_heads", "0"), ("fusion_layers", "0"), ("fusion_heads", "0"),
+        ("fusion_hidden", "0"), ("mlp_ratio", "0"), ("mlp_ratio", "-1"),
+        ("predictor_heads", "0"), ("predictor_width", "0"),
+        ("encoder_depth", "-1"), ("predictor_depth", "-1"),
     ])
     def test_validation_catches_bad_optimizer_and_masking_values(self, key, value):
         with pytest.raises(DataError, match=key):
@@ -264,7 +269,7 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "0"), ("weight_decay", "0"), ("beta1", "0"), ("beta2", "0.5"),
         ("tgt_scale_lo", "0.2"), ("ctx_scale_hi", "1"), ("tgt_aspect_lo", "1.5"),
-        ("mask_max_retries", "0"),
+        ("mask_max_retries", "0"), ("encoder_depth", "0"), ("predictor_depth", "0"),
     ])
     def test_validation_keeps_boundary_values(self, key, value):
         TiJepaConfig.from_mapping({key: value})
@@ -576,6 +581,19 @@ class TestTrainLoop:
             train(tiny_config(batch_size=batch_size, total_steps=1, freeze_encoders=frozen),
                   tiny_dataset())
         assert sizes[0] == sizes[1] > 0
+
+    def test_step_tape_ends_with_the_loss_op_and_its_batch_mean(self, monkeypatch):
+        taped = []
+        real_backward = trainer_module.backward
+
+        def recorded_backward(loss):
+            taped.append([op for op, *_ in active_tape()])
+            real_backward(loss)
+
+        monkeypatch.setattr(trainer_module, "backward", recorded_backward)
+        train(tiny_config(total_steps=1), tiny_dataset())
+        assert len(taped) == 1
+        assert taped[0][-2:] == ["block_distance", "scale"]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
