@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import dataprep, eval_head, trainer
 from .core import fusion_gradient_check, pipeline_gradient_check
-from .errors import DataError, MaskSamplingError, NumericalError, TijepaError
+from .errors import DataError, NumericalError, TijepaError
 from .numerics import FD_TOLERANCE, gradient_suite
 
 logger = logging.getLogger("tijepa")
@@ -222,7 +222,7 @@ def dispatch(argv) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (NumericalError, MaskSamplingError) as exc:
+    except NumericalError as exc:
         logger.error("numerical failure: %s", exc)
         return EXIT_NUMERIC
     except TijepaError as exc:

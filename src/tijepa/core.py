@@ -10,6 +10,7 @@ positional encoding and reads its outputs back at those slots.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,13 +135,10 @@ class FusionModule:
         return out
 
     def clone(self, requires_grad: bool = False) -> "FusionModule":
-        """Bitwise copy, e.g. to initialize the EMA target twin."""
-        rng = np.random.default_rng(0)  # layout only; data is overwritten below
-        dtype = next(iter(self.named_parameters().values())).dtype
-        twin = FusionModule(self.cfg, rng, requires_grad, dtype)
-        src, dst = self.named_parameters("m"), twin.named_parameters("m")
-        for name, tensor in dst.items():
-            tensor.data[...] = src[name].data
+        """Bitwise copy without gradients, e.g. to initialize the EMA target twin."""
+        twin = copy.deepcopy(self)
+        for tensor in twin.named_parameters().values():
+            tensor.requires_grad, tensor.grad = requires_grad, None
         return twin
 
 

@@ -20,6 +20,7 @@ from .numerics import (
     DEFAULT_DTYPE,
     AttentionParams,
     Tensor,
+    _check_finite,
     add,
     attention,
     concat_rows,
@@ -480,6 +481,7 @@ def load_image(path) -> np.ndarray:
         img = read_rawt(path)
         if img.ndim != 3 or img.shape[0] != 3:
             raise DataError(f"RAWT image must be (3, H, W), got {img.shape}: {path}")
+        _check_finite(img, f"values in image: {path}", DataError)
         if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
             raise DataError(f"image values outside [0, 1]: {path}")
         return np.clip(img, 0.0, 1.0).astype(np.float32)

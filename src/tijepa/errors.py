@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: usage errors exit 1, DataError 2,
-NumericalError and MaskSamplingError 3.
+The CLI maps these onto exit codes: usage errors exit 1, NumericalError 3 and
+the others 2 (training skips a MaskSamplingError, so no command lets one out).
 """
 
 

@@ -19,8 +19,8 @@ from .core import FusionModule, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
 from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
-from .numerics import (Tensor, _all_finite, backward, cross_entropy_logits, linear, no_grad, scale,
-                       zero_grads)
+from .numerics import (Tensor, _check_finite, backward, cross_entropy_logits, linear, no_grad,
+                       scale, zero_grads)
 from .trainer import AdamWState, PretrainState, adamw_step, read_tensor_file, write_tensor_file
 
 logger = logging.getLogger(__name__)
@@ -55,10 +55,13 @@ class ClassifierHead:
 
 def pooled_representation(images, captions, image_encoder: ImageEncoder,
                           text_encoder: TextEncoder, fusion: FusionModule) -> np.ndarray:
-    """Each pair's mean over its fused full-image patch rows, (B, D), gradient-free."""
+    """Each pair's mean over its fused full-image patch rows, (B, D), gradient-free;
+    no loss guards them, so non-finite features raise ``NumericalError``."""
     with no_grad():
         fused, sizes = fuse_image(images, captions, image_encoder, text_encoder, fusion)
-    return fused.data.reshape(len(sizes), sizes[0], -1).mean(axis=1)
+    pooled = fused.data.reshape(len(sizes), sizes[0], -1).mean(axis=1)
+    _check_finite(pooled, "pooled features")
+    return pooled
 
 
 def _pooled_features(state: PretrainState, examples) -> tuple[np.ndarray, np.ndarray]:
@@ -143,8 +146,7 @@ def load_head(path) -> ClassifierHead:
     if bias.shape != (len(LABELS),):
         raise DataError(f"head bias must be ({len(LABELS)},), got {bias.shape}")
     for name, arr in tensors.items():
-        if not _all_finite(arr):
-            raise DataError(f"non-finite values in tensor '{name}': {path}")
+        _check_finite(arr, f"values in tensor '{name}': {path}", DataError)
     head = ClassifierHead(weight.shape[0])
     head.weight.data[...] = weight
     head.bias.data[...] = bias

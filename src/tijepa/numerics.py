@@ -7,6 +7,11 @@ difference at h=1e-4 is trustworthy.
 Ops record onto a single module-level tape (define-by-run) whenever an input
 requires grad; ``backward`` replays the tape in reverse and clears it, so one
 tape serves one training step. The tape must stay on one thread.
+
+:func:`_check_finite` checks values where they enter (the ``Tensor``
+constructor, the file loaders) and where a step ends (the loss, and every
+gradient in ``trainer.adamw_step``), not op outputs: a non-finite value that
+arises in the graph reaches the loss or a gradient before any weight moves.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ def _all_finite(arr: np.ndarray) -> bool:
     return not arr.size or (math.isfinite(float(arr.max())) and math.isfinite(float(arr.min())))
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
+def _check_finite(arr: np.ndarray, what: str, error: type[Exception] = NumericalError) -> None:
+    """Raise ``error("non-finite <what>")`` unless every value of ``arr`` is finite."""
     if not _all_finite(arr):
-        raise NumericalError(f"non-finite values in {what}")
+        raise error(f"non-finite {what}")
 
 
 class Tensor:
@@ -51,19 +57,10 @@ class Tensor:
             else:
                 dtype = DEFAULT_DTYPE
         arr = np.array(data, dtype=dtype)
-        _check_finite(arr, "tensor data")
+        _check_finite(arr, "values in tensor data")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-
-    @classmethod
-    def _result(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
-        _check_finite(arr, "op output")
-        out = cls.__new__(cls)
-        out.data = arr
-        out.requires_grad = requires_grad
-        out.grad = None
-        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,8 +108,10 @@ def no_grad():
 
 
 def _record(op: str, inputs: Sequence[Tensor], arr: np.ndarray, backward) -> Tensor:
+    # built without the constructor's copy and finiteness scan (see the module docstring)
     needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
-    out = Tensor._result(arr, needs)
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad = arr, needs, None
     if needs:
         _TAPE.append((op, tuple(inputs), out, backward))
     return out

@@ -31,9 +31,9 @@ from .core import (
     make_targets,
 )
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
-from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
+from .errors import DataError, MaskSamplingError, ShapeError
 from .masking import sample_masks
-from .numerics import Tensor, _all_finite, active_tape, backward, no_grad, zero_grads
+from .numerics import Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -266,8 +266,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
         if p.data.shape != state.m[name].shape:
             raise ShapeError(f"optimizer state shape mismatch for '{name}'")
         grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not _all_finite(grads[name]):
-            raise NumericalError(f"non-finite gradient for parameter '{name}'")
+        _check_finite(grads[name], f"gradient for parameter '{name}'")
     state.t += 1
     t = state.t
     bc1 = 1.0 - beta1 ** t
@@ -537,9 +536,8 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
         targets, fused = make_targets(images, captions, masks, *encoders, state.target_fusion)
         batch_loss = example_loss(encoders, state.fusion, state.predictor, images, captions,
                                   masks, targets, config.loss_type)
+        _check_finite(batch_loss.data, f"loss at step {s + 1}")
         loss_value = batch_loss.item()
-        if not np.isfinite(loss_value):
-            raise NumericalError(f"non-finite loss at step {s + 1}")
         backward(batch_loss)
         adamw_step(trainable, state.opt, config.learning_rate, config.beta1,
                    config.beta2, config.adam_eps, config.weight_decay)
@@ -598,6 +596,7 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
             for j, shown in enumerate((captions, permuted)):
                 loss = example_loss(encoders, state.fusion, state.predictor, images[part],
                                     shown[part], masks[part], targets, config.loss_type)
+                _check_finite(loss.data, f"caption sensitivity loss from example {lo}")
                 totals[j] += loss.item() * len(masks[part])
     return totals[0] / n, totals[1] / n
 
@@ -738,8 +737,7 @@ def load_checkpoint(path) -> PretrainState:
         arr = tensors[name]
         if arr.shape != dst.shape:
             raise DataError(f"tensor '{name}' has shape {arr.shape}, expected {dst.shape}")
-        if not _all_finite(arr):
-            raise DataError(f"non-finite values in tensor '{name}': {path}")
+        _check_finite(arr, f"values in tensor '{name}': {path}", DataError)
         dst[...] = arr
     counters = {}
     for name in ("optimizer.t", "meta.step"):

@@ -1,9 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from tijepa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, dispatch
 from tijepa.dataprep import LABELS
+from tijepa.encoders import write_rawt
 from tijepa.trainer import PretrainState, TiJepaConfig, save_checkpoint
 
 
@@ -184,6 +186,26 @@ class TestDataErrors:
                          "--out", str(out), "--set", "num_targets=50"]) == EXIT_DATA
         assert "num_targets" in caplog.text
         assert not list(out.glob("*.tijp"))
+
+    def test_nan_pixel_in_a_rawt_image_exits_two(self, tmp_path, caplog):
+        data = tmp_path / "rawt"
+        data.mkdir()
+        rng = np.random.default_rng(0)
+        lines = []
+        for i in range(4):
+            img = rng.uniform(0.0, 1.0, (3, 16, 16)).astype(np.float32)
+            if i == 2:
+                img[0, 4, 4] = np.nan
+            write_rawt(data / f"img{i}.rawt", img)
+            lines.append(f"img{i}.rawt\t-\ta caption {i}")
+        (data / "manifest.tsv").write_text("\n".join(lines) + "\n")
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        out = tmp_path / "o"
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(data / "manifest.tsv"), "--out", str(out)]) == EXIT_DATA
+        assert "img2.rawt" in caplog.text
+        assert not out.exists()
 
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         bogus = tmp_path / "bogus.tijp"

@@ -376,6 +376,16 @@ class TestImageFiles:
         with pytest.raises(DataError):
             load_image(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_image_rejects_non_finite_rawt_naming_the_file(self, tmp_path, bad):
+        # NaN fails no comparison of the [0, 1] range check, so it is tested first
+        img = np.full((3, 2, 2), 0.5, dtype=np.float32)
+        img[1, 0, 1] = bad
+        path = tmp_path / "bad_pixel.rawt"
+        write_rawt(path, img)
+        with pytest.raises(DataError, match="non-finite.*bad_pixel.rawt"):
+            load_image(path)
+
     def test_load_image_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_image(tmp_path / "absent.ppm")

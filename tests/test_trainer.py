@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tijepa import numerics as numerics_module
 from tijepa import trainer as trainer_module
 from tijepa.dataprep import synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
+from tijepa.eval_head import ClassifierHead, evaluate, finetune
 from tijepa.masking import sample_masks
 from tijepa.numerics import Tensor, active_tape
 from tijepa.trainer import (
@@ -610,6 +612,97 @@ class TestTrainLoop:
         true_loss, permuted_loss = caption_sensitivity(result.state, tiny_dataset(),
                                                        limit=4)
         assert np.isfinite(true_loss) and np.isfinite(permuted_loss)
+
+
+def step_bytes(state):
+    """Everything a training step may move: parameters, moments and counters."""
+    moments = {name: arr.tobytes() for kind in ("m", "v")
+               for name, arr in getattr(state.opt, kind).items()}
+    return param_bytes(state.named_parameters()), moments, state.opt.t, state.step
+
+
+def first_weight(module):
+    return next(t for t in module.named_parameters().values() if t.ndim == 2)
+
+
+class TestFinitenessPolicy:
+    """Op outputs are not scanned: the loss check and the gradient check in
+    ``adamw_step`` stop a step, and gradient-free outputs are checked where
+    they leave the model."""
+
+    @staticmethod
+    def trained_state(frozen):
+        # one good step first, so the moments that must not move are non-zero
+        return train(tiny_config(total_steps=1, freeze_encoders=frozen), tiny_dataset()).state
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    @pytest.mark.parametrize("module", ["fusion", "target_fusion"])
+    def test_nan_fusion_weight_stops_the_step_before_any_update(self, frozen, module):
+        state = self.trained_state(frozen)
+        first_weight(getattr(state, module)).data[0, 0] = np.nan
+        before = step_bytes(state)
+        with pytest.raises(NumericalError, match="non-finite loss at step 2"):
+            train(tiny_config(total_steps=2, freeze_encoders=frozen), tiny_dataset(), state=state)
+        assert step_bytes(state) == before
+
+    def test_nan_only_in_a_backward_stops_the_step_at_adamw(self, monkeypatch):
+        real_record = numerics_module._record
+
+        def nan_gelu_backward(op, inputs, arr, back):
+            if op == "gelu":
+                return real_record(op, inputs, arr,
+                                   lambda g: tuple(np.full_like(gi, np.nan) for gi in back(g)))
+            return real_record(op, inputs, arr, back)
+
+        state = self.trained_state(frozen=True)
+        before = step_bytes(state)
+        monkeypatch.setattr(numerics_module, "_record", nan_gelu_backward)
+        with pytest.raises(NumericalError, match="non-finite gradient for parameter '"):
+            train(tiny_config(total_steps=2), tiny_dataset(), state=state)
+        assert step_bytes(state) == before
+
+    def test_finetune_and_evaluate_reject_non_finite_features(self):
+        state = PretrainState.initialize(tiny_config())
+        first_weight(state.fusion).data[0, 0] = np.nan
+        before = step_bytes(state)
+        data = synth_generate(8, seed=0, image_size=16, labeled=True)
+        with pytest.raises(NumericalError, match="pooled features"):
+            finetune(state, data[:4], data[4:], epochs=1)
+        with pytest.raises(NumericalError, match="pooled features"):
+            evaluate(state, ClassifierHead(16), data)
+        assert step_bytes(state) == before
+
+    def test_caption_sensitivity_rejects_a_non_finite_loss(self):
+        state = PretrainState.initialize(tiny_config())
+        first_weight(state.predictor).data[0, 0] = np.nan
+        before = step_bytes(state)
+        with pytest.raises(NumericalError, match="caption sensitivity loss"):
+            caption_sensitivity(state, tiny_dataset(), limit=4)
+        assert step_bytes(state) == before
+
+    def test_a_step_checks_no_op_output_but_its_loss(self, monkeypatch):
+        outputs, checked = [], []
+        real_record, real_check = numerics_module._record, numerics_module._check_finite
+
+        def recording(op, inputs, arr, back):
+            outputs.append(real_record(op, inputs, arr, back))
+            return outputs[-1]
+
+        def spying(arr, what, *args):
+            checked.append((arr, what))
+            real_check(arr, what, *args)
+
+        state = PretrainState.initialize(tiny_config(total_steps=1))
+        for module in (numerics_module, trainer_module):
+            monkeypatch.setattr(module, "_check_finite", spying)
+        monkeypatch.setattr(numerics_module, "_record", recording)
+        train(tiny_config(total_steps=1), tiny_dataset(), state=state)
+        # both lists hold their arrays alive, so equal ids mean the same array
+        op_arrays = {id(out.data) for out in outputs}
+        assert outputs and [what for arr, what in checked if id(arr) in op_arrays] \
+            == ["loss at step 1"]
+        gradients = [what for _arr, what in checked if what.startswith("gradient")]
+        assert len(gradients) == len(state.trainable_parameters())
 
 
 class TestFreezeVariants:
