@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tijepa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, dispatch
+from tijepa.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
 from tijepa.dataprep import LABELS
 from tijepa.encoders import write_rawt
 from tijepa.trainer import PretrainState, TiJepaConfig, save_checkpoint
@@ -47,6 +47,16 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "all ops passed" in out
         assert "prediction_pipeline" in out
+
+    def test_a_nan_forward_exits_three(self, monkeypatch, caplog):
+        from tijepa import numerics
+
+        def nan_gelu(x):
+            return numerics._record("gelu", (x,), x.data * np.nan, lambda g: (g,))
+
+        monkeypatch.setattr(numerics, "gelu", nan_gelu)
+        assert dispatch(["gradcheck"]) == EXIT_NUMERIC
+        assert "non-finite loss in gradient check" in caplog.text
 
 
 class TestSynth:

@@ -356,6 +356,41 @@ class TestGradientSuite:
         err = check_gradients(lambda: sum_all(bad_double(x)), [x])
         assert err > 1e-2
 
+    def test_check_gradients_rejects_a_non_finite_forward(self):
+        from tijepa import numerics
+
+        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+
+        def nan_forward(a):
+            return numerics._record("nan_forward", (a,), a.data * np.nan, lambda g: (g,))
+
+        with pytest.raises(NumericalError, match="non-finite loss in gradient check"):
+            check_gradients(lambda: sum_all(nan_forward(x)), [x])
+
+    def test_check_gradients_rejects_a_non_finite_gradient(self):
+        from tijepa import numerics
+
+        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+
+        def nan_backward(a):
+            return numerics._record("nan_backward", (a,), a.data * 2.0, lambda g: (g * np.nan,))
+
+        with pytest.raises(NumericalError, match="non-finite analytic gradient"):
+            check_gradients(lambda: sum_all(nan_backward(x)), [x])
+
+    def test_check_gradients_rejects_a_non_finite_perturbed_loss(self):
+        from tijepa import numerics
+
+        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+
+        def nan_off_point(a):
+            # finite at the point itself, NaN once x[0] moves by h
+            out = a.data * 2.0 if a.data[0] == 0.7 else a.data * np.nan
+            return numerics._record("nan_off_point", (a,), out, lambda g: (g * 2.0,))
+
+        with pytest.raises(NumericalError, match="non-finite loss in gradient check"):
+            check_gradients(lambda: sum_all(nan_off_point(x)), [x])
+
     def test_duplicate_gather_indices_accumulate(self):
         x = t([[1.0, 1.0], [2.0, 2.0]], requires_grad=True)
         out = gather_rows(x, [0, 0, 1])
