@@ -100,12 +100,8 @@ def _sincos_2d_cached(grid_h: int, grid_w: int, dim: int, dtype_name: str) -> np
     half = dim // 2
     rows = _sincos_1d_cached(grid_h, half, "float64")
     cols = _sincos_1d_cached(grid_w, half, "float64")
-    out = np.empty((grid_h * grid_w, dim), dtype=np.float64)
-    for r in range(grid_h):
-        for c in range(grid_w):
-            out[r * grid_w + c, :half] = rows[r]
-            out[r * grid_w + c, half:] = cols[c]
-    out = out.astype(dtype_name)
+    # row r * grid_w + c holds rows[r] then cols[c]
+    out = np.hstack([np.repeat(rows, grid_w, axis=0), np.tile(cols, (grid_h, 1))]).astype(dtype_name)
     out.setflags(write=False)
     return out
 

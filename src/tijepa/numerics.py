@@ -555,25 +555,20 @@ def check_gradients(build: Callable[[], Tensor], params: Sequence[Tensor],
     ``build`` must reconstruct the scalar loss from ``params``, which must all
     hold float64 data. ``max_coords`` caps the checked coordinates per tensor
     (evenly spaced) for larger composites. A non-finite loss or analytic
-    gradient raises ``NumericalError``, since no error could be measured.
+    gradient raises ``NumericalError``: ``max`` would drop a NaN error.
     """
     for p in params:
         if p.data.dtype != np.float64:
             raise ValueError("check_gradients requires float64 parameters")
-
-    def finite_loss() -> Tensor:
-        out = build()
-        _check_finite(out.data, "loss in gradient check")
-        return out
-
     zero_grads(params)
-    backward(finite_loss())
+    loss = build()
+    _check_finite(loss.data, "loss in gradient check")
+    backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    for ga in analytic:
-        _check_finite(ga, "analytic gradient in gradient check")
     worst = 0.0
     with no_grad():
         for p, ga in zip(params, analytic):
+            _check_finite(ga, "analytic gradient in gradient check")
             flat = p.data.reshape(-1)
             gflat = ga.reshape(-1)
             n = flat.size
@@ -584,10 +579,11 @@ def check_gradients(build: Callable[[], Tensor], params: Sequence[Tensor],
             for i in coords:
                 orig = flat[i]
                 flat[i] = orig + h
-                f_plus = float(finite_loss().data)
+                f_plus = float(build().data)
                 flat[i] = orig - h
-                f_minus = float(finite_loss().data)
+                f_minus = float(build().data)
                 flat[i] = orig
+                _check_finite(np.array([f_plus, f_minus]), "loss in gradient check")
                 numeric = (f_plus - f_minus) / (2.0 * h)
                 denom = max(abs(gflat[i]), abs(numeric), _FD_FLOOR)
                 worst = max(worst, abs(gflat[i] - numeric) / denom)
