@@ -9,9 +9,9 @@ requires grad; ``backward`` replays the tape in reverse and clears it, so one
 tape serves one training step. The tape must stay on one thread.
 
 :func:`_check_finite` checks values where they enter (the ``Tensor``
-constructor, the file loaders) and where a step ends (the loss, and every
-gradient in ``trainer.adamw_step``), not op outputs: a non-finite value that
-arises in the graph reaches the loss or a gradient before any weight moves.
+constructor, the file loaders) and where a step or a gradient check ends (the
+loss, every gradient), not op outputs: a non-finite value that arises in the
+graph reaches the loss or a gradient before any weight moves.
 """
 
 from __future__ import annotations

@@ -378,18 +378,20 @@ class TestGradientSuite:
         with pytest.raises(NumericalError, match="non-finite analytic gradient"):
             check_gradients(lambda: sum_all(nan_backward(x)), [x])
 
-    def test_check_gradients_rejects_a_non_finite_perturbed_loss(self):
+    @pytest.mark.parametrize("nan_at_point", [False, True])
+    def test_check_gradients_rejects_a_loss_non_finite_at_or_off_the_point(self, nan_at_point):
         from tijepa import numerics
 
         x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
 
-        def nan_off_point(a):
-            # finite at the point itself, NaN once x[0] moves by h
-            out = a.data * 2.0 if a.data[0] == 0.7 else a.data * np.nan
-            return numerics._record("nan_off_point", (a,), out, lambda g: (g * 2.0,))
+        def nan_on_one_side(a):
+            # NaN either only at the point itself or only once it moves by h
+            at_point = np.array_equal(a.data, [0.7, -0.3])
+            out = a.data * np.nan if at_point == nan_at_point else a.data * 2.0
+            return numerics._record("nan_on_one_side", (a,), out, lambda g: (g * 2.0,))
 
         with pytest.raises(NumericalError, match="non-finite loss in gradient check"):
-            check_gradients(lambda: sum_all(nan_off_point(x)), [x])
+            check_gradients(lambda: sum_all(nan_on_one_side(x)), [x])
 
     def test_duplicate_gather_indices_accumulate(self):
         x = t([[1.0, 1.0], [2.0, 2.0]], requires_grad=True)
