@@ -19,8 +19,8 @@ from .core import FusionModule, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
 from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
-from .numerics import (Tensor, _check_finite, backward, cross_entropy_logits, linear, no_grad,
-                       scale, zero_grads)
+from .numerics import (Tensor, _check_finite, _wrap, backward, cross_entropy_logits, linear,
+                       no_grad, scale, zero_grads)
 from .trainer import AdamWState, PretrainState, adamw_step, read_tensor_file, write_tensor_file
 
 logger = logging.getLogger(__name__)
@@ -45,9 +45,10 @@ class ClassifierHead:
         return linear(pooled, self.weight, self.bias)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """The highest-scoring class index of every feature row."""
+        """The highest-scoring class index of every row of ``features``, which
+        :func:`pooled_representation` has checked: they are used as they are."""
         with no_grad():
-            return np.argmax(self.logits(Tensor(features)).data, axis=1)
+            return np.argmax(self.logits(_wrap(np.asarray(features))).data, axis=1)
 
     def named_parameters(self, prefix: str = "head") -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -115,7 +116,8 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             zero_grads(params)
-            total = cross_entropy_logits(head.logits(Tensor(features[batch])), labels[batch])
+            # the gather is the batch's one copy; pooled_representation checked it
+            total = cross_entropy_logits(head.logits(_wrap(features[batch])), labels[batch])
             loss = scale(total, 1.0 / len(batch))
             epoch_losses.append(loss.item())
             backward(loss)

@@ -5,8 +5,10 @@ finite-difference checker can rebuild its graphs in 64-bit, where a central
 difference at h=1e-4 is trustworthy.
 
 Ops record onto a single module-level tape (define-by-run) whenever an input
-requires grad; ``backward`` replays the tape in reverse and clears it, so one
-tape serves one training step. The tape must stay on one thread.
+requires grad; ``backward`` replays the tape in reverse, popping each record as
+it goes, so one tape serves one training step and a step's activations and
+intermediate gradients are freed during the replay, not all at its end. The
+tape must stay on one thread.
 
 :func:`_check_finite` checks values where they enter (the ``Tensor``
 constructor, the file loaders) and where a step or a gradient check ends (the
@@ -32,15 +34,18 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 
-def _all_finite(arr: np.ndarray) -> bool:
+def _check_finite(arr: np.ndarray, what: str, error: type[Exception] = NumericalError,
+                  limit: float = math.inf) -> None:
+    """Raise ``error("non-finite <what>")`` unless every value of ``arr`` is
+    finite, or ``error("<what> reaches ...")`` when a magnitude reaches ``limit``."""
+    if not arr.size:
+        return
     # min/max propagate NaN and expose Inf without allocating a bool array
-    return not arr.size or (math.isfinite(float(arr.max())) and math.isfinite(float(arr.min())))
-
-
-def _check_finite(arr: np.ndarray, what: str, error: type[Exception] = NumericalError) -> None:
-    """Raise ``error("non-finite <what>")`` unless every value of ``arr`` is finite."""
-    if not _all_finite(arr):
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise error(f"non-finite {what}")
+    if max(-lo, hi) >= limit:
+        raise error(f"{what} reaches {max(-lo, hi):.3g}, past the limit {limit:.3g}")
 
 
 class Tensor:
@@ -107,11 +112,18 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _record(op: str, inputs: Sequence[Tensor], arr: np.ndarray, backward) -> Tensor:
-    # built without the constructor's copy and finiteness scan (see the module docstring)
-    needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+def _wrap(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
+    """A tensor around ``arr`` itself, without the constructor's copy and
+    finiteness scan: for op outputs (see the module docstring) and for arrays
+    the caller has already checked."""
     out = Tensor.__new__(Tensor)
-    out.data, out.requires_grad, out.grad = arr, needs, None
+    out.data, out.requires_grad, out.grad = arr, requires_grad, None
+    return out
+
+
+def _record(op: str, inputs: Sequence[Tensor], arr: np.ndarray, backward) -> Tensor:
+    needs = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    out = _wrap(arr, needs)
     if needs:
         _TAPE.append((op, tuple(inputs), out, backward))
     return out
@@ -126,26 +138,32 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
-    Replays the active tape once in reverse, zero-fills leaves that took part
-    in recorded ops but lie off the loss path, then clears the tape.
+    Replays the active tape once in reverse and empties it. Each record is
+    popped before its backward runs and each intermediate output's gradient
+    is dropped once it has been passed on, so the arrays that only later
+    records hold (activations, their gradients) are freed during the replay
+    and intermediate outputs end with ``grad`` None. Leaves that took part in
+    recorded ops but lie off the loss path get zero gradients.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = _TAPE
+    produced = {id(output) for _op, _inputs, output, _back in tape}
+    leaves = {id(t): t for _op, inputs, _output, _back in tape for t in inputs
+              if t.requires_grad and id(t) not in produced}
     if loss.requires_grad:
         _accumulate(loss, np.ones_like(loss.data))
-        for _op, inputs, output, back in reversed(tape):
-            if output.grad is None:
-                continue
-            for t, gi in zip(inputs, back(output.grad)):
-                if gi is not None and t.requires_grad:
-                    _accumulate(t, gi)
-    produced = {id(output) for _op, _inputs, output, _back in tape}
-    for _op, inputs, _output, _back in tape:
-        for t in inputs:
-            if t.requires_grad and id(t) not in produced and t.grad is None:
-                t.grad = np.zeros_like(t.data)
+        while tape:
+            _op, inputs, output, back = tape.pop()
+            g, output.grad = output.grad, None
+            if g is not None:
+                for t, gi in zip(inputs, back(g)):
+                    if gi is not None and t.requires_grad:
+                        _accumulate(t, gi)
     tape.clear()
+    for t in leaves.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
 
 
 def zero_grads(tensors) -> None:
@@ -158,17 +176,18 @@ def zero_grads(tensors) -> None:
 # elementwise and structural ops
 
 
+def _add_back(a: Tensor, b: Tensor):
+    """The backward of ``add(a, b)``; ``ShapeError`` for shapes ``add`` does not take."""
+    if a.shape == b.shape:
+        return lambda g: (g, g)
+    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
+        return lambda g: (g, np.ones(g.shape[0], dtype=g.dtype) @ g)
+    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Same-shape add, or bias-add of a 1-D ``b`` over the leading axis of 2-D ``a``."""
-    if a.shape == b.shape:
-        def back(g):
-            return g, g
-    elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        def back(g):
-            return g, np.ones(g.shape[0], dtype=g.dtype) @ g
-    else:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return _record("add", (a, b), a.data + b.data, back)
+    return _record("add", (a, b), a.data + b.data, _add_back(a, b))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -411,7 +430,14 @@ class AttentionParams:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
+    """``add(matmul(x, w), b)``, with the bias added into the product's array:
+    only that ``add`` reads the product, and matmul's backward reads ``x`` and
+    ``w``, so the two records stay and one step-sized array goes."""
+    y = matmul(x, w)
+    back = _add_back(y, b)
+    # a bias of a wider dtype widens the sum, as in ``add``
+    arr = np.add(y.data, b.data, out=y.data if y.dtype == b.dtype else None)
+    return _record("add", (y, b), arr, back)
 
 
 def _padded_rows(sizes: np.ndarray, width: int) -> np.ndarray | None:

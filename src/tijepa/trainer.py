@@ -31,7 +31,7 @@ from .core import (
     make_targets,
 )
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
-from .errors import DataError, MaskSamplingError, ShapeError
+from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
 from .masking import sample_masks
 from .numerics import Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
 
@@ -257,8 +257,9 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
     """One bias-corrected AdamW update with decoupled weight decay, in place.
 
     Missing gradients count as zeros. Every gradient is checked before any
-    parameter or optimizer byte moves: a shape mismatch or a non-finite
-    gradient aborts the whole step with the offending parameter's name.
+    parameter or optimizer byte moves: a shape mismatch, a non-finite
+    gradient, or one whose square would overflow the moments' dtype aborts
+    the whole step with the offending parameter's name.
     """
     grads = {}
     for name in sorted(params):
@@ -266,7 +267,10 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
         if p.data.shape != state.m[name].shape:
             raise ShapeError(f"optimizer state shape mismatch for '{name}'")
         grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        _check_finite(grads[name], f"gradient for parameter '{name}'")
+        # v <= bc2 * max(g^2), so v and v / bc2 stay finite while |g| < 2^(maxexp/2 - 1)
+        # (2^63 in float32); past it v / bc2 or v turns Inf and the parameter stops moving
+        limit = 2.0 ** (np.finfo(state.v[name].dtype).maxexp // 2 - 1)
+        _check_finite(grads[name], f"gradient for parameter '{name}'", NumericalError, limit)
     state.t += 1
     t = state.t
     bc1 = 1.0 - beta1 ** t
@@ -377,7 +381,10 @@ class PretrainState:
     @classmethod
     def initialize(cls, config: TiJepaConfig) -> "PretrainState":
         config.validate()
-        rng = np.random.default_rng([config.seed, _STREAM_INIT])
+        return cls._build(config, np.random.default_rng([config.seed, _STREAM_INIT]))
+
+    @classmethod
+    def _build(cls, config: TiJepaConfig, rng) -> "PretrainState":
         image_encoder = ImageEncoder(config.image_encoder_config(), rng)
         text_encoder = TextEncoder(config.text_encoder_config(), rng)
         fusion = FusionModule(config.fusion_config(), rng, requires_grad=True)
@@ -451,7 +458,7 @@ def _drop_rows_after(log: Path, step: int) -> None:
 def _keep_freed_memory() -> None:
     """On glibc, keep freed heap memory in the process; elsewhere do nothing.
 
-    ``backward`` frees a step's activations when it clears the tape. Under
+    ``backward`` frees a step's activations as it replays the tape. Under
     glibc's adaptive thresholds that memory went back to the kernel and was
     faulted in again: ~20,000 minor faults per desk step, ~10 with these.
     Where memory comes from changes, not what is computed.
@@ -601,6 +608,16 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
     return totals[0] / n, totals[1] / n
 
 
+class _ZeroDraws:
+    """Stands in for the init generator where only the layout is wanted: the
+    modules' constructors draw every weight with ``normal``, and here each
+    draw is zeros of the requested shape (a broadcast view, no memory)."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.broadcast_to(np.float32(0.0), size)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format: "TIJP", u32 version, u32 count, sorted named tensors,
 # trailing u64 CRC (zlib.crc32 of all preceding bytes, zero-extended)
@@ -713,7 +730,9 @@ def load_checkpoint(path) -> PretrainState:
         raise DataError(f"checkpoint lacks a config snapshot: {path}")
     config_text = bytes(int(v) for v in tensors["meta.config"]).decode("utf-8")
     config = TiJepaConfig.from_text(config_text)
-    state = PretrainState.initialize(config)
+    # names and shapes come from the modules' own constructors; every value is
+    # then taken from the file
+    state = PretrainState._build(config, _ZeroDraws())
     params = state.named_parameters()
     expected = set(params)
     expected.update(f"optimizer.m.{n}" for n in state.opt.m)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tijepa.eval_head as eval_head_module
+import tijepa.numerics as numerics_module
 import tijepa.trainer as trainer_module
 from tijepa.dataprep import LABELS, PairedExample, synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
@@ -208,6 +209,40 @@ class TestFinetune:
         finetune(tiny_state(), self.labeled_examples(11), epochs=3, batch_size=4)
         assert len(steps) == 3 * math.ceil(11 / 4)
         assert taped == [["matmul", "add", "cross_entropy", "scale"]] * len(steps)
+
+
+    def test_head_steps_and_validation_take_the_pooled_features_unscanned(self, monkeypatch):
+        # pooled_representation checked every feature; a head step only gathers its batch
+        scanned, taped = [], []
+        real_check = numerics_module._check_finite
+
+        def spying(arr, what, *args):
+            scanned.append(what)
+            real_check(arr, what, *args)
+
+        def recorded_backward(loss):
+            taped.append(active_tape()[0][1][0])
+            backward(loss)
+
+        def pooled_then_forget_scans(*args, real=eval_head_module._pooled_features):
+            out = real(*args)
+            scanned.clear()  # the scans of pooling itself: inputs entering, pooled features
+            return out
+
+        state, head = tiny_state(), ClassifierHead(16, np.random.default_rng(0))
+        for module in (numerics_module, eval_head_module, trainer_module):
+            monkeypatch.setattr(module, "_check_finite", spying)
+        monkeypatch.setattr(eval_head_module, "_pooled_features", pooled_then_forget_scans)
+        monkeypatch.setattr(eval_head_module, "backward", recorded_backward)
+        examples = self.labeled_examples(11)
+        finetune(state, examples, examples[:5], epochs=2, batch_size=4, head=head)
+        steps = 2 * math.ceil(11 / 4)
+        # after pooling, only AdamW's gradient checks scan anything
+        assert sorted(scanned) == sorted([f"gradient for parameter 'head.{name}'"
+                                          for name in ("bias", "weight")] * steps)
+        assert len(taped) == steps
+        for features in taped:
+            assert features.data.base is None and features.data.dtype == np.float32
 
 
 class TestBenchmarkedTapeOps:

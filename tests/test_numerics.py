@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from tijepa import numerics as numerics_module
 from tijepa.errors import NumericalError, ShapeError
 from tijepa.numerics import (
     AttentionParams,
@@ -17,6 +19,7 @@ from tijepa.numerics import (
     gelu,
     gradient_suite,
     layer_norm,
+    linear,
     matmul,
     mul,
     no_grad,
@@ -314,6 +317,39 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, r1)
         np.testing.assert_array_equal(a.grad, r0 + r1)
 
+    def test_an_array_only_a_later_record_holds_is_freed_before_earlier_records_run(self):
+        a = t([1.0, 2.0, 3.0], requires_grad=True)
+        seen_by_first = []
+        held = np.array([2.0, 2.0, 2.0], dtype=np.float32)
+        held_ref = weakref.ref(held)
+
+        def first_back(g):
+            seen_by_first.append(held_ref())
+            return (g,)
+
+        y = numerics_module._record("first", (a,), a.data.copy(), first_back)
+        z = numerics_module._record("later", (y,), y.data * held, lambda g, h=held: (g * h,))
+        del held
+        assert held_ref() is not None  # the later record's backward still holds it
+        backward(sum_all(z))
+        assert seen_by_first == [None]
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+
+    def test_intermediate_outputs_end_without_grad(self):
+        w = t([1.0, 2.0], requires_grad=True)
+        y = mul(w, w)
+        loss = sum_all(y)
+        backward(loss)
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+
+    def test_a_loss_without_grad_empties_the_tape_and_zero_fills_leaves(self):
+        w = t([1.0, 2.0], requires_grad=True)
+        mul(w, w)  # recorded; the loss below does not depend on it
+        backward(sum_all(t([3.0])))
+        assert len(active_tape()) == 0
+        np.testing.assert_array_equal(w.grad, [0.0, 0.0])
+
     def test_no_grad_blocks_recording(self):
         w = t([1.0], requires_grad=True)
         with no_grad():
@@ -427,6 +463,44 @@ class TestDeterminism:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_an_out_of_place_add_of_the_product(self, dtype):
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(0.0, 1.0, shape) for shape in ((5, 4), (4, 3), (3,), (5, 3))]
+
+        def run(forward):
+            active_tape().clear()
+            x, w, b = (t(a, requires_grad=True, dtype=dtype) for a in arrays[:3])
+            out = forward(x, w, b)
+            ops = [op for op, *_ in active_tape()]
+            product = active_tape()[0][2]
+            backward(sum_all(mul(out, t(arrays[3], dtype=dtype))))
+            return out, product, ops, [p.grad for p in (x, w, b)]
+
+        out, product, ops, grads = run(linear)
+        ref, ref_product, ref_ops, ref_grads = run(lambda x, w, b: add(matmul(x, w), b))
+        assert ops == ref_ops == ["matmul", "add"]
+        assert out.data.dtype == ref.data.dtype == dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.tobytes() == ref_g.tobytes()
+        # the bias went into the product's own array
+        assert np.shares_memory(out.data, product.data)
+        assert not np.shares_memory(ref.data, ref_product.data)
+
+    def test_a_wider_bias_widens_the_output_as_add_does(self):
+        x, w = t(np.ones((2, 3))), t(np.ones((3, 2)))
+        b = t([0.5, 1e-12], dtype=np.float64)
+        out = linear(x, w, b)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.data, add(matmul(x, w), b).data)
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ShapeError, match="add: incompatible shapes"):
+            linear(t(np.ones((2, 3))), t(np.ones((3, 2))), t([1.0, 2.0, 3.0]))
 
 
 class TestShapes:
