@@ -137,7 +137,6 @@ class TestAdamW:
                  {n: a.tobytes() for n, a in state.v.items()}, state.t)
         assert after == before
 
-
     @staticmethod
     def two_params_one_step_in(rng):
         params = {name: Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True, dtype=np.float32)
