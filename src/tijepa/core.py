@@ -67,7 +67,7 @@ def param_count(cfg: CrossAttnConfig) -> int:
     """
     h = cfg.hidden
     mlp_hidden = cfg.mlp_ratio * h
-    attn = 4 * (h * h + h)
+    attn = 4 * h * h + 3 * h
     norms = 3 * 2 * h
     mlp = h * mlp_hidden + mlp_hidden + mlp_hidden * h + h
     per_layer = 2 * attn + norms + mlp

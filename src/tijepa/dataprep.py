@@ -268,8 +268,8 @@ def synth_generate(n: int, seed: int, image_size: int = 64,
     """
     if n < 1:
         raise DataError("synth_generate needs n >= 1")
-    if image_size % 2 != 0:
-        raise DataError("synthetic image size must be even")
+    if image_size < 2 or image_size % 2 != 0:
+        raise DataError(f"synthetic image size must be a positive even number, got {image_size}")
     combos = list(itertools.product(SYNTH_COLORS, SYNTH_QUADRANTS))
     rng = np.random.default_rng([seed, _STREAM_SYNTH])
     examples = []

@@ -398,12 +398,11 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 
 @dataclass
 class AttentionParams:
-    """Learned Q/K/V/output projections of one attention layer."""
+    """Learned Q/K/V/output projections; K has no bias, which softmax would cancel."""
 
     wq: Tensor
     bq: Tensor
     wk: Tensor
-    bk: Tensor
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -418,13 +417,12 @@ class AttentionParams:
         def b():
             return Tensor(np.zeros(dim), requires_grad, dtype=dtype)
 
-        return cls(w(), b(), w(), b(), w(), b(), w(), b())
+        return cls(w(), b(), w(), w(), b(), w(), b())
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {
             f"{prefix}.wq": self.wq, f"{prefix}.bq": self.bq,
-            f"{prefix}.wk": self.wk, f"{prefix}.bk": self.bk,
-            f"{prefix}.wv": self.wv, f"{prefix}.bv": self.bv,
+            f"{prefix}.wk": self.wk, f"{prefix}.wv": self.wv, f"{prefix}.bv": self.bv,
             f"{prefix}.wo": self.wo, f"{prefix}.bo": self.bo,
         }
 
@@ -559,7 +557,7 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
     if d % heads != 0:
         raise ShapeError(f"attention: width {d} not divisible by {heads} heads")
     q = linear(q_src, params.wq, params.bq)
-    k = linear(kv_src, params.wk, params.bk)
+    k = matmul(kv_src, params.wk)
     v = linear(kv_src, params.wv, params.bv)
     merged = _attention_heads(q, k, v, heads, segments, kv_segments, pad_to)
     return linear(merged, params.wo, params.bo)
@@ -670,14 +668,14 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     ap = AttentionParams.create(8, rng, dtype=np.float64)
     x = _rand64(rng, (3, 8))
     r = _const64(rng, (3, 8))
-    sp = [x] + [getattr(ap, f) for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+    sp = [x] + [getattr(ap, f) for f in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
     checks.append(("attention_self", check_gradients(
         lambda: sum_all(mul(attention(x, x, ap, 2), r)), sp)))
 
     ap = AttentionParams.create(8, rng, dtype=np.float64)
     q, kv = _rand64(rng, (3, 8)), _rand64(rng, (5, 8))
     r = _const64(rng, (3, 8))
-    cp = [q, kv] + [getattr(ap, f) for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+    cp = [q, kv] + [getattr(ap, f) for f in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
     checks.append(("attention_cross", check_gradients(
         lambda: sum_all(mul(attention(q, kv, ap, 2), r)), cp)))
 

@@ -666,8 +666,10 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
         raise DataError(f"cannot read checkpoint: {path}") from exc
     if len(blob) < 20:
         raise DataError(f"truncated checkpoint: {path}")
-    body, trailer = blob[:-8], blob[-8:]
-    (stored_crc,) = struct.unpack("<Q", trailer)
+    # one view of the file: the body and each payload are parsed in place, and
+    # each tensor is copied once, into its own writable array
+    body = memoryview(blob)[:-8]
+    (stored_crc,) = struct.unpack_from("<Q", blob, len(body))
     if (zlib.crc32(body) & 0xFFFFFFFF) != stored_crc:
         raise DataError(f"checkpoint CRC mismatch: {path}")
     if body[:4] != CHECKPOINT_MAGIC:
@@ -683,7 +685,7 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", body, offset)
             offset += 4
-            name = body[offset:offset + name_len].decode("utf-8")
+            name = str(body[offset:offset + name_len], "utf-8")
             offset += name_len
             (dtype_tag,) = struct.unpack_from("<B", body, offset)
             offset += 1
@@ -693,17 +695,19 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
             offset += 4
             dims = struct.unpack_from(f"<{rank}I", body, offset)
             offset += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
-            payload = body[offset:offset + 4 * size]
-            if len(payload) != 4 * size:
+            size = math.prod(dims)
+            if offset + 4 * size > len(body):
                 raise DataError(f"truncated tensor payload for '{name}': {path}")
-            offset += 4 * size
             if previous_name is not None and name <= previous_name:
                 raise DataError(f"tensor names out of order at '{name}': {path}")
             previous_name = name
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            arr = np.frombuffer(body, dtype="<f4", count=size, offset=offset)
+            tensors[name] = arr.reshape(dims).copy()
+            offset += 4 * size
     except struct.error as exc:
         raise DataError(f"truncated checkpoint: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"tensor name at byte {offset} is not UTF-8: {path}") from exc
     if offset != len(body):
         raise DataError(f"trailing bytes after tensor table: {path}")
     return tensors
@@ -728,7 +732,13 @@ def load_checkpoint(path) -> PretrainState:
     tensors = read_tensor_file(path)
     if "meta.config" not in tensors:
         raise DataError(f"checkpoint lacks a config snapshot: {path}")
-    config_text = bytes(int(v) for v in tensors["meta.config"]).decode("utf-8")
+    codes = tensors["meta.config"].reshape(-1)
+    if not np.all((codes >= 0) & (codes <= 255) & (codes == np.floor(codes))):
+        raise DataError(f"'meta.config' must hold integer byte values 0..255: {path}")
+    try:
+        config_text = codes.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"'meta.config' is not UTF-8 text: {path}") from exc
     config = TiJepaConfig.from_text(config_text)
     # names and shapes come from the modules' own constructors; every value is
     # then taken from the file
@@ -738,7 +748,8 @@ def load_checkpoint(path) -> PretrainState:
     expected.update(f"optimizer.m.{n}" for n in state.opt.m)
     expected.update(f"optimizer.v.{n}" for n in state.opt.v)
     expected.update(("optimizer.t", "meta.step", "meta.config"))
-    actual = set(tensors)
+    # files written before the attention key bias was removed still hold it
+    actual = {name for name in tensors if not name.endswith(".bk")}
     if actual != expected:
         unknown = sorted(actual - expected)
         missing = sorted(expected - actual)

@@ -1,4 +1,6 @@
 import itertools
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from tijepa.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
 from tijepa.dataprep import LABELS
 from tijepa.encoders import write_rawt
-from tijepa.trainer import PretrainState, TiJepaConfig, save_checkpoint
+from tijepa.trainer import (PretrainState, TiJepaConfig, read_tensor_file, save_checkpoint,
+                            write_tensor_file)
 
 
 def tiny_config_text():
@@ -69,6 +72,13 @@ class TestSynth:
         for img in sorted((a / "images").iterdir()):
             twin = b / "images" / img.name
             assert img.read_bytes() == twin.read_bytes()
+
+    @pytest.mark.parametrize("size", ["-2", "0", "3"])
+    def test_non_positive_or_odd_image_size_exits_two(self, tmp_path, caplog, size):
+        out = tmp_path / "o"
+        assert dispatch(["synth", "--n", "4", "--out", str(out), "--image-size", size]) == EXIT_DATA
+        assert "positive even" in caplog.text
+        assert not out.exists()
 
 
 class TestPreprocessMvsa:
@@ -221,3 +231,27 @@ class TestDataErrors:
         bogus = tmp_path / "bogus.tijp"
         bogus.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
         assert dispatch(["inspect", "--ckpt", str(bogus)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("field", ["config_300", "config_nan", "config_0xff",
+                                       "config_fraction", "name_not_utf8"])
+    def test_malformed_field_under_a_valid_crc_exits_two(self, tmp_path, caplog, field):
+        ckpt = tmp_path / "bad.tijp"
+        save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+        if field == "name_not_utf8":
+            # the first name, at byte 16 after magic, version, count and its
+            # length, starts with 0xFF, which no UTF-8 text does
+            body = bytearray(ckpt.read_bytes()[:-8])
+            body[16] = 0xFF
+            ckpt.write_bytes(bytes(body) + struct.pack("<Q", zlib.crc32(body)))
+            command = ["inspect", "--ckpt", str(ckpt)]
+        else:
+            tensors = read_tensor_file(ckpt)
+            config = tensors["meta.config"]
+            # a fraction would otherwise be truncated to the same character
+            config[0] = {"config_300": 300.0, "config_nan": np.nan, "config_0xff": 255.0,
+                         "config_fraction": config[0] + 0.5}[field]
+            write_tensor_file(ckpt, tensors)
+            command = ["finetune", "--ckpt", str(ckpt), "--data", str(tmp_path / "unread.tsv"),
+                       "--out", str(tmp_path / "head")]
+        assert dispatch(command) == EXIT_DATA
+        assert str(ckpt) in caplog.text

@@ -143,7 +143,7 @@ class TestAttention:
         eye = np.eye(dim, dtype=np.float32)
         zero = np.zeros(dim, dtype=np.float32)
         return AttentionParams(*(Tensor(a) for a in
-                                 (eye, zero, eye, zero, eye, zero, eye, zero)))
+                                 (eye, zero, eye, eye, zero, eye, zero)))
 
     def test_single_token_returns_value_projection(self):
         rng = np.random.default_rng(0)
@@ -180,7 +180,7 @@ class TestAttention:
             return e / e.sum(axis=-1, keepdims=True)
 
         qp = q @ params.wq.data + params.bq.data
-        kp = kv @ params.wk.data + params.bk.data
+        kp = kv @ params.wk.data
         vp = kv @ params.wv.data + params.bv.data
         dh = d // heads
         pieces = []
@@ -257,14 +257,14 @@ class TestAttention:
         with pytest.raises(ShapeError):
             attention(t(np.zeros((5, 4))), t(np.zeros((3, 4))), params, 2, (2, 3), (3,))
 
-    def test_one_call_records_nine_tape_entries(self):
+    def test_one_call_records_eight_tape_entries(self):
         params = AttentionParams.create(8, np.random.default_rng(8))
         x = t(np.random.default_rng(9).uniform(-1, 1, (3, 8)))
         active_tape().clear()
         attention(x, x, params, 2)
         ops = sorted(op for op, *_ in active_tape())
         active_tape().clear()
-        assert ops == ["add"] * 4 + ["attention"] + ["matmul"] * 4
+        assert ops == ["add"] * 3 + ["attention"] + ["matmul"] * 4
 
 
 class TestBackward:

@@ -403,8 +403,8 @@ class TestGoldenBytes:
     # from seeded generators and uses no BLAS, so the bytes are the same on
     # every machine; a change means the init draw order, a tensor name or the
     # file format moved.
-    INIT_SHA256 = "5df28a5cd3c509a3289902942b245b3371b4f8f33021ef7c54784c77b112d72e"
-    INIT_BYTES = 4_374_003
+    INIT_SHA256 = "bae0ce0fcff131214275940f490b0049b8fd9002bcb06b6de67bacec4f21739b"
+    INIT_BYTES = 4_366_107
 
     def test_default_initial_checkpoint_digest(self, tmp_path):
         save_checkpoint(PretrainState.initialize(TiJepaConfig()), tmp_path / "init.tijp")
@@ -438,6 +438,41 @@ class TestCheckpointing:
         with pytest.raises(DataError, match="unknown"):
             load_checkpoint(path)
 
+    @staticmethod
+    def with_key_biases(path):
+        """The tensors of ``path`` plus nonzero attention key biases and their
+        moments, as a file written before the key bias was removed holds them."""
+        tensors = read_tensor_file(path)
+        rng = np.random.default_rng(3)
+        for name in [n for n in tensors if n.endswith(".wk")]:
+            tensors[name[:-3] + ".bk"] = rng.uniform(0.1, 1.0, tensors[name].shape[1]).astype(
+                np.float32)
+        return tensors
+
+    def test_key_biases_of_an_older_file_are_dropped(self, tmp_path):
+        path, again = tmp_path / "old.tijp", tmp_path / "again.tijp"
+        save_checkpoint(train(tiny_config(total_steps=1), tiny_dataset()).state, path)
+        tensors = self.with_key_biases(path)
+        assert {f"{kind}fusion.layers.0.cross_attn.bk"
+                for kind in ("", "optimizer.m.", "optimizer.v.")} <= set(tensors)
+        write_tensor_file(path, tensors)
+        save_checkpoint(load_checkpoint(path), again)
+        kept = read_tensor_file(again)
+        assert set(kept) == {n for n in tensors if not n.endswith(".bk")}
+        for name, arr in kept.items():
+            np.testing.assert_array_equal(arr, tensors[name], err_msg=name)
+
+    @pytest.mark.parametrize("name", ["mystery.weight", "fusion.layers.0.cross_attn.bk2",
+                                      "fusion.layers.0.cross_attn.bkey"])
+    def test_other_unknown_tensors_beside_key_biases_rejected(self, tmp_path, name):
+        path = tmp_path / "old.tijp"
+        save_checkpoint(PretrainState.initialize(tiny_config(total_steps=1)), path)
+        tensors = self.with_key_biases(path)
+        tensors[name] = np.ones(3, dtype=np.float32)
+        write_tensor_file(path, tensors)
+        with pytest.raises(DataError, match=f"unknown tensors: {name}\\)"):
+            load_checkpoint(path)
+
     def test_missing_tensor_rejected(self, tmp_path):
         cfg = tiny_config(total_steps=1)
         state = PretrainState.initialize(cfg)
@@ -450,10 +485,10 @@ class TestCheckpointing:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name, value, match", [
-        ("fusion.layers.0.cross_attn.bk", np.nan, "non-finite"),
+        ("fusion.layers.0.cross_attn.bq", np.nan, "non-finite"),
         ("predictor.mask_token", np.inf, "non-finite"),
         ("optimizer.m.predictor.mask_token", -np.inf, "non-finite"),
-        ("optimizer.v.fusion.layers.0.cross_attn.bk", np.nan, "non-finite"),
+        ("optimizer.v.fusion.layers.0.cross_attn.bq", np.nan, "non-finite"),
     ])
     def test_non_finite_parameter_or_moment_rejected(self, tmp_path, name, value, match):
         path = tmp_path / "ckpt.tijp"
