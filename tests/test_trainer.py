@@ -445,8 +445,8 @@ class TestCheckpointing:
         tensors = read_tensor_file(path)
         rng = np.random.default_rng(3)
         for name in [n for n in tensors if n.endswith(".wk")]:
-            tensors[name[:-3] + ".bk"] = rng.uniform(0.1, 1.0, tensors[name].shape[1]).astype(
-                np.float32)
+            width = tensors[name].shape[1]
+            tensors[name[:-3] + ".bk"] = rng.uniform(0.1, 1.0, width).astype(np.float32)
         return tensors
 
     def test_key_biases_of_an_older_file_are_dropped(self, tmp_path):
