@@ -21,7 +21,8 @@ from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
 from .numerics import (Tensor, _check_finite, _wrap, backward, cross_entropy_logits, linear,
                        no_grad, scale, zero_grads)
-from .trainer import AdamWState, PretrainState, adamw_step, read_tensor_file, write_tensor_file
+from .trainer import (AdamWState, PretrainState, _check_example_image, adamw_step,
+                      read_tensor_file, write_tensor_file)
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +71,9 @@ def _pooled_features(state: PretrainState, examples) -> tuple[np.ndarray, np.nda
     of ``batch_size`` through one encoding memo per encoder."""
     if any(example.label is None for example in examples):
         raise DataError("fine-tuning and evaluation require labeled examples")
+    for example in examples:
+        if example.image is not None:  # one without an image is left to pooled_representation
+            _check_example_image(example, state.config)
     encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
     step = state.config.batch_size
     chunks = [examples[i:i + step] for i in range(0, len(examples), step)]

@@ -456,11 +456,23 @@ def _to_heads(x: np.ndarray, rows, segments: int, width: int, heads: int) -> np.
     return x.reshape(segments, width, heads, x.shape[1] // heads).transpose(0, 2, 1, 3)
 
 
-def _from_heads(x: np.ndarray, rows) -> np.ndarray:
-    """Inverse of :func:`_to_heads`: the stacked rows, padding dropped."""
-    segments, heads, width, dh = x.shape
-    x = x.transpose(0, 2, 1, 3).reshape(segments * width, heads * dh)
-    return x if rows is None else x[rows]
+def _matmul_rows(a: np.ndarray, b: np.ndarray, rows) -> np.ndarray:
+    """``a @ b`` of (segments, heads, width, dh), written through a view straight
+    into the stacked (segments * width, heads * dh) rows; padding dropped."""
+    segments, heads, width, dh = *a.shape[:3], b.shape[-1]
+    out = np.empty((segments * width, heads * dh), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=out.reshape(segments, width, heads, dh).transpose(0, 2, 1, 3))
+    return out if rows is None else out[rows]
+
+
+def _folded_scores(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a @ b^T`` of (segments, heads, kv_width, q_width), written through its
+    view into a (segments, kv_width, heads * q_width) array; both are returned."""
+    segments, heads, kv_width, q_width = *a.shape[:3], b.shape[2]
+    folded = np.empty((segments, kv_width, heads * q_width), dtype=np.result_type(a, b))
+    view = folded.reshape(segments, kv_width, heads, q_width).transpose(0, 2, 1, 3)
+    np.matmul(a, b.transpose(0, 1, 3, 2), out=view)
+    return folded, view
 
 
 def _segment_sizes(sizes, rows: int, what: str) -> np.ndarray:
@@ -475,14 +487,15 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
     """softmax(Q K^T / sqrt(dh)) V of every head of every segment, as one tape op.
 
     All segments run as one padded batch: queries as (segments, heads,
-    q_width, dh), keys and values as (segments, heads, kv_width, dh); an
-    additive key mask hides the key padding. Scores and softmax weights are
-    key-major, (segments, heads, kv_width, q_width): the softmax max and sum
-    reduce over axis -2, which numpy runs as elementwise passes along the
-    contiguous query axis, where a reduction along each short key row would
-    cost several times the ``exp``. The backward keeps only the softmax
-    weights and re-pads Q/K/V from the op's inputs, each side at its own
-    width.
+    q_width, dh), keys and values as (segments, heads, kv_width, dh). Scores
+    and softmax weights are key-major and fold the heads into each key's
+    row, (segments, kv_width, heads * q_width): the softmax max and sum
+    reduce over axis 1, which numpy runs as elementwise passes along runs of
+    ``heads * q_width`` contiguous floats, where a reduction along each short
+    key row would cost several times the ``exp``. Padded keys' rows are set
+    to -inf. Outputs and gradients are written straight into row order (see
+    :func:`_matmul_rows`). The backward keeps only the softmax weights and
+    re-pads Q/K/V from the op's inputs, each side at its own width.
     """
     q_sizes = _segment_sizes(segments, q.shape[0], "query")
     kv_sizes = _segment_sizes(segments if kv_segments is None else kv_segments, k.shape[0],
@@ -501,16 +514,13 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
     c = 1.0 / math.sqrt(q.shape[1] // heads)
     qh = _to_heads(q.data * np.asarray(c, dtype=q.dtype), q_rows, s, q_width, heads)
     kh, vh = (_to_heads(t.data, kv_rows, s, kv_width, heads) for t in (k, v))
-    # key-major scores: the softmax reduces over axis -2, so each max and sum
-    # runs along the contiguous query axis instead of along a short key row
-    p = np.matmul(kh, qh.transpose(0, 1, 3, 2))
+    scores, p = _folded_scores(kh, qh)
     if kv_rows is not None:
-        mask = np.where(np.arange(kv_width) < kv_sizes[:, None], 0.0, -np.inf).astype(p.dtype)
-        p += mask[:, None, :, None]
-    p -= p.max(axis=-2, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-2, keepdims=True)
-    out = _from_heads(p.transpose(0, 1, 3, 2) @ vh, q_rows)
+        scores[np.arange(kv_width) >= kv_sizes[:, None]] = -np.inf
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    out = _matmul_rows(p.transpose(0, 1, 3, 2), vh, q_rows)
 
     def back(g):
         qh, kh, vh, gh = (_to_heads(a, rows, s, width, heads) for a, rows, width in
@@ -520,14 +530,13 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
         dh = g.shape[1] // heads
         rowdot = _to_heads(np.einsum("nhd,nhd->nh", g.reshape(-1, heads, dh),
                                      out.reshape(-1, heads, dh)), q_rows, s, q_width, heads)
-        dv = p @ gh
-        ds_t = vh @ gh.transpose(0, 1, 3, 2)  # dS^T, key-major like p
-        ds_t -= rowdot.transpose(0, 1, 3, 2)
-        ds_t *= p
+        dv = _matmul_rows(p, gh, kv_rows)
+        ds_t, ds_t_view = _folded_scores(vh, gh)  # dS^T, folded like the scores
+        ds_t -= rowdot.reshape(s, 1, heads * q_width)
+        ds_t *= scores
         ds_t *= c
-        dq = ds_t.transpose(0, 1, 3, 2) @ kh
-        dk = ds_t @ qh
-        return _from_heads(dq, q_rows), _from_heads(dk, kv_rows), _from_heads(dv, kv_rows)
+        dq = _matmul_rows(ds_t_view.transpose(0, 1, 3, 2), kh, q_rows)
+        return dq, _matmul_rows(ds_t_view, qh, kv_rows), dv
 
     return _record("attention", (q, k, v), out, back)
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from tijepa.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
-from tijepa.dataprep import LABELS
+from tijepa.dataprep import LABELS, synth_generate, write_synth_dataset
 from tijepa.encoders import write_rawt
+from tijepa.eval_head import ClassifierHead, save_head
 from tijepa.trainer import (PretrainState, TiJepaConfig, read_tensor_file, save_checkpoint,
                             write_tensor_file)
 
@@ -29,6 +30,15 @@ def synth_dir(tmp_path):
     assert dispatch(["synth", "--n", "12", "--seed", "0", "--out", str(out),
                      "--image-size", "16", "--labeled"]) == EXIT_OK
     return out
+
+
+def _checkpoint_and_manifest(tmp_path, sizes):
+    """A tiny-config (16x16 images) checkpoint and a labeled manifest of 12
+    pairs per image size in ``sizes``."""
+    ckpt = tmp_path / "init.tijp"
+    save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+    examples = [e for size in sizes for e in synth_generate(12, 0, size, labeled=True)]
+    return ckpt, write_synth_dataset(examples, tmp_path / "data")
 
 
 class TestUsageErrors:
@@ -183,6 +193,24 @@ class TestDataErrors:
         assert dispatch(["finetune", "--ckpt", str(ckpt), "--data", str(synth_dir / "manifest.tsv"),
                          "--out", str(out), flag, value]) == EXIT_DATA
         assert not (out / "head.tijp").exists()
+
+    @pytest.mark.parametrize("sizes", [(32,), (16, 32)], ids=["all_wrong", "mixed"])
+    def test_finetune_on_images_of_another_size_exits_two(self, tmp_path, caplog, sizes):
+        ckpt, manifest = _checkpoint_and_manifest(tmp_path, sizes)
+        out = tmp_path / "head"
+        assert dispatch(["finetune", "--ckpt", str(ckpt), "--data", str(manifest),
+                         "--out", str(out), "--epochs", "1"]) == EXIT_DATA
+        assert "image shape (3, 32, 32) does not match configured size 16" in caplog.text
+        assert not (out / "head.tijp").exists()
+
+    @pytest.mark.parametrize("sizes", [(32,), (16, 32)], ids=["all_wrong", "mixed"])
+    def test_eval_on_images_of_another_size_exits_two(self, tmp_path, caplog, sizes):
+        ckpt, manifest = _checkpoint_and_manifest(tmp_path, sizes)
+        head = tmp_path / "head.tijp"
+        save_head(ClassifierHead(16), head)
+        assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(head),
+                         "--data", str(manifest), "--split", "all"]) == EXIT_DATA
+        assert "image shape (3, 32, 32) does not match configured size 16" in caplog.text
 
     @pytest.mark.parametrize("setting", ["learning_rate=nan", "tgt_aspect_lo=-1",
                                          "mask_max_retries=-1", "mlp_ratio=-1", "mlp_ratio=0",

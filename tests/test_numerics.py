@@ -137,6 +137,37 @@ class TestGelu:
         assert abs(gelu(t([1.0])).data[0] - 0.8412) < 5e-4
 
 
+def reference_attention(xq, xkv, params, heads, q_sizes, kv_sizes, g):
+    """float64 loop over segments and heads with a query-major softmax: the
+    output of ``attention`` and the gradients of ``sum(out * g)`` with respect
+    to ``xq``, ``xkv`` and every parameter, keyed as ``AttentionParams.named("")``."""
+    w = {name[1:]: t.data.astype(np.float64) for name, t in params.named("").items()}
+    q, k, v = xq @ w["wq"] + w["bq"], xkv @ w["wk"], xkv @ w["wv"] + w["bv"]
+    dh = q.shape[1] // heads
+    c = 1.0 / math.sqrt(dh)
+    merged, dq, dk, dv = (np.zeros_like(a) for a in (q, q, k, v))
+    dmerged = g @ w["wo"].T
+    q_starts, kv_starts = np.cumsum((0,) + q_sizes), np.cumsum((0,) + kv_sizes)
+    for i in range(len(q_sizes)):
+        qs = slice(q_starts[i], q_starts[i + 1])
+        ks = slice(kv_starts[i], kv_starts[i + 1])
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = q[qs, cols] @ k[ks, cols].T * c
+            a = np.exp(scores - scores.max(axis=1, keepdims=True))
+            a /= a.sum(axis=1, keepdims=True)
+            merged[qs, cols] = a @ v[ks, cols]
+            da = dmerged[qs, cols] @ v[ks, cols].T
+            ds = a * (da - (da * a).sum(axis=1, keepdims=True))
+            dv[ks, cols] += a.T @ dmerged[qs, cols]
+            dq[qs, cols] += ds @ k[ks, cols] * c
+            dk[ks, cols] += ds.T @ q[qs, cols] * c
+    grads = {"xq": dq @ w["wq"].T, "xkv": dk @ w["wk"].T + dv @ w["wv"].T,
+             "wq": xq.T @ dq, "bq": dq.sum(axis=0), "wk": xkv.T @ dk,
+             "wv": xkv.T @ dv, "bv": dv.sum(axis=0), "wo": merged.T @ g, "bo": g.sum(axis=0)}
+    return merged @ w["wo"] + w["bo"], grads
+
+
 class TestAttention:
     @staticmethod
     def identity_params(dim):
@@ -256,6 +287,48 @@ class TestAttention:
         params = AttentionParams.create(4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             attention(t(np.zeros((5, 4))), t(np.zeros((3, 4))), params, 2, (2, 3), (3,))
+
+    @pytest.mark.parametrize("q_sizes, kv_sizes, pad_to", [
+        ((3, 3, 3), None, None),
+        ((2, 4, 3), (5, 1, 3), None),
+        ((1, 2, 1), (4, 5, 3), None),
+        ((2, 5, 1), None, 7),
+    ], ids=["equal_segments", "padded_cross_keys", "queries_narrower", "pad_to"])
+    def test_matches_float64_reference_with_gradients(self, q_sizes, kv_sizes, pad_to):
+        rng = np.random.default_rng(12)
+        d, heads = 8, 2
+        params = AttentionParams.create(d, rng, dtype=np.float64, std=0.5)
+        for b in (params.bq, params.bv, params.bo):
+            b.data[:] = rng.uniform(-1, 1, d)
+        xq = Tensor(rng.uniform(-1, 1, (sum(q_sizes), d)), True, dtype=np.float64)
+        xkv = xq if kv_sizes is None else Tensor(rng.uniform(-1, 1, (sum(kv_sizes), d)), True,
+                                                 dtype=np.float64)
+        g = rng.uniform(-1, 1, xq.shape)
+        out = attention(xq, xkv, params, heads, q_sizes, kv_sizes, pad_to)
+        backward(sum_all(mul(out, Tensor(g, dtype=np.float64))))
+        expected, grads = reference_attention(xq.data, xkv.data, params, heads, q_sizes,
+                                              q_sizes if kv_sizes is None else kv_sizes, g)
+        assert np.abs(out.data - expected).max() < 1e-10
+        if kv_sizes is None:
+            grads["xq"] = grads["xq"] + grads.pop("xkv")
+        else:
+            assert np.abs(xkv.grad - grads.pop("xkv")).max() < 1e-10
+        assert np.abs(xq.grad - grads.pop("xq")).max() < 1e-10
+        for name, param in params.named("").items():
+            assert np.abs(param.grad - grads[name[1:]]).max() < 1e-10, name
+
+    def test_other_segments_rows_do_not_see_a_segments_keys(self):
+        rng = np.random.default_rng(13)
+        params = AttentionParams.create(8, rng, std=0.5)
+        q_sizes, kv_sizes = (3, 2, 4), (4, 5, 2)
+        q = t(rng.uniform(-1, 1, (9, 8)))
+        kv = rng.uniform(-1, 1, (11, 8)).astype(np.float32)
+        before = attention(q, t(kv), params, 2, q_sizes, kv_sizes).data
+        kv[4:9] = rng.uniform(-1, 1, (5, 8))  # segment 1's keys and values
+        after = attention(q, t(kv), params, 2, q_sizes, kv_sizes).data
+        np.testing.assert_array_equal(after[:3], before[:3])
+        np.testing.assert_array_equal(after[5:], before[5:])
+        assert np.abs(after[3:5] - before[3:5]).max() > 0
 
     def test_one_call_records_eight_tape_entries(self):
         params = AttentionParams.create(8, np.random.default_rng(8))
