@@ -102,15 +102,22 @@ def _cmd_pretrain(args) -> int:
     return EXIT_OK
 
 
-def _cmd_finetune(args) -> int:
+def _labeled_splits(args, whole: bool = False) -> tuple[trainer.PretrainState, dict[str, list]]:
+    """The checkpoint and labeled manifest that ``finetune`` and ``eval`` read, split into
+    train, val and test; ``whole`` (``eval --split all``) takes every example unsplit."""
     state = trainer.load_checkpoint(args.ckpt)
     examples = dataprep.load_manifest(args.data)
-    labeled = [e for e in examples if e.label is not None]
-    if len(labeled) != len(examples):
-        raise DataError("finetune manifest contains unlabeled examples")
-    train_split, val_split, _ = dataprep.split_dataset(
-        labeled, dataprep.SplitSpec(seed=args.seed))
-    head, history = eval_head.finetune(state, train_split, val_split,
+    if any(e.label is None for e in examples):
+        raise DataError(f"{args.command} manifest contains unlabeled examples")
+    if whole:
+        return state, {"all": examples}
+    splits = dataprep.split_dataset(examples, dataprep.SplitSpec(seed=args.seed))
+    return state, dict(zip(("train", "val", "test"), splits))
+
+
+def _cmd_finetune(args) -> int:
+    state, splits = _labeled_splits(args)
+    head, history = eval_head.finetune(state, splits["train"], splits["val"],
                                        epochs=args.epochs, lr=args.lr,
                                        batch_size=args.batch_size, seed=args.seed)
     out = Path(args.out)
@@ -124,18 +131,9 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    state = trainer.load_checkpoint(args.ckpt)
+    state, splits = _labeled_splits(args, whole=args.split == "all")
     head = eval_head.load_head(args.head)
-    examples = dataprep.load_manifest(args.data)
-    labeled = [e for e in examples if e.label is not None]
-    if len(labeled) != len(examples):
-        raise DataError("eval manifest contains unlabeled examples")
-    if args.split == "all":
-        subset = labeled
-    else:
-        splits = dict(zip(("train", "val", "test"),
-                          dataprep.split_dataset(labeled, dataprep.SplitSpec(seed=args.seed))))
-        subset = splits[args.split]
+    subset = splits[args.split]
     if not subset:
         raise DataError(f"split '{args.split}' is empty")
     cm = eval_head.evaluate(state, head, subset)

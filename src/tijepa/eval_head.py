@@ -21,8 +21,8 @@ from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
 from .numerics import (Tensor, _check_finite, _wrap, backward, cross_entropy_logits, linear,
                        no_grad, scale, zero_grads)
-from .trainer import (AdamWState, PretrainState, _check_example_image, adamw_step,
-                      read_tensor_file, write_tensor_file)
+from .trainer import (AdamWState, PretrainState, _check_example_image, _file_tensors,
+                      _load_tensors, adamw_step, read_tensor_file, write_tensor_file)
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +59,8 @@ def pooled_representation(images, captions, image_encoder: ImageEncoder,
                           text_encoder: TextEncoder, fusion: FusionModule) -> np.ndarray:
     """Each pair's mean over its fused full-image patch rows, (B, D), gradient-free;
     no loss guards them, so non-finite features raise ``NumericalError``."""
+    if any(image is None for image in images):
+        raise DataError("fine-tuning and evaluation require an image for every example")
     with no_grad():
         fused, sizes = fuse_image(images, captions, image_encoder, text_encoder, fusion)
     pooled = fused.data.reshape(len(sizes), sizes[0], -1).mean(axis=1)
@@ -106,6 +108,9 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
         raise DataError(f"learning rate must be finite and >= 0, got {lr}")
     if head is None:
         head = ClassifierHead(state.config.embed_dim, np.random.default_rng([seed, _STREAM_HEAD]))
+    elif head.feature_dim != state.config.embed_dim:
+        raise DataError(f"head width {head.feature_dim} != checkpoint width "
+                        f"{state.config.embed_dim}")
     features, labels = _pooled_features(state, train_examples)
     val_features, val_labels = _pooled_features(state, val_examples)
 
@@ -138,24 +143,16 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
 
 
 def save_head(head: ClassifierHead, path) -> None:
-    write_tensor_file(path, {"head.weight": head.weight.data, "head.bias": head.bias.data})
+    write_tensor_file(path, _file_tensors(head.named_parameters()))
 
 
 def load_head(path) -> ClassifierHead:
     tensors = read_tensor_file(path)
-    if set(tensors) != {"head.weight", "head.bias"}:
+    weight = tensors.get("head.weight")
+    if weight is None or weight.ndim != 2:
         raise DataError(f"not a classifier head checkpoint: {path}")
-    weight = tensors["head.weight"]
-    if weight.ndim != 2 or weight.shape[1] != len(LABELS):
-        raise DataError(f"head weight must be (dim, {len(LABELS)}), got {weight.shape}")
-    bias = tensors["head.bias"]
-    if bias.shape != (len(LABELS),):
-        raise DataError(f"head bias must be ({len(LABELS)},), got {bias.shape}")
-    for name, arr in tensors.items():
-        _check_finite(arr, f"values in tensor '{name}': {path}", DataError)
     head = ClassifierHead(weight.shape[0])
-    head.weight.data[...] = weight
-    head.bias.data[...] = bias
+    _load_tensors(_file_tensors(head.named_parameters()), tensors, path)
     return head
 
 
@@ -225,6 +222,9 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 
 def evaluate(state: PretrainState, head: ClassifierHead, examples) -> ConfusionMatrix:
+    if head.feature_dim != state.config.embed_dim:
+        raise DataError(f"head width {head.feature_dim} != checkpoint width "
+                        f"{state.config.embed_dim}")
     features, labels = _pooled_features(state, examples)
     cm = ConfusionMatrix()
     np.add.at(cm.counts, (labels, head.predict(features)), 1)

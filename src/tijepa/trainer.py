@@ -713,14 +713,37 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
     return tensors
 
 
+def _file_tensors(params: dict[str, Tensor], opt=None) -> dict[str, np.ndarray]:
+    """The arrays of a model file by name: each parameter's data and, given
+    ``opt``, its AdamW moments. A save writes them; a load fills them in place."""
+    tensors = {name: p.data for name, p in params.items()}
+    if opt is not None:
+        for name in opt.m:
+            tensors[f"optimizer.m.{name}"] = opt.m[name]
+            tensors[f"optimizer.v.{name}"] = opt.v[name]
+    return tensors
+
+
+def _load_tensors(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray], path,
+                  other: tuple[str, ...] = ()) -> None:
+    """Copy each tensor read from ``path`` into its array of ``targets`` once the file
+    holds exactly the names of ``targets`` and ``other`` (left to the caller), each
+    tensor has its target's shape and every value is finite; else a ``DataError``."""
+    actual, expected = set(tensors), set(targets).union(other)
+    if actual != expected:
+        detail = [f"{kind} tensors: {', '.join(sorted(names)[:5])}" for kind, names
+                  in (("unknown", actual - expected), ("missing", expected - actual)) if names]
+        raise DataError(f"checkpoint does not match model ({'; '.join(detail)}): {path}")
+    for name, dst in targets.items():
+        arr = tensors[name]
+        if arr.shape != dst.shape:
+            raise DataError(f"tensor '{name}' has shape {arr.shape}, expected {dst.shape}: {path}")
+        _check_finite(arr, f"values in tensor '{name}': {path}", DataError)
+        dst[...] = arr
+
+
 def save_checkpoint(state: PretrainState, path) -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in state.named_parameters().items():
-        tensors[name] = p.data
-    for name, arr in state.opt.m.items():
-        tensors[f"optimizer.m.{name}"] = arr
-    for name, arr in state.opt.v.items():
-        tensors[f"optimizer.v.{name}"] = arr
+    tensors = _file_tensors(state.named_parameters(), state.opt)
     tensors["optimizer.t"] = np.array([state.opt.t], dtype=np.float32)
     tensors["meta.step"] = np.array([state.step], dtype=np.float32)
     config_bytes = state.config.to_text().encode("utf-8")
@@ -743,32 +766,10 @@ def load_checkpoint(path) -> PretrainState:
     # names and shapes come from the modules' own constructors; every value is
     # then taken from the file
     state = PretrainState._build(config, _ZeroDraws())
-    params = state.named_parameters()
-    expected = set(params)
-    expected.update(f"optimizer.m.{n}" for n in state.opt.m)
-    expected.update(f"optimizer.v.{n}" for n in state.opt.v)
-    expected.update(("optimizer.t", "meta.step", "meta.config"))
     # files written before the attention key bias was removed still hold it
-    actual = {name for name in tensors if not name.endswith(".bk")}
-    if actual != expected:
-        unknown = sorted(actual - expected)
-        missing = sorted(expected - actual)
-        detail = []
-        if unknown:
-            detail.append(f"unknown tensors: {', '.join(unknown[:5])}")
-        if missing:
-            detail.append(f"missing tensors: {', '.join(missing[:5])}")
-        raise DataError(f"checkpoint does not match model ({'; '.join(detail)}): {path}")
-    targets = {name: p.data for name, p in params.items()}
-    for name in state.opt.m:
-        targets[f"optimizer.m.{name}"] = state.opt.m[name]
-        targets[f"optimizer.v.{name}"] = state.opt.v[name]
-    for name, dst in targets.items():
-        arr = tensors[name]
-        if arr.shape != dst.shape:
-            raise DataError(f"tensor '{name}' has shape {arr.shape}, expected {dst.shape}")
-        _check_finite(arr, f"values in tensor '{name}': {path}", DataError)
-        dst[...] = arr
+    _load_tensors(_file_tensors(state.named_parameters(), state.opt),
+                  {name: arr for name, arr in tensors.items() if not name.endswith(".bk")},
+                  path, ("optimizer.t", "meta.step", "meta.config"))
     counters = {}
     for name in ("optimizer.t", "meta.step"):
         arr = tensors[name]

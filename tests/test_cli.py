@@ -146,6 +146,18 @@ class TestPipeline:
         assert "Accuracy (%)" in report
         assert "accuracy=" in report
 
+    def test_eval_all_of_a_manifest_too_small_to_split_exits_zero(self, tmp_path, capsys):
+        # a split needs 10 examples; --split all takes every example unsplit
+        ckpt = tmp_path / "init.tijp"
+        save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+        manifest = write_synth_dataset(synth_generate(5, 0, 16, labeled=True), tmp_path / "data")
+        head = tmp_path / "head.tijp"
+        save_head(ClassifierHead(16), head)
+        assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(head),
+                         "--data", str(manifest), "--split", "all", "--dump"]) == EXIT_OK
+        dump = capsys.readouterr().out.splitlines()
+        assert sum(int(line.split("=")[1]) for line in dump if ".support=" in line) == 5
+
     def test_pretrain_identical_runs_identical_checkpoints(self, tmp_path, synth_dir):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(tiny_config_text())
@@ -211,6 +223,21 @@ class TestDataErrors:
         assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(head),
                          "--data", str(manifest), "--split", "all"]) == EXIT_DATA
         assert "image shape (3, 32, 32) does not match configured size 16" in caplog.text
+
+    def test_eval_with_a_head_of_another_width_exits_two_before_pooling(self, tmp_path, caplog,
+                                                                        monkeypatch):
+        from tijepa import eval_head
+
+        def refuse(*args):
+            raise AssertionError("pooled before the head width was checked")
+
+        monkeypatch.setattr(eval_head, "pooled_representation", refuse)
+        ckpt, manifest = _checkpoint_and_manifest(tmp_path, (16,))
+        head = tmp_path / "head.tijp"
+        save_head(ClassifierHead(64), head)
+        assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(head),
+                         "--data", str(manifest), "--split", "all"]) == EXIT_DATA
+        assert "head width 64 != checkpoint width 16" in caplog.text
 
     @pytest.mark.parametrize("setting", ["learning_rate=nan", "tgt_aspect_lo=-1",
                                          "mask_max_retries=-1", "mlp_ratio=-1", "mlp_ratio=0",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from tijepa.eval_head import (
     save_head,
 )
 from tijepa.numerics import Tensor, active_tape, backward, check_gradients, cross_entropy_logits
-from tijepa.trainer import PretrainState, TiJepaConfig, adamw_step, train
+from tijepa.trainer import (PretrainState, TiJepaConfig, adamw_step, load_checkpoint,
+                            read_tensor_file, save_checkpoint, train, write_tensor_file)
 
 
 def tiny_state():
@@ -348,6 +350,50 @@ class TestHeadCheckpoint:
             load_head(path)
 
 
+def saved_model_file(kind, path):
+    """Save a tiny-config checkpoint or a head to ``path``; return its loader
+    and the name of one tensor it holds."""
+    if kind == "checkpoint":
+        save_checkpoint(tiny_state(), path)
+        return load_checkpoint, "predictor.mask_token"
+    save_head(ClassifierHead(16, np.random.default_rng(0)), path)
+    return load_head, "head.bias"
+
+
+class TestModelFileLoadCheck:
+    # checkpoints and heads pass the same load check
+    @pytest.mark.parametrize("kind", ["checkpoint", "head"])
+    @pytest.mark.parametrize("fault", ["extra", "missing", "shape", "nan"])
+    def test_a_malformed_file_is_rejected_naming_what_is_wrong(self, tmp_path, kind, fault):
+        path = tmp_path / f"{kind}.tijp"
+        load, name = saved_model_file(kind, path)
+        tensors = read_tensor_file(path)
+        shape = tensors[name].shape
+        if fault == "extra":
+            tensors["mystery.weight"] = np.zeros(3, dtype=np.float32)
+            message = "(unknown tensors: mystery.weight)"
+        elif fault == "missing":
+            del tensors[name]
+            message = f"(missing tensors: {name})"
+        elif fault == "shape":
+            tensors[name] = np.zeros(shape + (2,), dtype=np.float32)
+            message = f"tensor '{name}' has shape {shape + (2,)}, expected {shape}: {path}"
+        else:
+            tensors[name].reshape(-1)[0] = np.nan
+            message = f"non-finite values in tensor '{name}': {path}"
+        write_tensor_file(path, tensors)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load(path)
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "head"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, kind):
+        path, again = tmp_path / "a.tijp", tmp_path / "b.tijp"
+        load, _ = saved_model_file(kind, path)
+        save = save_checkpoint if kind == "checkpoint" else save_head
+        save(load(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+
 class TestConfusionMatrix:
     def test_total_sums_every_count(self):
         cm = ConfusionMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 0]])
@@ -421,6 +467,28 @@ class TestComputeMetrics:
     def test_empty_matrix_rejected(self):
         with pytest.raises(DataError):
             compute_metrics(ConfusionMatrix())
+
+
+RUNS = {"finetune": lambda state, head, examples: finetune(state, examples, epochs=1, head=head),
+        "evaluate": evaluate}
+
+
+class TestFinetuneAndEvaluateInputs:
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_an_example_without_an_image_is_a_data_error(self, run):
+        examples = [PairedExample(None, "a red square", "positive")]
+        with pytest.raises(DataError, match="image"):
+            run(tiny_state(), ClassifierHead(16), examples)
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_a_head_of_another_width_is_rejected_before_pooling(self, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pooled before the head width was checked")
+
+        monkeypatch.setattr(eval_head_module, "_pooled_features", refuse)
+        examples = synth_generate(4, seed=0, image_size=16, labeled=True)
+        with pytest.raises(DataError, match="head width 64 != checkpoint width 16"):
+            run(tiny_state(), ClassifierHead(64), examples)
 
 
 class TestEvaluateAndReports:
