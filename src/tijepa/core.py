@@ -28,6 +28,7 @@ from .errors import ShapeError
 from .masking import MaskSet, sample_masks
 from .numerics import (
     DEFAULT_DTYPE,
+    Module,
     Tensor,
     add,
     block_distance,
@@ -80,12 +81,14 @@ def param_count(cfg: CrossAttnConfig) -> int:
     return total
 
 
-class FusionModule:
+class FusionModule(Module):
     """Stack of fusion layers, with input/output projections when widths differ.
 
     Each layer is a :class:`TransformerBlock` whose cross-attention sublayer
     reads the text tokens.
     """
+
+    PREFIX = "fusion"
 
     def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE):
@@ -96,17 +99,18 @@ class FusionModule:
         self.cfg = cfg
         h = cfg.hidden
 
-        def proj(d_in, d_out):
+        def proj(name, d_in, d_out):
             w = Tensor(rng.normal(0.0, INIT_STD, (d_in, d_out)), requires_grad, dtype=dtype)
             b = Tensor(np.zeros(d_out), requires_grad, dtype=dtype)
-            return w, b
+            return self._add(f"{name}.weight", w), self._add(f"{name}.bias", b)
 
-        self.patch_in = proj(cfg.patch_dim, h) if cfg.patch_dim not in (None, h) else None
-        self.text_in = proj(cfg.text_dim, h) if cfg.text_dim not in (None, h) else None
-        self.patch_out = proj(h, cfg.patch_dim) if cfg.patch_dim not in (None, h) else None
-        self.layers = [TransformerBlock(h, cfg.heads, rng, requires_grad, dtype, cfg.mlp_ratio,
-                                        cross_std=CROSS_ATTN_INIT_STD)
-                       for _ in range(cfg.layers)]
+        patch_proj = cfg.patch_dim not in (None, h)
+        self.patch_in = proj("patch_in", cfg.patch_dim, h) if patch_proj else None
+        self.text_in = proj("text_in", cfg.text_dim, h) if cfg.text_dim not in (None, h) else None
+        self.patch_out = proj("patch_out", h, cfg.patch_dim) if patch_proj else None
+        self.layers = [self._add(f"layers.{i}", TransformerBlock(
+            h, cfg.heads, rng, requires_grad, dtype, cfg.mlp_ratio, cross_std=CROSS_ATTN_INIT_STD))
+            for i in range(cfg.layers)]
 
     def __call__(self, patch_reps: Tensor, text_reps: Tensor, segments=None,
                  text_segments=None) -> Tensor:
@@ -123,16 +127,6 @@ class FusionModule:
         for layer in self.layers:
             tokens = layer(tokens, segments, context=text, context_segments=text_segments)
         return linear(tokens, *self.patch_out) if self.patch_out else tokens
-
-    def named_parameters(self, prefix: str = "fusion") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for label, pair in (("patch_in", self.patch_in), ("text_in", self.text_in),
-                            ("patch_out", self.patch_out)):
-            if pair:
-                out[f"{prefix}.{label}.weight"], out[f"{prefix}.{label}.bias"] = pair
-        for i, layer in enumerate(self.layers):
-            out.update(layer.named_parameters(f"{prefix}.layers.{i}"))
-        return out
 
     def clone(self, requires_grad: bool = False) -> "FusionModule":
         """Bitwise copy without gradients, e.g. to initialize the EMA target twin."""
@@ -157,8 +151,10 @@ class PredictorConfig:
             raise ShapeError("predictor width must be divisible by 4 for 2-D positions")
 
 
-class Predictor:
+class Predictor(Module):
     """Shallow transformer over context tokens plus position-tagged mask tokens."""
+
+    PREFIX = "predictor"
 
     def __init__(self, cfg: PredictorConfig, fused_dim: int, rng: np.random.Generator,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE):
@@ -167,13 +163,17 @@ class Predictor:
         self.fused_dim = fused_dim
         self.dtype = dtype
         w = cfg.width
-        self.in_w = Tensor(rng.normal(0.0, INIT_STD, (fused_dim, w)), requires_grad, dtype=dtype)
-        self.in_b = Tensor(np.zeros(w), requires_grad, dtype=dtype)
-        self.mask_token = Tensor(rng.normal(0.0, INIT_STD, (w,)), requires_grad, dtype=dtype)
-        self.blocks = [TransformerBlock(w, cfg.heads, rng, requires_grad, dtype)
-                       for _ in range(cfg.depth)]
-        self.out_w = Tensor(rng.normal(0.0, INIT_STD, (w, fused_dim)), requires_grad, dtype=dtype)
-        self.out_b = Tensor(np.zeros(fused_dim), requires_grad, dtype=dtype)
+
+        def param(name, arr):
+            return self._add(name, Tensor(arr, requires_grad, dtype=dtype))
+
+        self.in_w = param("in.weight", rng.normal(0.0, INIT_STD, (fused_dim, w)))
+        self.in_b = param("in.bias", np.zeros(w))
+        self.mask_token = param("mask_token", rng.normal(0.0, INIT_STD, (w,)))
+        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
+            w, cfg.heads, rng, requires_grad, dtype)) for i in range(cfg.depth)]
+        self.out_w = param("out.weight", rng.normal(0.0, INIT_STD, (w, fused_dim)))
+        self.out_b = param("out.bias", np.zeros(fused_dim))
 
     def predict(self, context_reps: Tensor, context_positions, target_blocks,
                 grid: tuple[int, int]) -> Tensor:
@@ -228,16 +228,6 @@ class Predictor:
         return linear(tokens, self.out_w, self.out_b)
 
     __call__ = predict
-
-    def named_parameters(self, prefix: str = "predictor") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.in.weight": self.in_w, f"{prefix}.in.bias": self.in_b,
-            f"{prefix}.mask_token": self.mask_token,
-            f"{prefix}.out.weight": self.out_w, f"{prefix}.out.bias": self.out_b,
-        }
-        for i, block in enumerate(self.blocks):
-            out.update(block.named_parameters(f"{prefix}.blocks.{i}"))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +362,7 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
     def build():
         return example_loss(encoders, fusion, predictor, images, captions, masks, targets, "l2")
 
-    params: dict[str, Tensor] = {}
-    params.update(image_encoder.named_parameters())
-    params.update(text_encoder.named_parameters())
-    params.update(fusion.named_parameters())
-    params.update(predictor.named_parameters())
+    params = {name: p for module in (image_encoder, text_encoder, fusion, predictor)
+              for name, p in module.named_parameters().items()}
     ordered = [params[name] for name in sorted(params)]
     return check_gradients(build, ordered, max_coords=max_coords)

@@ -19,6 +19,7 @@ from .errors import DataError, ShapeError
 from .numerics import (
     DEFAULT_DTYPE,
     AttentionParams,
+    Module,
     Tensor,
     _check_finite,
     add,
@@ -139,7 +140,7 @@ def patchify(image: np.ndarray, patch_size: int) -> np.ndarray:
 # transformer blocks and the two encoders
 
 
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm residual block: self-attention, optional cross-attention, MLP.
 
     The cross-attention sublayer exists when ``cross_std`` (its projections'
@@ -152,25 +153,28 @@ class TransformerBlock:
                  cross_std: float | None = None):
         self.heads = heads
         hidden = mlp_ratio * dim
+        # checkpoint names: a fusion layer spells out its sublayers
+        ln1, attn, ln2 = ("ln1", "attn", "ln2") if cross_std is None else \
+            ("ln_self", "self_attn", "ln_mlp")
 
-        def w(shape):
-            return Tensor(rng.normal(0.0, INIT_STD, shape), requires_grad, dtype=dtype)
+        def param(name, arr):
+            return self._add(name, Tensor(arr, requires_grad, dtype=dtype))
 
-        def zeros(n):
-            return Tensor(np.zeros(n), requires_grad, dtype=dtype)
+        def norm(name):
+            return param(f"{name}.gain", np.ones(dim)), param(f"{name}.bias", np.zeros(dim))
 
-        def ones(n):
-            return Tensor(np.ones(n), requires_grad, dtype=dtype)
-
-        self.ln1_g, self.ln1_b = ones(dim), zeros(dim)
-        self.attn = AttentionParams.create(dim, rng, requires_grad, dtype)
+        self.ln1_g, self.ln1_b = norm(ln1)
+        self.attn = self._add(attn, AttentionParams.create(dim, rng, requires_grad, dtype))
         self.cross_attn = None
         if cross_std is not None:
-            self.ln_cross_g, self.ln_cross_b = ones(dim), zeros(dim)
-            self.cross_attn = AttentionParams.create(dim, rng, requires_grad, dtype, std=cross_std)
-        self.ln2_g, self.ln2_b = ones(dim), zeros(dim)
-        self.mlp_w1, self.mlp_b1 = w((dim, hidden)), zeros(hidden)
-        self.mlp_w2, self.mlp_b2 = w((hidden, dim)), zeros(dim)
+            self.ln_cross_g, self.ln_cross_b = norm("ln_cross")
+            self.cross_attn = self._add("cross_attn", AttentionParams.create(
+                dim, rng, requires_grad, dtype, std=cross_std))
+        self.ln2_g, self.ln2_b = norm(ln2)
+        self.mlp_w1 = param("mlp.w1", rng.normal(0.0, INIT_STD, (dim, hidden)))
+        self.mlp_b1 = param("mlp.b1", np.zeros(hidden))
+        self.mlp_w2 = param("mlp.w2", rng.normal(0.0, INIT_STD, (hidden, dim)))
+        self.mlp_b2 = param("mlp.b2", np.zeros(dim))
 
     def __call__(self, x: Tensor, segments=None, context: Tensor | None = None,
                  context_segments=None, pad_to: int | None = None, keep=None,
@@ -199,30 +203,15 @@ class TransformerBlock:
                    self.mlp_w2, self.mlp_b2)
         return add(x, h)
 
-    def named_parameters(self, prefix: str) -> dict[str, Tensor]:
-        # checkpoint names: a fusion layer spells out its sublayers
-        cross = self.cross_attn is not None
-        ln1, attn, ln2 = ("ln_self", "self_attn", "ln_mlp") if cross else ("ln1", "attn", "ln2")
-        out = {
-            f"{prefix}.{ln1}.gain": self.ln1_g, f"{prefix}.{ln1}.bias": self.ln1_b,
-            f"{prefix}.{ln2}.gain": self.ln2_g, f"{prefix}.{ln2}.bias": self.ln2_b,
-            f"{prefix}.mlp.w1": self.mlp_w1, f"{prefix}.mlp.b1": self.mlp_b1,
-            f"{prefix}.mlp.w2": self.mlp_w2, f"{prefix}.mlp.b2": self.mlp_b2,
-        }
-        out.update(self.attn.named(f"{prefix}.{attn}"))
-        if cross:
-            out[f"{prefix}.ln_cross.gain"] = self.ln_cross_g
-            out[f"{prefix}.ln_cross.bias"] = self.ln_cross_b
-            out.update(self.cross_attn.named(f"{prefix}.cross_attn"))
-        return out
 
-
-class ImageEncoder:
+class ImageEncoder(Module):
     """Linear patch embedding + fixed 2-D positions + transformer blocks.
 
     ``encode`` runs a batch of images, each one attention segment, and accepts
     an optional set of visible patch indices per image.
     """
+
+    PREFIX = "image_encoder"
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         cfg.validate()
@@ -230,12 +219,17 @@ class ImageEncoder:
         self.dtype = dtype
         trainable = not cfg.frozen
         patch_dim = 3 * cfg.patch_size * cfg.patch_size
-        self.patch_w = Tensor(rng.normal(0.0, INIT_STD, (patch_dim, cfg.embed_dim)), trainable, dtype=dtype)
-        self.patch_b = Tensor(np.zeros(cfg.embed_dim), trainable, dtype=dtype)
-        self.blocks = [TransformerBlock(cfg.embed_dim, cfg.heads, rng, trainable, dtype)
-                       for _ in range(cfg.depth)]
-        self.norm_g = Tensor(np.ones(cfg.embed_dim), trainable, dtype=dtype)
-        self.norm_b = Tensor(np.zeros(cfg.embed_dim), trainable, dtype=dtype)
+
+        def param(name, arr):
+            return self._add(name, Tensor(arr, trainable, dtype=dtype))
+
+        self.patch_w = param("patch_embed.weight",
+                             rng.normal(0.0, INIT_STD, (patch_dim, cfg.embed_dim)))
+        self.patch_b = param("patch_embed.bias", np.zeros(cfg.embed_dim))
+        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
+            cfg.embed_dim, cfg.heads, rng, trainable, dtype)) for i in range(cfg.depth)]
+        self.norm_g = param("norm.gain", np.ones(cfg.embed_dim))
+        self.norm_b = param("norm.bias", np.zeros(cfg.embed_dim))
 
     def encode(self, images, visible=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of (3, H, W) images as one stack of rows.
@@ -274,31 +268,26 @@ class ImageEncoder:
 
     __call__ = encode
 
-    def named_parameters(self, prefix: str = "image_encoder") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.patch_embed.weight": self.patch_w,
-            f"{prefix}.patch_embed.bias": self.patch_b,
-            f"{prefix}.norm.gain": self.norm_g,
-            f"{prefix}.norm.bias": self.norm_b,
-        }
-        for i, block in enumerate(self.blocks):
-            out.update(block.named_parameters(f"{prefix}.blocks.{i}"))
-        return out
 
-
-class TextEncoder:
+class TextEncoder(Module):
     """Token embedding + fixed 1-D positions + transformer blocks."""
+
+    PREFIX = "text_encoder"
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
         cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         trainable = not cfg.frozen
-        self.embed = Tensor(rng.normal(0.0, INIT_STD, (VOCAB_SIZE, cfg.embed_dim)), trainable, dtype=dtype)
-        self.blocks = [TransformerBlock(cfg.embed_dim, cfg.heads, rng, trainable, dtype)
-                       for _ in range(cfg.depth)]
-        self.norm_g = Tensor(np.ones(cfg.embed_dim), trainable, dtype=dtype)
-        self.norm_b = Tensor(np.zeros(cfg.embed_dim), trainable, dtype=dtype)
+
+        def param(name, arr):
+            return self._add(name, Tensor(arr, trainable, dtype=dtype))
+
+        self.embed = param("embed.weight", rng.normal(0.0, INIT_STD, (VOCAB_SIZE, cfg.embed_dim)))
+        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
+            cfg.embed_dim, cfg.heads, rng, trainable, dtype)) for i in range(cfg.depth)]
+        self.norm_g = param("norm.gain", np.ones(cfg.embed_dim))
+        self.norm_b = param("norm.bias", np.zeros(cfg.embed_dim))
 
     def encode(self, token_ids, sizes=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of token-id sequences as one stack of rows.
@@ -326,16 +315,6 @@ class TextEncoder:
         return layer_norm(x, self.norm_g, self.norm_b), sizes
 
     __call__ = encode
-
-    def named_parameters(self, prefix: str = "text_encoder") -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.embed.weight": self.embed,
-            f"{prefix}.norm.gain": self.norm_g,
-            f"{prefix}.norm.bias": self.norm_b,
-        }
-        for i, block in enumerate(self.blocks):
-            out.update(block.named_parameters(f"{prefix}.blocks.{i}"))
-        return out
 
 
 class EncodingMemo:

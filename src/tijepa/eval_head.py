@@ -19,8 +19,8 @@ from .core import FusionModule, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
 from .encoders import EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
-from .numerics import (Tensor, _check_finite, _wrap, backward, cross_entropy_logits, linear,
-                       no_grad, scale, zero_grads)
+from .numerics import (Module, Tensor, _check_finite, _wrap, backward, cross_entropy_logits,
+                       linear, no_grad, scale, zero_grads)
 from .trainer import (AdamWState, PretrainState, _check_example_image, _file_tensors,
                       _load_tensors, adamw_step, read_tensor_file, write_tensor_file)
 
@@ -29,8 +29,10 @@ logger = logging.getLogger(__name__)
 _STREAM_HEAD = 6
 
 
-class ClassifierHead:
+class ClassifierHead(Module):
     """One linear layer from pooled fused features to three class logits."""
+
+    PREFIX = "head"
 
     def __init__(self, feature_dim: int, rng: np.random.Generator | None = None):
         self.feature_dim = feature_dim
@@ -38,8 +40,8 @@ class ClassifierHead:
             weight = np.zeros((feature_dim, len(LABELS)))
         else:
             weight = rng.normal(0.0, 0.02, (feature_dim, len(LABELS)))
-        self.weight = Tensor(weight, requires_grad=True, dtype=np.float32)
-        self.bias = Tensor(np.zeros(len(LABELS)), requires_grad=True, dtype=np.float32)
+        self.weight = self._add("weight", Tensor(weight, requires_grad=True, dtype=np.float32))
+        self.bias = self._add("bias", Tensor(np.zeros(len(LABELS)), True, dtype=np.float32))
 
     def logits(self, pooled: Tensor) -> Tensor:
         """(B, feature_dim) pooled features to (B, 3) class logits."""
@@ -50,9 +52,6 @@ class ClassifierHead:
         :func:`pooled_representation` has checked: they are used as they are."""
         with no_grad():
             return np.argmax(self.logits(_wrap(np.asarray(features))).data, axis=1)
-
-    def named_parameters(self, prefix: str = "head") -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 def pooled_representation(images, captions, image_encoder: ImageEncoder,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,6 +88,37 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class Module:
+    """A node of the model's tree of named parameters.
+
+    ``__init__`` records each parameter or submodule it makes with ``_add``,
+    under its checkpoint name, so a name is given only where its tensor is
+    made. A parameter is made once and then updated in place (by AdamW, EMA
+    and checkpoint loads), never rebound, so the records stay the tensors the
+    attributes hold.
+    """
+
+    PREFIX = ""
+
+    def _add(self, name: str, item):
+        """Record ``item``, a ``Tensor`` or a ``Module``, under ``name``; returns it."""
+        vars(self).setdefault("_named", {})[name] = item
+        return item
+
+    def named_parameters(self, prefix: str | None = None) -> dict[str, Tensor]:
+        """Every parameter in creation order, named ``prefix.name`` (``PREFIX``
+        by default); a submodule's parameters carry its name in between."""
+        prefix = self.PREFIX if prefix is None else prefix
+        out = {}
+        for name, item in vars(self).get("_named", {}).items():
+            full = f"{prefix}.{name}" if prefix else name
+            if isinstance(item, Module):
+                out.update(item.named_parameters(full))
+            else:
+                out[full] = item
+        return out
 
 
 # one (op, inputs, output, backward) tuple per recorded op; backward maps the
@@ -397,7 +428,7 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(Module):
     """Learned Q/K/V/output projections; K has no bias, which softmax would cancel."""
 
     wq: Tensor
@@ -419,12 +450,9 @@ class AttentionParams:
 
         return cls(w(), b(), w(), w(), b(), w(), b())
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {
-            f"{prefix}.wq": self.wq, f"{prefix}.bq": self.bq,
-            f"{prefix}.wk": self.wk, f"{prefix}.wv": self.wv, f"{prefix}.bv": self.bv,
-            f"{prefix}.wo": self.wo, f"{prefix}.bo": self.bo,
-        }
+    def __post_init__(self):
+        for f in fields(self):
+            self._add(f.name, getattr(self, f.name))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -677,14 +705,14 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     ap = AttentionParams.create(8, rng, dtype=np.float64)
     x = _rand64(rng, (3, 8))
     r = _const64(rng, (3, 8))
-    sp = [x] + [getattr(ap, f) for f in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
+    sp = [x] + list(ap.named_parameters().values())
     checks.append(("attention_self", check_gradients(
         lambda: sum_all(mul(attention(x, x, ap, 2), r)), sp)))
 
     ap = AttentionParams.create(8, rng, dtype=np.float64)
     q, kv = _rand64(rng, (3, 8)), _rand64(rng, (5, 8))
     r = _const64(rng, (3, 8))
-    cp = [q, kv] + [getattr(ap, f) for f in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")]
+    cp = [q, kv] + list(ap.named_parameters().values())
     checks.append(("attention_cross", check_gradients(
         lambda: sum_all(mul(attention(q, kv, ap, 2), r)), cp)))
 

@@ -33,7 +33,7 @@ from .core import (
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
 from .masking import sample_masks
-from .numerics import Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
+from .numerics import Module, Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -362,7 +362,7 @@ def collapse_metric(target_reps) -> float:
 # training state
 
 
-class PretrainState:
+class PretrainState(Module):
     """All modules plus optimizer state and the step counter."""
 
     def __init__(self, config: TiJepaConfig, image_encoder: ImageEncoder,
@@ -370,11 +370,11 @@ class PretrainState:
                  target_fusion: FusionModule, predictor: Predictor,
                  opt: AdamWState, step: int = 0):
         self.config = config
-        self.image_encoder = image_encoder
-        self.text_encoder = text_encoder
-        self.fusion = fusion
-        self.target_fusion = target_fusion
-        self.predictor = predictor
+        self.image_encoder = self._add("image_encoder", image_encoder)
+        self.text_encoder = self._add("text_encoder", text_encoder)
+        self.fusion = self._add("fusion", fusion)
+        self.target_fusion = self._add("target_fusion", target_fusion)
+        self.predictor = self._add("predictor", predictor)
         self.opt = opt
         self.step = step
 
@@ -395,15 +395,6 @@ class PretrainState:
                     predictor, AdamWState(0, {}, {}))
         state.opt = AdamWState.create(state.trainable_parameters())
         return state
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.image_encoder.named_parameters("image_encoder"))
-        out.update(self.text_encoder.named_parameters("text_encoder"))
-        out.update(self.fusion.named_parameters("fusion"))
-        out.update(self.target_fusion.named_parameters("target_fusion"))
-        out.update(self.predictor.named_parameters("predictor"))
-        return out
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {n: p for n, p in self.named_parameters().items() if p.requires_grad}

@@ -7,6 +7,7 @@ name. These tests pin each name and the parameters the harness reads."""
 import inspect
 import types
 
+import numpy as np
 import pytest
 
 from tijepa import cli, core, dataprep, encoders, numerics, trainer
@@ -61,4 +62,9 @@ def test_fusion_module_is_called_through_its_own_call_method():
     members = vars(core.FusionModule)
     assert isinstance(members.get("__call__"), types.FunctionType)
     assert "encode" not in members and "predict" not in members
-    assert callable(members.get("named_parameters"))
+    # the fusion hook tells the online module from the target by its parameters
+    fusion = core.FusionModule(core.CrossAttnConfig(layers=1, heads=2, hidden=8),
+                               np.random.default_rng(0))
+    params = fusion.named_parameters()
+    assert params and all(name.startswith("fusion.") and isinstance(p, numerics.Tensor)
+                          for name, p in params.items())

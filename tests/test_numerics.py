@@ -140,8 +140,8 @@ class TestGelu:
 def reference_attention(xq, xkv, params, heads, q_sizes, kv_sizes, g):
     """float64 loop over segments and heads with a query-major softmax: the
     output of ``attention`` and the gradients of ``sum(out * g)`` with respect
-    to ``xq``, ``xkv`` and every parameter, keyed as ``AttentionParams.named("")``."""
-    w = {name[1:]: t.data.astype(np.float64) for name, t in params.named("").items()}
+    to ``xq``, ``xkv`` and every parameter, keyed as in ``named_parameters``."""
+    w = {name: t.data.astype(np.float64) for name, t in params.named_parameters().items()}
     q, k, v = xq @ w["wq"] + w["bq"], xkv @ w["wk"], xkv @ w["wv"] + w["bv"]
     dh = q.shape[1] // heads
     c = 1.0 / math.sqrt(dh)
@@ -314,8 +314,8 @@ class TestAttention:
         else:
             assert np.abs(xkv.grad - grads.pop("xkv")).max() < 1e-10
         assert np.abs(xq.grad - grads.pop("xq")).max() < 1e-10
-        for name, param in params.named("").items():
-            assert np.abs(param.grad - grads[name[1:]]).max() < 1e-10, name
+        for name, param in params.named_parameters().items():
+            assert np.abs(param.grad - grads[name]).max() < 1e-10, name
 
     def test_other_segments_rows_do_not_see_a_segments_keys(self):
         rng = np.random.default_rng(13)
