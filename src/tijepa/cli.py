@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure. The TIJEPA_LOG environment variable (error | info | debug) controls
-verbosity; all randomness flows from --seed, defaulting to 0.
+Exit codes: 0 success, 1 usage error, 2 data/format error or an output path
+that cannot be written, 3 numerical failure. The TIJEPA_LOG environment
+variable (error | info | debug) controls verbosity; all randomness flows from
+--seed, a non-negative integer defaulting to 0.
 """
 
 from __future__ import annotations
@@ -36,6 +37,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def non_negative_int(text: str) -> int:
+    """The argparse type of every ``--seed``: an integer that is not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tijepa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,7 +53,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="key = value config file")
     p.add_argument("--data", required=True, help="manifest of image/caption pairs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=non_negative_int, default=None, help="override the config seed")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override one config key")
 
@@ -55,14 +64,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0, help="head init and batch order")
 
     p = sub.add_parser("eval", help="evaluate a head on the test split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--head", required=True)
     p.add_argument("--data", required=True, help="labeled manifest")
     p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-    p.add_argument("--seed", type=int, default=0, help="split seed")
     p.add_argument("--dump", action="store_true", help="also print key=value metrics")
 
     p = sub.add_parser("preprocess-mvsa", help="reconcile sentiment annotations")
@@ -73,13 +81,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate the synthetic colored-square dataset")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--image-size", type=int, default=64)
     p.add_argument("--labeled", action="store_true")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
 
     p = sub.add_parser("inspect", help="list tensors in a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -103,15 +111,15 @@ def _cmd_pretrain(args) -> int:
 
 
 def _labeled_splits(args, whole: bool = False) -> tuple[trainer.PretrainState, dict[str, list]]:
-    """The checkpoint and labeled manifest that ``finetune`` and ``eval`` read, split into
-    train, val and test; ``whole`` (``eval --split all``) takes every example unsplit."""
+    """The checkpoint and labeled manifest that ``finetune`` and ``eval`` read, in the one
+    fixed train/val/test split; ``whole`` (``eval --split all``) takes every example unsplit."""
     state = trainer.load_checkpoint(args.ckpt)
     examples = dataprep.load_manifest(args.data)
     if any(e.label is None for e in examples):
         raise DataError(f"{args.command} manifest contains unlabeled examples")
     if whole:
         return state, {"all": examples}
-    splits = dataprep.split_dataset(examples, dataprep.SplitSpec(seed=args.seed))
+    splits = dataprep.split_dataset(examples)
     return state, dict(zip(("train", "val", "test"), splits))
 
 
@@ -223,7 +231,7 @@ def dispatch(argv) -> int:
     except NumericalError as exc:
         logger.error("numerical failure: %s", exc)
         return EXIT_NUMERIC
-    except TijepaError as exc:
+    except (TijepaError, OSError) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
 

@@ -96,7 +96,7 @@ class TiJepaConfig:
                     "predictor_width"):
             if getattr(self, key) < 1:
                 raise DataError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("encoder_depth", "predictor_depth"):
+        for key in ("encoder_depth", "predictor_depth", "mask_max_retries", "seed"):
             if getattr(self, key) < 0:
                 raise DataError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.patch_size < 1 or self.image_size % self.patch_size != 0:
@@ -121,8 +121,6 @@ class TiJepaConfig:
                 raise DataError(f"need 0 < {name}_lo <= {name}_hi <= 1")
         if not (0.0 < self.tgt_aspect_lo <= self.tgt_aspect_hi < math.inf):
             raise DataError("need 0 < tgt_aspect_lo <= tgt_aspect_hi, both finite")
-        if self.mask_max_retries < 0:
-            raise DataError("mask_max_retries must be >= 0")
 
     def grid(self) -> tuple[int, int]:
         side = self.image_size // self.patch_size
@@ -441,7 +439,13 @@ def _drop_rows_after(log: Path, step: int) -> None:
     if not log.exists():
         return
     lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
-    kept = [line for line in lines if int(line.split("\t", 1)[0]) <= step]
+    kept = []
+    for lineno, line in enumerate(lines, start=1):
+        field = line.rstrip("\n").split("\t", 1)[0]
+        if not field.isdecimal():
+            raise DataError(f"{log}:{lineno}: expected a step number, got {field!r}")
+        if int(field) <= step:
+            kept.append(line)
     if len(kept) != len(lines):
         log.write_text("".join(kept), encoding="utf-8")
 
