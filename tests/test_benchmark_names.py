@@ -1,16 +1,38 @@
 """The names through which the benchmark harness (``perfbench/``) reaches the
-package. The harness wraps these functions from outside, looks each one up by
-its module and name, and reads some arguments by position; a rename or a moved
-parameter does not fail a run there, it only drops the metrics that need the
-name. These tests pin each name and the parameters the harness reads."""
+package, and the log records, report lines and command lines it parses. The
+harness wraps these functions from outside, looks each one up by its module
+and name, and reads some arguments by position; a rename or a moved parameter
+does not fail a run there, it only drops the metrics that need the name, and
+a reworded record fails the run's checks. These tests pin each name, the
+parameters the harness reads and what it parses, without importing it."""
 
 import inspect
+import logging
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tijepa import cli, core, dataprep, encoders, numerics, trainer
+from tijepa import cli, core, dataprep, encoders, eval_head, numerics, trainer
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+
+
+def tiny_config(**overrides):
+    base = dict(image_size=16, patch_size=8, embed_dim=16, text_embed_dim=16,
+                encoder_depth=1, encoder_heads=2, max_text_len=16,
+                fusion_layers=1, fusion_heads=2, fusion_hidden=16,
+                predictor_depth=1, predictor_heads=2, predictor_width=16,
+                num_targets=2, tgt_scale_lo=0.15, tgt_scale_hi=0.3,
+                batch_size=4, total_steps=5, log_interval=2)
+    base.update(overrides)
+    return trainer.TiJepaConfig(**base)
+
+
+def records(caplog, prefix: str) -> list[logging.LogRecord]:
+    return [r for r in caplog.records if isinstance(r.msg, str) and r.msg.startswith(prefix)]
 
 
 def parameters(fn) -> list[str]:
@@ -68,3 +90,72 @@ def test_fusion_module_is_called_through_its_own_call_method():
     params = fusion.named_parameters()
     assert params and all(name.startswith("fusion.") and isinstance(p, numerics.Tensor)
                           for name, p in params.items())
+
+
+
+# what the harness parses: a logged value is the argument of the first
+# `key=%` placeholder of a %-style record; a dump line is one `key=value`
+
+
+def test_pretraining_logs_its_loss_at_step_one_each_interval_and_the_last_step(caplog):
+    caplog.set_level(logging.INFO, logger="tijepa")
+    result = trainer.train(tiny_config(), dataprep.synth_generate(8, 0, 16))
+    logged = records(caplog, "step %d: loss=%")
+    assert [r.args[0] for r in logged] == [1, 2, 4, 5]
+    assert [r.args[1] for r in logged] == [result.losses[s - 1] for s in (1, 2, 4, 5)]
+
+
+def test_a_skipped_example_is_logged_with_its_step_first(caplog, monkeypatch):
+    calls, sample_masks = [], trainer.sample_masks
+
+    def every_third_fails(**kwargs):
+        calls.append(None)
+        if len(calls) % 3 == 0:
+            raise trainer.MaskSamplingError("no context left")
+        return sample_masks(**kwargs)
+
+    monkeypatch.setattr(trainer, "sample_masks", every_third_fails)
+    caplog.set_level(logging.INFO, logger="tijepa")
+    result = trainer.train(tiny_config(total_steps=2), dataprep.synth_generate(8, 0, 16))
+    skipped = [r for r in caplog.records if "skipping example" in str(r.msg)]
+    assert [r.args[0] for r in skipped] == [1, 2] and result.skipped_examples == 2
+    assert all(r.levelno == logging.WARNING for r in skipped)
+
+
+@pytest.mark.parametrize("with_val", [True, False], ids=["with_val", "without_val"])
+def test_fine_tuning_logs_one_train_loss_per_epoch(caplog, with_val):
+    state = trainer.PretrainState.initialize(tiny_config())
+    examples = dataprep.synth_generate(12, 0, 16, labeled=True)
+    caplog.set_level(logging.INFO, logger="tijepa")
+    _, history = eval_head.finetune(state, examples[:8], examples[8:] if with_val else (),
+                                    epochs=3, batch_size=4)
+    logged = records(caplog, "epoch %d: train_loss=%")
+    assert [r.args[0] for r in logged] == [1, 2, 3]
+    assert [r.args[1] for r in logged] == history.train_losses
+
+
+def test_eval_dump_holds_macro_f1_and_each_label_support():
+    report = eval_head.compute_metrics(eval_head.ConfusionMatrix([[3, 1, 0], [0, 2, 2], [1, 0, 4]]))
+    dump = dict(line.split("=", 1) for line in eval_head.dump_report(report).splitlines()
+                if re.fullmatch(r"[\w.]+=[^=\s]+", line))
+    assert float(dump["macro_f1"]) == pytest.approx(report.macro_f1, abs=1e-6)
+    assert [int(dump[f"{label}.support"]) for label in dataprep.LABELS] == [4, 4, 5]
+
+
+def test_the_harness_command_lines_parse_to_the_settings_it_assumes():
+    parser = cli._build_parser()
+    settings = ["total_steps=15", "log_interval=5", "checkpoint_interval=3",
+                "freeze_encoders=false"]
+    pretrain = parser.parse_args(["pretrain", "--config", str(DESK_CONFIG), "--data", "d.tsv",
+                                  "--out", "o"] + [a for s in settings for a in ("--set", s)])
+    assert pretrain.set == settings and pretrain.seed is None
+    config = trainer.load_config(pretrain.config, pretrain.set)
+    assert (config.total_steps, config.log_interval, config.checkpoint_interval,
+            config.freeze_encoders, config.batch_size) == (15, 5, 3, False, 16)
+    finetune = parser.parse_args(["finetune", "--ckpt", "c.tijp", "--data", "d.tsv", "--out", "o"])
+    assert (finetune.epochs, finetune.batch_size) == (40, 16)
+    evaluate = parser.parse_args(["eval", "--ckpt", "c.tijp", "--head", "h.tijp",
+                                  "--data", "d.tsv", "--dump"])
+    assert evaluate.split == "test" and evaluate.dump
+    # 256 labeled pairs split 8:1:1, as the harness counts them
+    assert [len(s) for s in dataprep.split_dataset(list(range(256)))] == [206, 25, 25]

@@ -53,6 +53,22 @@ class TestUsageErrors:
     def test_unknown_subcommand_exits_one(self):
         assert dispatch(["fly"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n", "4", "--out", "unused"],
+        ["gradcheck"],
+        ["pretrain", "--config", "unused.cfg", "--data", "unused.tsv", "--out", "unused"],
+        ["finetune", "--ckpt", "unused.tijp", "--data", "unused.tsv", "--out", "unused"],
+    ], ids=["synth", "gradcheck", "pretrain", "finetune"])
+    def test_negative_seed_exits_one(self, capsys, argv):
+        assert dispatch(argv + ["--seed", "-1"]) == EXIT_USAGE
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_eval_takes_no_seed(self, capsys):
+        # eval reads the one fixed split, which no seed moves
+        assert dispatch(["eval", "--ckpt", "unused.tijp", "--head", "unused.tijp",
+                         "--data", "unused.tsv", "--seed", "0"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_reports_all_ops_passed(self, capsys):
@@ -241,7 +257,8 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("setting", ["learning_rate=nan", "tgt_aspect_lo=-1",
                                          "mask_max_retries=-1", "mlp_ratio=-1", "mlp_ratio=0",
-                                         "embed_dim=0", "predictor_width=0", "image_size=0"])
+                                         "embed_dim=0", "predictor_width=0", "image_size=0",
+                                         "seed=-1"])
     def test_bad_optimizer_or_masking_value_exits_two(self, tmp_path, synth_dir, setting):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(tiny_config_text())
@@ -282,6 +299,44 @@ class TestDataErrors:
         assert "img2.rawt" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "synth", "preprocess-mvsa"])
+    def test_output_path_that_cannot_be_written_exits_two(self, tmp_path, synth_dir, caplog,
+                                                          command):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        ckpt = tmp_path / "init.tijp"
+        save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+        annotations = tmp_path / "ann.tsv"
+        annotations.write_text("1\tpositive\tneutral\n")
+        # an existing file where a directory goes, or a directory where a file goes
+        out = tmp_path / "taken"
+        if command == "preprocess-mvsa":
+            out.mkdir()
+        else:
+            out.write_text("")
+        manifest = str(synth_dir / "manifest.tsv")
+        argv = {
+            "pretrain": ["pretrain", "--config", str(config_path), "--data", manifest],
+            "finetune": ["finetune", "--ckpt", str(ckpt), "--data", manifest, "--epochs", "1"],
+            "synth": ["synth", "--n", "4", "--image-size", "16"],
+            "preprocess-mvsa": ["preprocess-mvsa", "--annotations", str(annotations),
+                                "--mode", "single"],
+        }[command]
+        assert dispatch(argv + ["--out", str(out)]) == EXIT_DATA
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and str(out) in errors[0].getMessage()
+
+    def test_metrics_log_row_without_a_step_exits_two(self, tmp_path, synth_dir, caplog):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        out = tmp_path / "o"
+        out.mkdir()
+        log = out / "metrics.log"
+        log.write_text("1\t0.5\t0.1\t0.996\ngarbage\n")
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(synth_dir / "manifest.tsv"), "--out", str(out)]) == EXIT_DATA
+        assert f"{log}:2: expected a step number, got 'garbage'" in caplog.text
+
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         bogus = tmp_path / "bogus.tijp"
         bogus.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
@@ -310,3 +365,33 @@ class TestDataErrors:
                        "--out", str(tmp_path / "head")]
         assert dispatch(command) == EXIT_DATA
         assert str(ckpt) in caplog.text
+
+
+class TestFixedSplit:
+    def test_finetune_seed_moves_no_example_between_splits(self, tmp_path, monkeypatch):
+        from tijepa import eval_head
+
+        ckpt = tmp_path / "init.tijp"
+        save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+        manifest = write_synth_dataset(synth_generate(40, 0, 16, labeled=True), tmp_path / "data")
+        trained, scored = [], []
+        real_finetune, real_evaluate = eval_head.finetune, eval_head.evaluate
+
+        def finetune(state, train, val, **kwargs):
+            trained.append({e.path for e in train})
+            return real_finetune(state, train, val, **kwargs)
+
+        def evaluate(state, head, examples):
+            scored.append({e.path for e in examples})
+            return real_evaluate(state, head, examples)
+
+        monkeypatch.setattr(eval_head, "finetune", finetune)
+        monkeypatch.setattr(eval_head, "evaluate", evaluate)
+        for seed in ("0", "3"):
+            assert dispatch(["finetune", "--ckpt", str(ckpt), "--data", str(manifest),
+                             "--out", str(tmp_path / seed), "--epochs", "1",
+                             "--seed", seed]) == EXIT_OK
+        assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(tmp_path / "3" / "head.tijp"),
+                         "--data", str(manifest)]) == EXIT_OK
+        assert len(trained) == 2 and trained[0] == trained[1] and len(trained[0]) == 32
+        assert len(scored) == 1 and len(scored[0]) == 4 and not scored[0] & trained[0]

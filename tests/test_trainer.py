@@ -12,12 +12,13 @@ import pytest
 
 from tijepa import numerics as numerics_module
 from tijepa import trainer as trainer_module
+from tijepa.core import CrossAttnConfig, FusionModule, Predictor, PredictorConfig
 from tijepa.dataprep import synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
 from tijepa.eval_head import ClassifierHead, evaluate, finetune
 from tijepa.masking import sample_masks
-from tijepa.numerics import Tensor, active_tape
+from tijepa.numerics import Module, Tensor, active_tape
 from tijepa.trainer import (
     AdamWState,
     EmaSchedule,
@@ -303,7 +304,7 @@ class TestConfig:
         ("encoder_heads", "0"), ("fusion_layers", "0"), ("fusion_heads", "0"),
         ("fusion_hidden", "0"), ("mlp_ratio", "0"), ("mlp_ratio", "-1"),
         ("predictor_heads", "0"), ("predictor_width", "0"),
-        ("encoder_depth", "-1"), ("predictor_depth", "-1"),
+        ("encoder_depth", "-1"), ("predictor_depth", "-1"), ("seed", "-1"),
     ])
     def test_validation_catches_bad_optimizer_and_masking_values(self, key, value):
         with pytest.raises(DataError, match=key):
@@ -313,6 +314,7 @@ class TestConfig:
         ("learning_rate", "0"), ("weight_decay", "0"), ("beta1", "0"), ("beta2", "0.5"),
         ("tgt_scale_lo", "0.2"), ("ctx_scale_hi", "1"), ("tgt_aspect_lo", "1.5"),
         ("mask_max_retries", "0"), ("encoder_depth", "0"), ("predictor_depth", "0"),
+        ("seed", "0"),
     ])
     def test_validation_keeps_boundary_values(self, key, value):
         TiJepaConfig.from_mapping({key: value})
@@ -411,6 +413,49 @@ class TestGoldenBytes:
         blob = (tmp_path / "init.tijp").read_bytes()
         assert len(blob) == self.INIT_BYTES
         assert hashlib.sha256(blob).hexdigest() == self.INIT_SHA256
+
+
+def reachable_tensors(module: Module) -> dict[int, Tensor]:
+    """Every tensor reachable from ``module`` through the attributes of it and
+    its submodules, and through lists and tuples, keyed by id."""
+    found, stack, seen = {}, [module], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, Tensor):
+            found[id(item)] = item
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, Module):
+            stack.extend(value for name, value in vars(item).items() if name != "_named")
+    return found
+
+
+class TestParameterTree:
+    # the sorted names of the default config's parameters, pinned
+    DEFAULT_NAMES_SHA256 = "505139cf18fa89b5bb2b9b52dec38030d3eb492ce5020059c19cf1703a72c6fd"
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: PretrainState.initialize(TiJepaConfig()),
+        lambda rng: FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=8, patch_dim=12,
+                                                 text_dim=20), rng),
+        lambda rng: Predictor(PredictorConfig(depth=0, heads=2, width=8), 12, rng),
+        lambda rng: ClassifierHead(8, rng),
+    ], ids=["default_state", "fusion_with_projections", "depth0_predictor", "head"])
+    def test_every_reachable_tensor_is_named_exactly_once(self, make):
+        module = make(np.random.default_rng(0))
+        params = module.named_parameters()
+        ids = [id(p) for p in params.values()]
+        assert len(set(ids)) == len(ids)
+        assert set(ids) == set(reachable_tensors(module))
+
+    def test_default_state_keeps_its_names(self):
+        names = sorted(PretrainState.initialize(TiJepaConfig()).named_parameters())
+        assert len(names) == 198
+        assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
+            self.DEFAULT_NAMES_SHA256
 
 
 class TestCheckpointing:
