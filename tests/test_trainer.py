@@ -429,7 +429,7 @@ def reachable_tensors(module: Module) -> dict[int, Tensor]:
         elif isinstance(item, (list, tuple)):
             stack.extend(item)
         elif isinstance(item, Module):
-            stack.extend(value for name, value in vars(item).items() if name != "_named")
+            stack.extend(vars(item).values())
     return found
 
 
