@@ -124,12 +124,12 @@ def _labeled_splits(args, whole: bool = False) -> tuple[trainer.PretrainState, d
 
 
 def _cmd_finetune(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     state, splits = _labeled_splits(args)
     head, history = eval_head.finetune(state, splits["train"], splits["val"],
                                        epochs=args.epochs, lr=args.lr,
                                        batch_size=args.batch_size, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     head_path = out / "head.tijp"
     eval_head.save_head(head, head_path)
     if history.val_accuracies:

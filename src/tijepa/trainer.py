@@ -238,15 +238,25 @@ def load_config(path, overrides=()) -> TiJepaConfig:
 
 @dataclass
 class AdamWState:
+    """The step count and AdamW's moments: one flat buffer each over all parameters in
+    sorted-name order, whose views ``m[name]`` and ``v[name]`` have each one's shape."""
+
     t: int
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
 
     @classmethod
     def create(cls, params: dict[str, Tensor]) -> "AdamWState":
-        return cls(0,
-                   {n: np.zeros_like(p.data) for n, p in params.items()},
-                   {n: np.zeros_like(p.data) for n, p in params.items()})
+        names = sorted(params)
+        dtypes = sorted({str(params[n].data.dtype) for n in names}) or ["float32"]
+        if len(dtypes) > 1:
+            raise ShapeError(f"AdamW parameters must share one dtype, got {dtypes}")
+        ends = np.cumsum([0] + [params[n].data.size for n in names])
+        m, v = np.zeros(ends[-1], dtypes[0]), np.zeros(ends[-1], dtypes[0])
+        return cls(0, m, v, *({n: flat[a:b].reshape(params[n].shape)
+                               for n, a, b in zip(names, ends, ends[1:])} for flat in (m, v)))
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
@@ -259,40 +269,51 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
     gradient, or one whose square would overflow the moments' dtype aborts
     the whole step with the offending parameter's name.
     """
-    grads = {}
-    for name in sorted(params):
+    names = sorted(params)
+    if names != list(state.m):
+        raise ShapeError("optimizer state and parameters hold different names")
+    grads = []
+    for name in names:
         p = params[name]
         if p.data.shape != state.m[name].shape:
             raise ShapeError(f"optimizer state shape mismatch for '{name}'")
-        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        # v <= bc2 * max(g^2), so v and v / bc2 stay finite while |g| < 2^(maxexp/2 - 1)
-        # (2^63 in float32); past it v / bc2 or v turns Inf and the parameter stops moving
-        limit = 2.0 ** (np.finfo(state.v[name].dtype).maxexp // 2 - 1)
-        _check_finite(grads[name], f"gradient for parameter '{name}'", NumericalError, limit)
+        grads.append((p.grad if p.grad is not None else np.zeros_like(p.data)).ravel())
+    g = np.concatenate(grads or [state.m_flat])
+    # v <= bc2 * max(g^2), so v and v / bc2 stay finite while |g| < 2^(maxexp/2 - 1)
+    # (2^63 in float32); past it v / bc2 or v turns Inf and the parameter stops moving
+    limit = 2.0 ** (np.finfo(state.v_flat.dtype).maxexp // 2 - 1)
+    try:
+        _check_finite(g, "gradients", NumericalError, limit)
+    except NumericalError:
+        for name, grad in zip(names, grads):  # name the first bad parameter
+            _check_finite(grad, f"gradient for parameter '{name}'", NumericalError, limit)
+        raise
     state.t += 1
-    t = state.t
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for name, g in grads.items():
-        p, m, v = params[name], state.m[name], state.v[name]
-        # ``term`` is the one scratch array of every term; the ufuncs apply the
-        # operations of the expressions in the comments, in the same order
-        term = np.multiply(g, 1.0 - beta1)
-        m *= beta1
-        m += term  # m = beta1 * m + (1 - beta1) * g
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, term)
-        term *= g
-        v += term  # v = beta2 * v + (1 - beta2) * g * g
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    m, v = state.m_flat, state.v_flat
+    # one pass over all parameters: ``term`` is the scratch array of every term,
+    # and the ufuncs apply the operations of the expressions in the comments, in order
+    term = np.multiply(g, 1.0 - beta1)
+    m *= beta1
+    m += term  # m = beta1 * m + (1 - beta1) * g
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, term)
+    term *= g
+    v += term  # v = beta2 * v + (1 - beta2) * g * g
+    denom = v / bc2
+    np.sqrt(denom, denom)
+    denom += eps
+    np.divide(m, bc1, term)
+    term /= denom
+    term *= lr  # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+    start = 0
+    for name in names:
+        p = params[name].data
         if weight_decay:
-            p.data *= 1.0 - lr * weight_decay
-        denom = v / bc2
-        np.sqrt(denom, denom)
-        denom += eps
-        np.divide(m, bc1, term)
-        term /= denom
-        term *= lr
-        p.data -= term  # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            p *= 1.0 - lr * weight_decay
+        p -= term[start:start + p.size].reshape(p.shape)
+        start += p.size
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +382,19 @@ def collapse_metric(target_reps) -> float:
 
 
 class PretrainState(Module):
-    """All modules plus optimizer state and the step counter."""
+    """All modules plus optimizer state and the step counter, both starting at zero."""
 
     def __init__(self, config: TiJepaConfig, image_encoder: ImageEncoder,
                  text_encoder: TextEncoder, fusion: FusionModule,
-                 target_fusion: FusionModule, predictor: Predictor,
-                 opt: AdamWState, step: int = 0):
+                 target_fusion: FusionModule, predictor: Predictor):
         self.config = config
         self.image_encoder = self._add("image_encoder", image_encoder)
         self.text_encoder = self._add("text_encoder", text_encoder)
         self.fusion = self._add("fusion", fusion)
         self.target_fusion = self._add("target_fusion", target_fusion)
         self.predictor = self._add("predictor", predictor)
-        self.opt = opt
-        self.step = step
+        self.opt = AdamWState.create(self.trainable_parameters())
+        self.step = 0
 
     @classmethod
     def initialize(cls, config: TiJepaConfig) -> "PretrainState":
@@ -389,10 +409,7 @@ class PretrainState(Module):
         target_fusion = fusion.clone(requires_grad=False)
         predictor = Predictor(config.predictor_config(), config.embed_dim, rng,
                               requires_grad=not config.freeze_predictor)
-        state = cls(config, image_encoder, text_encoder, fusion, target_fusion,
-                    predictor, AdamWState(0, {}, {}))
-        state.opt = AdamWState.create(state.trainable_parameters())
-        return state
+        return cls(config, image_encoder, text_encoder, fusion, target_fusion, predictor)
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
@@ -438,7 +455,10 @@ def _drop_rows_after(log: Path, step: int) -> None:
     from the checkpoint of ``step`` is about to log again."""
     if not log.exists():
         return
-    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    try:
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{log} is not UTF-8 text") from exc
     kept = []
     for lineno, line in enumerate(lines, start=1):
         field = line.rstrip("\n").split("\t", 1)[0]
