@@ -6,8 +6,10 @@ does not fail a run there, it only drops the metrics that need the name, and
 a reworded record fails the run's checks. These tests pin each name, the
 parameters the harness reads and what it parses, without importing it."""
 
+import importlib
 import inspect
 import logging
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tijepa
 from tijepa import cli, core, dataprep, encoders, eval_head, numerics, trainer
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
@@ -59,6 +62,34 @@ def test_function_is_defined_at_module_level_under_its_name(module, name):
 
 def test_active_tape_takes_no_arguments():
     inspect.signature(numerics.active_tape).bind()
+
+
+def test_adamw_step_takes_params_state_and_lr_first():
+    assert parameters(trainer.adamw_step)[:3] == ["params", "state", "lr"]
+
+
+def test_pretraining_and_fine_tuning_step_through_a_module_level_adamw_step(monkeypatch):
+    # the step clock rebinds each module-level name bound to adamw_step, the copy
+    # that eval_head's `from .trainer import adamw_step` made included; a step
+    # taken through any other reference would end untimed
+    real, calls = trainer.adamw_step, []
+
+    def clocked(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(tijepa.__path__):
+        if not info.name.startswith("_"):
+            module = importlib.import_module(f"tijepa.{info.name}")
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, attr, clocked)
+    assert eval_head.adamw_step is clocked
+    trainer.train(tiny_config(total_steps=2), dataprep.synth_generate(8, 0, 16))
+    assert len(calls) == 2
+    eval_head.finetune(trainer.PretrainState.initialize(tiny_config()),
+                       dataprep.synth_generate(8, 0, 16, labeled=True), epochs=1, batch_size=4)
+    assert len(calls) == 2 + 2
 
 
 def test_save_checkpoint_takes_the_path_second():

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import struct
 import zlib
 
@@ -302,6 +303,7 @@ class TestDataErrors:
     @pytest.mark.parametrize("command", ["pretrain", "finetune", "synth", "preprocess-mvsa"])
     def test_output_path_that_cannot_be_written_exits_two(self, tmp_path, synth_dir, caplog,
                                                           command):
+        caplog.set_level(logging.INFO, logger="tijepa")
         config_path = tmp_path / "run.cfg"
         config_path.write_text(tiny_config_text())
         ckpt = tmp_path / "init.tijp"
@@ -325,6 +327,8 @@ class TestDataErrors:
         assert dispatch(argv + ["--out", str(out)]) == EXIT_DATA
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and str(out) in errors[0].getMessage()
+        # the output path fails before any work: no epoch of fine-tuning ran
+        assert not [r for r in caplog.records if r.getMessage().startswith("epoch ")]
 
     def test_metrics_log_row_without_a_step_exits_two(self, tmp_path, synth_dir, caplog):
         config_path = tmp_path / "run.cfg"
@@ -336,6 +340,18 @@ class TestDataErrors:
         assert dispatch(["pretrain", "--config", str(config_path),
                          "--data", str(synth_dir / "manifest.tsv"), "--out", str(out)]) == EXIT_DATA
         assert f"{log}:2: expected a step number, got 'garbage'" in caplog.text
+
+    def test_metrics_log_that_is_not_utf8_exits_two(self, tmp_path, synth_dir, caplog):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        out = tmp_path / "o"
+        out.mkdir()
+        log = out / "metrics.log"
+        log.write_bytes(b"\xff\xfe1\x00\t\x000\x00\n\x00")  # UTF-16 with its byte-order mark
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(synth_dir / "manifest.tsv"), "--out", str(out)]) == EXIT_DATA
+        assert f"{log} is not UTF-8 text" in caplog.text
+        assert not list(out.glob("*.tijp"))
 
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         bogus = tmp_path / "bogus.tijp"

@@ -109,6 +109,75 @@ class TestAdamW:
             assert (params["w"].data.tobytes(), state.m["w"].tobytes(), state.v["w"].tobytes()) \
                 == (p.tobytes(), m.tobytes(), v.tobytes())
 
+    def test_several_parameters_match_the_plain_update_expressions_bitwise(self):
+        # one pass over all moments updates each parameter as it would alone
+        rng = np.random.default_rng(2)
+        shapes = {"z.scale": (2, 3, 2), "a.bias": (5,), "m.weight": (3, 4)}
+        params = {n: Tensor(rng.normal(0, 1, s), requires_grad=True, dtype=np.float32)
+                  for n, s in shapes.items()}
+        state = AdamWState.create(params)
+        plain = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+                 for n, p in params.items()}
+        lr, beta1, beta2, eps, wd = 0.01, 0.9, 0.999, 1e-8, 0.05
+        for t in range(1, 4):
+            for name, shape in shapes.items():
+                params[name].grad = rng.normal(0, 1, shape).astype(np.float32)
+            adamw_step(params, state, lr, beta1, beta2, eps, wd)
+            for name, (p, m, v) in plain.items():
+                g = params[name].grad
+                m = beta1 * m + (1.0 - beta1) * g
+                v = beta2 * v + (1.0 - beta2) * g * g
+                p = p * (1.0 - lr * wd)
+                p = p - lr * ((m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps))
+                plain[name] = p, m, v
+                assert (params[name].data.tobytes(), state.m[name].tobytes(),
+                        state.v[name].tobytes()) == (p.tobytes(), m.tobytes(), v.tobytes())
+
+    def test_nan_in_two_gradients_names_the_first_sorted_and_moves_nothing(self):
+        rng = np.random.default_rng(3)
+        # inserted out of order: the report follows sorted names, not the dict
+        params = {name: Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
+                  for name in ("z.weight", "m.weight", "a.weight")}
+        state = AdamWState.create(params)
+        for p in params.values():
+            p.grad = rng.normal(0, 1, (2, 3)).astype(np.float32)
+        adamw_step(params, state, lr=0.1, weight_decay=0.05)  # non-zero m, v and t
+        for p in params.values():
+            p.grad = rng.normal(0, 1, (2, 3)).astype(np.float32)
+        params["z.weight"].grad[0, 0] = np.nan
+        params["m.weight"].grad[1, 1] = np.inf
+        before = step_bytes_of(params, state)
+        with pytest.raises(NumericalError,
+                           match=r"^non-finite gradient for parameter 'm\.weight'$"):
+            adamw_step(params, state, lr=0.1, weight_decay=0.05)
+        assert step_bytes_of(params, state) == before
+
+    def test_moments_are_views_of_one_buffer_each(self):
+        params = {"b": Tensor(np.ones((2, 2)), requires_grad=True),
+                  "a": Tensor(np.ones(3), requires_grad=True)}
+        state = AdamWState.create(params)
+        assert state.m_flat.shape == state.v_flat.shape == (7,)
+        for moments, flat in ((state.m, state.m_flat), (state.v, state.v_flat)):
+            assert list(moments) == ["a", "b"]
+            assert [moments[n].shape for n in moments] == [(3,), (2, 2)]
+            assert all(np.shares_memory(moments[n], flat) for n in moments)
+        assert not np.shares_memory(state.m_flat, state.v_flat)
+
+    def test_create_rejects_parameters_of_two_dtypes(self):
+        params = {"a": Tensor(np.ones(2), requires_grad=True, dtype=np.float32),
+                  "b": Tensor(np.ones(2), requires_grad=True, dtype=np.float64)}
+        with pytest.raises(ShapeError, match="one dtype, got \\['float32', 'float64'\\]"):
+            AdamWState.create(params)
+
+    def test_a_state_of_other_parameters_is_a_shape_error(self):
+        params = {"a": Tensor(np.ones(2), requires_grad=True)}
+        state = AdamWState.create(params)
+        with pytest.raises(ShapeError, match="different names"):
+            adamw_step({"b": Tensor(np.ones(2), requires_grad=True)}, state, lr=0.1)
+        with pytest.raises(ShapeError, match="shape mismatch for 'a'"):
+            adamw_step({"a": Tensor(np.ones(3), requires_grad=True)}, state, lr=0.1)
+        assert state.t == 0
+
     def test_nan_gradient_aborts_with_name(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([np.nan], dtype=np.float32)
@@ -907,8 +976,10 @@ class TestFinitenessPolicy:
         op_arrays = {id(out.data) for out in outputs}
         assert outputs and [what for arr, what in checked if id(arr) in op_arrays] \
             == ["loss at step 1"]
-        gradients = [what for _arr, what in checked if what.startswith("gradient")]
-        assert len(gradients) == len(state.trainable_parameters())
+        # the step's gradient checks cover every trainable value once
+        gradient_sizes = [arr.size for arr, what in checked if what.startswith("gradient")]
+        assert sum(gradient_sizes) == sum(p.data.size
+                                          for p in state.trainable_parameters().values())
 
 
 class TestFreezeVariants:
