@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoders import load_image, write_ppm
-from .errors import DataError
+from .errors import DataError, read_input
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
@@ -130,31 +130,34 @@ def reconcile_pairs(pairs, mode: str) -> tuple[list[tuple[str, str]], ReconcileS
     return kept, stats
 
 
-def load_annotations(path) -> list[AnnotatedPair]:
-    """Read `id<TAB>text_labels<TAB>image_labels` lines, labels comma-separated."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read annotation file: {path}") from exc
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _read_rows(path, what: str, parse_row) -> list:
+    """``parse_row(*fields)`` of each non-blank line of a file of three tab-separated
+    fields; a DataError in a line is prefixed with ``path:line:``."""
+    rows = []
+    for lineno, line in enumerate(read_input(path, what, text=True).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        identifier, text_part, image_part = fields
+        try:
+            if len(fields) != 3:
+                raise DataError(f"expected 3 tab-separated fields, got {len(fields)}")
+            rows.append(parse_row(*fields))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
+def load_annotations(path) -> list[AnnotatedPair]:
+    """Read `id<TAB>text_labels<TAB>image_labels` lines, labels comma-separated."""
+    def parse(identifier, text_part, image_part):
         pair = AnnotatedPair(identifier.strip(),
                              tuple(l.strip() for l in text_part.split(",")),
                              tuple(l.strip() for l in image_part.split(",")))
-        try:
-            pair.validate()
-            for label in (*pair.text_labels, *pair.image_labels):
-                _check_label(label)
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        pairs.append(pair)
-    return pairs
+        pair.validate()
+        for label in (*pair.text_labels, *pair.image_labels):
+            _check_label(label)
+        return pair
+    return _read_rows(path, "annotation file", parse)
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +207,16 @@ class PairedExample:
 def load_manifest(path) -> list[PairedExample]:
     """Read `image_path<TAB>label_or_dash<TAB>caption` lines; paths resolve
     relative to the manifest file, and every image is loaded eagerly."""
-    manifest = Path(path)
-    try:
-        text = manifest.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read manifest: {path}") from exc
-    base = manifest.parent
-    examples = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, "
-                            f"got {len(fields)}")
-        rel_path, label, caption = fields
+    base = Path(path).parent
+
+    def parse(rel_path, label, caption):
         label = label.strip()
-        if label == "-":
-            parsed_label = None
-        elif label in LABELS:
-            parsed_label = label
-        else:
-            raise DataError(f"{path}:{lineno}: bad label '{label}' (want -, "
-                            f"{', '.join(LABELS)})")
+        if label != "-" and label not in LABELS:
+            raise DataError(f"bad label '{label}' (want -, {', '.join(LABELS)})")
         image_path = base / rel_path.strip()
-        if not image_path.is_file():
-            raise DataError(f"{path}:{lineno}: missing image file: {image_path}")
-        examples.append(PairedExample(load_image(image_path), caption,
-                                      parsed_label, str(image_path)))
-    return examples
+        return PairedExample(load_image(image_path), caption, None if label == "-" else label,
+                             str(image_path))
+    return _read_rows(path, "manifest", parse)
 
 
 SYNTH_COLORS = {

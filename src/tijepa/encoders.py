@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, read_input
 from .numerics import (
     DEFAULT_DTYPE,
     AttentionParams,
@@ -365,12 +366,8 @@ class EncodingMemo:
 # image file formats: binary P6 PPM and the RAWT raw tensor container
 
 
-def read_ppm(path) -> np.ndarray:
-    """8-bit binary P6 PPM to a (3, H, W) float32 image in [0, 1]."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P6"):
-        raise DataError(f"not a binary P6 PPM file: {path}")
+def _decode_ppm(blob: bytes, path) -> np.ndarray:
+    """8-bit binary P6 PPM bytes to a (3, H, W) float32 image in [0, 1]."""
     fields: list[int] = []
     i = 2
     while len(fields) < 3:
@@ -385,10 +382,9 @@ def read_ppm(path) -> np.ndarray:
             i += 1
         if start == i:
             raise DataError(f"truncated PPM header: {path}")
-        try:
-            fields.append(int(blob[start:i]))
-        except ValueError as exc:
-            raise DataError(f"bad PPM header field in {path}") from exc
+        if not blob[start:i].isdigit():
+            raise DataError(f"bad PPM header field in {path}")
+        fields.append(int(blob[start:i]))
     i += 1  # exactly one whitespace byte separates header and pixels
     width, height, maxval = fields
     if maxval != 255:
@@ -415,23 +411,18 @@ def write_ppm(path, image: np.ndarray) -> None:
 RAWT_MAGIC = b"RAWT"
 
 
-def read_rawt(path) -> np.ndarray:
+def _decode_rawt(blob: bytes, path) -> np.ndarray:
     """RAWT container: magic, u32 rank, u32 dims..., little-endian f32 payload."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != RAWT_MAGIC:
-        raise DataError(f"bad RAWT magic in {path}")
     try:
         (rank,) = struct.unpack_from("<I", blob, 4)
         dims = struct.unpack_from(f"<{rank}I", blob, 8)
-        offset = 8 + 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        payload = blob[offset:offset + 4 * count]
-        if len(payload) != 4 * count:
-            raise DataError(f"truncated RAWT payload in {path}")
-        return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     except struct.error as exc:
         raise DataError(f"truncated RAWT header in {path}") from exc
+    offset, size = 8 + 4 * rank, 4 * math.prod(dims)
+    payload = blob[offset:offset + size]
+    if len(payload) != size:
+        raise DataError(f"truncated RAWT payload in {path}")
+    return np.frombuffer(payload, dtype="<f4").reshape(dims)
 
 
 def write_rawt(path, array: np.ndarray) -> None:
@@ -444,20 +435,20 @@ def write_rawt(path, array: np.ndarray) -> None:
 
 
 def load_image(path) -> np.ndarray:
-    """Read a (3, H, W) float image in [0, 1] from a PPM or RAWT file."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-    except OSError as exc:
-        raise DataError(f"cannot read image file: {path}") from exc
-    if magic[:2] == b"P6":
-        return read_ppm(path)
-    if magic == RAWT_MAGIC:
-        img = read_rawt(path)
-        if img.ndim != 3 or img.shape[0] != 3:
-            raise DataError(f"RAWT image must be (3, H, W), got {img.shape}: {path}")
-        _check_finite(img, f"values in image: {path}", DataError)
-        if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
-            raise DataError(f"image values outside [0, 1]: {path}")
-        return np.clip(img, 0.0, 1.0).astype(np.float32)
-    raise DataError(f"unrecognized image format (want P6 PPM or RAWT): {path}")
+    """Read a (3, H, W) float image in [0, 1], H and W positive, from one read of a PPM
+    or RAWT file."""
+    blob = read_input(path, "image file")
+    if blob[:2] == b"P6":
+        img = _decode_ppm(blob, path)
+    elif blob[:4] == RAWT_MAGIC:
+        img = _decode_rawt(blob, path)
+    else:
+        raise DataError(f"unrecognized image format (want P6 PPM or RAWT): {path}")
+    if img.ndim != 3 or img.shape[0] != 3 or 0 in img.shape:
+        raise DataError(f"image must be (3, H, W) with no empty side, got {img.shape}: {path}")
+    if blob[:2] == b"P6":  # bytes / 255: finite and within [0, 1]
+        return img
+    _check_finite(img, f"values in image: {path}", DataError)
+    if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
+        raise DataError(f"image values outside [0, 1]: {path}")
+    return np.clip(img, 0.0, 1.0).astype(np.float32)

@@ -31,7 +31,7 @@ from .core import (
     make_targets,
 )
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
-from .errors import DataError, MaskSamplingError, NumericalError, ShapeError
+from .errors import DataError, MaskSamplingError, NumericalError, ShapeError, read_input
 from .masking import sample_masks
 from .numerics import Module, Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
 
@@ -219,11 +219,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config(path, overrides=()) -> TiJepaConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read config file: {path}") from exc
-    mapping = parse_config_text(text)
+    mapping = parse_config_text(read_input(path, "config file", text=True))
     for item in overrides:
         if "=" not in item:
             raise DataError(f"override must look like key=value, got {item!r}")
@@ -455,13 +451,10 @@ def _drop_rows_after(log: Path, step: int) -> None:
     from the checkpoint of ``step`` is about to log again."""
     if not log.exists():
         return
-    try:
-        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{log} is not UTF-8 text") from exc
+    lines = read_input(log, "metrics log", text=True).splitlines(keepends=True)
     kept = []
     for lineno, line in enumerate(lines, start=1):
-        field = line.rstrip("\n").split("\t", 1)[0]
+        field = line.rstrip("\r\n").split("\t", 1)[0]
         if not field.isdecimal():
             raise DataError(f"{log}:{lineno}: expected a step number, got {field!r}")
         if int(field) <= step:
@@ -674,11 +667,7 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_tensor_file(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint: {path}") from exc
+    blob = read_input(path, "checkpoint")
     if len(blob) < 20:
         raise DataError(f"truncated checkpoint: {path}")
     # one view of the file: the body and each payload are parsed in place, and

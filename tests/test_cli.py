@@ -341,17 +341,43 @@ class TestDataErrors:
                          "--data", str(synth_dir / "manifest.tsv"), "--out", str(out)]) == EXIT_DATA
         assert f"{log}:2: expected a step number, got 'garbage'" in caplog.text
 
-    def test_metrics_log_that_is_not_utf8_exits_two(self, tmp_path, synth_dir, caplog):
+    @pytest.mark.parametrize("kind", ["config", "manifest", "annotations", "metrics_log"])
+    def test_input_file_that_is_not_utf8_exits_two(self, tmp_path, synth_dir, caplog, kind):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(tiny_config_text())
+        manifest = synth_dir / "manifest.tsv"
         out = tmp_path / "o"
         out.mkdir()
-        log = out / "metrics.log"
-        log.write_bytes(b"\xff\xfe1\x00\t\x000\x00\n\x00")  # UTF-16 with its byte-order mark
-        assert dispatch(["pretrain", "--config", str(config_path),
-                         "--data", str(synth_dir / "manifest.tsv"), "--out", str(out)]) == EXIT_DATA
-        assert f"{log} is not UTF-8 text" in caplog.text
+        bad = {"config": config_path, "manifest": manifest, "annotations": tmp_path / "ann.tsv",
+               "metrics_log": out / "metrics.log"}[kind]
+        bad.write_bytes(b"\xff\xfe1\x00\t\x000\x00\n\x00")  # UTF-16 with its byte-order mark
+        if kind == "annotations":
+            argv = ["preprocess-mvsa", "--annotations", str(bad), "--mode", "single",
+                    "--out", str(tmp_path / "labels.tsv")]
+        else:
+            argv = ["pretrain", "--config", str(config_path), "--data", str(manifest),
+                    "--out", str(out)]
+        assert dispatch(argv) == EXIT_DATA
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and f"{bad} is not UTF-8 text" in errors[0]
         assert not list(out.glob("*.tijp"))
+
+    @pytest.mark.parametrize("blob", [b"P6\n0 0\n255\n", b"RAWT" + struct.pack("<4I", 3, 3, 0, 0)],
+                             ids=["ppm", "rawt"])
+    def test_image_with_an_empty_side_exits_two(self, tmp_path, synth_dir, caplog, blob):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        empty = synth_dir / "empty.img"
+        empty.write_bytes(blob)
+        manifest = synth_dir / "manifest.tsv"
+        with manifest.open("a") as fh:
+            fh.write("empty.img\t-\ta caption\n")
+        out = tmp_path / "o"
+        assert dispatch(["pretrain", "--config", str(config_path), "--data", str(manifest),
+                         "--out", str(out)]) == EXIT_DATA
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "empty side" in errors[0] and str(empty) in errors[0]
+        assert not out.exists()
 
     def test_corrupt_checkpoint_exits_two(self, tmp_path):
         bogus = tmp_path / "bogus.tijp"

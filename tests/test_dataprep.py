@@ -234,6 +234,14 @@ class TestManifest:
         with pytest.raises(DataError, match="ghost.ppm"):
             load_manifest(manifest)
 
+    @pytest.mark.parametrize("rel_path", ["a\x00b.ppm", ""], ids=["nul_byte", "directory"])
+    def test_unreadable_image_path_names_the_line(self, tmp_path, rel_path):
+        # a NUL byte cannot be in a path, and an empty one names the manifest's directory
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{rel_path}\t-\tcaption\n")
+        with pytest.raises(DataError, match="m.tsv:1: cannot read image file"):
+            load_manifest(manifest)
+
     def test_bad_label_rejected(self, tmp_path):
         self.write_image(tmp_path, "a.ppm")
         manifest = tmp_path / "m.tsv"

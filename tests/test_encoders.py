@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from tijepa.encoders import (
     TextEncoder,
     load_image,
     patchify,
-    read_ppm,
-    read_rawt,
     sincos_pos_1d,
     sincos_pos_2d,
     tokenize_text,
@@ -329,38 +329,38 @@ class TestImageFiles:
         img = (np.arange(3 * 4 * 4).reshape(3, 4, 4) % 256 / 255.0).astype(np.float32)
         path = tmp_path / "img.ppm"
         write_ppm(path, img)
-        np.testing.assert_allclose(read_ppm(path), img, atol=1 / 255.0 / 2)
+        np.testing.assert_allclose(load_image(path), img, atol=1 / 255.0 / 2)
 
     def test_ppm_with_header_comment(self, tmp_path):
         path = tmp_path / "c.ppm"
         pixels = bytes(range(12))
         path.write_bytes(b"P6\n# a comment\n2 2\n255\n" + pixels)
-        img = read_ppm(path)
+        img = load_image(path)
         assert img.shape == (3, 2, 2)
 
     def test_ppm_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P3\n1 1\n255\n000")
         with pytest.raises(DataError):
-            read_ppm(path)
+            load_image(path)
 
     def test_ppm_truncated(self, tmp_path):
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n2 2\n255\n\x00\x00")
         with pytest.raises(DataError):
-            read_ppm(path)
+            load_image(path)
 
     def test_rawt_roundtrip_bit_exact(self, tmp_path):
         arr = np.random.default_rng(0).uniform(0, 1, (3, 8, 8)).astype(np.float32)
         path = tmp_path / "img.rawt"
         write_rawt(path, arr)
-        np.testing.assert_array_equal(read_rawt(path), arr)
+        np.testing.assert_array_equal(load_image(path), arr)
 
     def test_rawt_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rawt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(DataError):
-            read_rawt(path)
+            load_image(path)
 
     def test_load_image_dispatches_by_magic(self, tmp_path):
         arr = np.random.default_rng(1).uniform(0, 1, (3, 4, 4)).astype(np.float32)
@@ -389,3 +389,21 @@ class TestImageFiles:
     def test_load_image_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_image(tmp_path / "absent.ppm")
+
+    @pytest.mark.parametrize("blob", [
+        b"P6\n0 0\n255\n", b"P6\n4 0\n255\n", b"P6\n0 4\n255\n",
+        b"RAWT" + struct.pack("<4I", 3, 3, 0, 0), b"RAWT" + struct.pack("<4I", 3, 3, 4, 0),
+    ], ids=["ppm_0x0", "ppm_4x0", "ppm_0x4", "rawt_0x0", "rawt_4x0"])
+    def test_load_image_rejects_an_empty_side_naming_the_file(self, tmp_path, blob):
+        path = tmp_path / "empty.img"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match="empty side.*empty.img"):
+            load_image(path)
+
+    @pytest.mark.parametrize("header", [b"P6\n-2 -2\n255\n", b"P6\n+2 2\n255\n"])
+    def test_load_image_rejects_a_signed_ppm_size(self, tmp_path, header):
+        # int() reads a sign, and two negative sides would multiply to a positive size
+        path = tmp_path / "signed.ppm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(DataError, match="bad PPM header field"):
+            load_image(path)
