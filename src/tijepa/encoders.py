@@ -178,11 +178,9 @@ class TransformerBlock(Module):
         self.mlp_b2 = param("mlp.b2", np.zeros(dim))
 
     def __call__(self, x: Tensor, segments=None, context: Tensor | None = None,
-                 context_segments=None, pad_to: int | None = None, keep=None,
-                 keep_segments=None) -> Tensor:
+                 context_segments=None, keep=None, keep_segments=None) -> Tensor:
         """``segments``: row counts of independent sequences stacked in ``x``;
         ``context_segments``: those of the same sequences' context tokens.
-        ``pad_to`` fixes the self-attention padding (see ``attention``).
 
         ``keep`` limits the output to those rows of ``x``, sequence by
         sequence, ``keep_segments`` per sequence: they alone are queries and
@@ -194,8 +192,7 @@ class TransformerBlock(Module):
         queries, q_segments = normed, segments
         if keep is not None:
             x, queries, q_segments = gather_rows(x, keep), gather_rows(normed, keep), keep_segments
-        x = add(x, attention(queries, normed, self.attn, self.heads, q_segments, segments,
-                             pad_to=pad_to))
+        x = add(x, attention(queries, normed, self.attn, self.heads, q_segments, segments))
         if context is not None:
             normed = layer_norm(x, self.ln_cross_g, self.ln_cross_b)
             x = add(x, attention(normed, context, self.cross_attn, self.heads, q_segments,
@@ -312,7 +309,7 @@ class TextEncoder(Module):
         offsets = np.arange(ids.size) - np.repeat(starts, sizes)
         x = add(gather_rows(self.embed, ids), Tensor(pos[offsets], dtype=self.dtype))
         for block in self.blocks:
-            x = block(x, sizes, pad_to=self.cfg.max_text_len)
+            x = block(x, sizes)
         return layer_norm(x, self.norm_g, self.norm_b), sizes
 
     __call__ = encode

@@ -22,7 +22,7 @@ from .errors import DataError, ShapeError
 from .numerics import (Module, Tensor, _check_finite, _wrap, backward, cross_entropy_logits,
                        linear, no_grad, scale, zero_grads)
 from .trainer import (AdamWState, PretrainState, _check_example_image, _file_tensors,
-                      _load_tensors, adamw_step, read_tensor_file, write_tensor_file)
+                      _load_tensors, _tensor_views, adamw_step, write_tensor_file)
 
 logger = logging.getLogger(__name__)
 
@@ -146,12 +146,12 @@ def save_head(head: ClassifierHead, path) -> None:
 
 
 def load_head(path) -> ClassifierHead:
-    tensors = read_tensor_file(path)
+    tensors = _tensor_views(path)
     weight = tensors.get("head.weight")
     if weight is None or weight.ndim != 2:
         raise DataError(f"not a classifier head checkpoint: {path}")
     head = ClassifierHead(weight.shape[0])
-    _load_tensors(_file_tensors(head.named_parameters()), tensors, path)
+    _load_tensors(head.named_parameters(), None, tensors, path)
     return head
 
 

@@ -62,7 +62,8 @@ class Tensor:
             else:
                 dtype = DEFAULT_DTYPE
         arr = np.array(data, dtype=dtype)
-        _check_finite(arr, "values in tensor data")
+        if _CHECK_VALUES:
+            _check_finite(arr, "values in tensor data")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -125,6 +126,7 @@ class Module:
 # output gradient to one gradient (or None) per input
 _TAPE: list[tuple] = []
 _GRAD_ENABLED = True
+_CHECK_VALUES = True
 
 
 def active_tape() -> list[tuple]:
@@ -141,6 +143,17 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+@contextlib.contextmanager
+def no_value_checks():
+    """Skip the ``Tensor`` constructor's scan: for a layout whose values get overwritten."""
+    global _CHECK_VALUES
+    prev, _CHECK_VALUES = _CHECK_VALUES, False
+    try:
+        yield
+    finally:
+        _CHECK_VALUES = prev
 
 
 def _wrap(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
@@ -510,35 +523,36 @@ def _segment_sizes(sizes, rows: int, what: str) -> np.ndarray:
     return out
 
 
-def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_segments,
-                     pad_to) -> Tensor:
+def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments,
+                     kv_segments) -> Tensor:
     """softmax(Q K^T / sqrt(dh)) V of every head of every segment, as one tape op.
 
     All segments run as one padded batch: queries as (segments, heads,
-    q_width, dh), keys and values as (segments, heads, kv_width, dh). Scores
-    and softmax weights are key-major and fold the heads into each key's
-    row, (segments, kv_width, heads * q_width): the softmax max and sum
-    reduce over axis 1, which numpy runs as elementwise passes along runs of
-    ``heads * q_width`` contiguous floats, where a reduction along each short
-    key row would cost several times the ``exp``. Padded keys' rows are set
-    to -inf. Outputs and gradients are written straight into row order (see
-    :func:`_matmul_rows`). The backward keeps only the softmax weights and
-    re-pads Q/K/V from the op's inputs, each side at its own width.
+    q_width, dh) and keys and values as (segments, heads, kv_width, dh), each
+    side padded to its own longest segment. Scores and softmax weights are
+    key-major and fold the heads into each key's row, (segments, kv_width,
+    heads * q_width): the softmax max and sum reduce over axis 1, which numpy
+    runs as elementwise passes along runs of ``heads * q_width`` contiguous
+    floats, where a reduction along each short key row would cost several
+    times the ``exp``. Padded keys' rows are set to -inf. Outputs and
+    gradients are written straight into row order (see :func:`_matmul_rows`).
+    The backward keeps only the softmax weights and re-pads Q/K/V from the
+    op's inputs. Padding adds exact zeros at the end of each sum over keys or
+    queries (the softmax reductions, the in-order K loop of BLAS), so it
+    changes no bit of a segment's rows.
     """
-    q_sizes = _segment_sizes(segments, q.shape[0], "query")
-    kv_sizes = _segment_sizes(segments if kv_segments is None else kv_segments, k.shape[0],
-                              "key/value")
+    # self-attention keeps the query geometry for its keys: sizes and padded rows
+    q_sizes = kv_sizes = _segment_sizes(segments, q.shape[0], "query")
+    if not (kv_segments is None or kv_segments is segments) or k.shape[0] != q.shape[0]:
+        kv_sizes = _segment_sizes(segments if kv_segments is None else kv_segments,
+                                  k.shape[0], "key/value")
     if q_sizes.size != kv_sizes.size:
         raise ShapeError(f"attention: {q_sizes.size} query segments vs {kv_sizes.size} key/value")
-    longest = max(q_sizes.max(), kv_sizes.max())
-    if pad_to is None:
-        q_width, kv_width = q_sizes.max(), longest
-    elif int(pad_to) < longest:
-        raise ShapeError(f"attention: a segment of {longest} rows exceeds pad_to={pad_to}")
-    else:
-        q_width = kv_width = int(pad_to)
+    # numpy hands a product with one row or column to gemv, which rounds unlike gemm
+    q_width, kv_width = max(q_sizes.max(), 2), max(kv_sizes.max(), 2)
+    q_rows = _padded_rows(q_sizes, q_width)
+    kv_rows = q_rows if kv_sizes is q_sizes else _padded_rows(kv_sizes, kv_width)
     s = q_sizes.size
-    q_rows, kv_rows = _padded_rows(q_sizes, q_width), _padded_rows(kv_sizes, kv_width)
     c = 1.0 / math.sqrt(q.shape[1] // heads)
     qh = _to_heads(q.data * np.asarray(c, dtype=q.dtype), q_rows, s, q_width, heads)
     kh, vh = (_to_heads(t.data, kv_rows, s, kv_width, heads) for t in (k, v))
@@ -570,7 +584,7 @@ def _attention_heads(q: Tensor, k: Tensor, v: Tensor, heads: int, segments, kv_s
 
 
 def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int,
-              segments=None, kv_segments=None, pad_to: int | None = None) -> Tensor:
+              segments=None, kv_segments=None) -> Tensor:
     """Multi-head scaled dot-product attention over stacked independent sequences.
 
     Self-attention when ``q_src is kv_src``, cross-attention otherwise; the
@@ -579,12 +593,11 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
     sequences in ``kv_src`` (``segments`` again by default; one sequence each
     when both are None). Sequence i's queries attend only to sequence i's keys.
 
-    Queries are padded to the longest query sequence; keys and values to the
-    longest sequence of either side. With ``pad_to``, both sides are padded
-    to ``pad_to`` rows. Padding leaves values unchanged but its length can
-    move float rounding, so a caller whose rows must not depend on the other
-    sequences of a batch fixes ``pad_to``. All heads of all sequences run as
-    one tape op with key-major scores (see :func:`_attention_heads`).
+    Queries are padded to the longest query sequence, keys and values to the
+    longest key sequence. Padding changes no bit of any sequence's rows, so a
+    sequence's output does not depend on the other sequences of its batch.
+    All heads of all sequences run as one tape op with key-major scores (see
+    :func:`_attention_heads`).
     """
     if q_src.ndim != 2 or kv_src.ndim != 2:
         raise ShapeError("attention expects 2-D token matrices")
@@ -596,7 +609,7 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
     q = linear(q_src, params.wq, params.bq)
     k = matmul(kv_src, params.wk)
     v = linear(kv_src, params.wv, params.bv)
-    merged = _attention_heads(q, k, v, heads, segments, kv_segments, pad_to)
+    merged = _attention_heads(q, k, v, heads, segments, kv_segments)
     return linear(merged, params.wo, params.bo)
 
 
@@ -727,12 +740,6 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     checks.append(("attention_cross_segments", check_gradients(
         lambda: sum_all(mul(attention(q, kv, ap, 2, (2, 4, 1), (3, 1, 2)), r)),
         [q, kv] + cp[2:])))
-
-    # self-attention padded past its longest segment, as the text encoder runs it
-    x = _rand64(rng, (6, 8))
-    r = _const64(rng, (6, 8))
-    checks.append(("attention_padded", check_gradients(
-        lambda: sum_all(mul(attention(x, x, ap, 2, (1, 5), pad_to=7), r)), [x] + cp[2:])))
 
     # queries padded narrower than keys, as the predictor's last block runs them
     q, kv = _rand64(rng, (6, 8)), _rand64(rng, (12, 8))

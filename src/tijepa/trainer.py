@@ -9,6 +9,7 @@ exactly like an uninterrupted one.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import dataclasses
 import logging
@@ -33,7 +34,8 @@ from .core import (
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError, read_input
 from .masking import sample_masks
-from .numerics import Module, Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
+from .numerics import (Module, Tensor, _check_finite, active_tape, backward, no_grad,
+                       no_value_checks, zero_grads)
 
 logger = logging.getLogger(__name__)
 
@@ -401,8 +403,10 @@ class PretrainState(Module):
     def _build(cls, config: TiJepaConfig, rng) -> "PretrainState":
         image_encoder = ImageEncoder(config.image_encoder_config(), rng)
         text_encoder = TextEncoder(config.text_encoder_config(), rng)
+        twin_rng = copy.deepcopy(rng)  # the target twin draws what the online module draws
         fusion = FusionModule(config.fusion_config(), rng, requires_grad=True)
-        target_fusion = fusion.clone(requires_grad=False)
+        with no_value_checks():  # the online module's scans covered the same values
+            target_fusion = FusionModule(config.fusion_config(), twin_rng, requires_grad=False)
         predictor = Predictor(config.predictor_config(), config.embed_dim, rng,
                               requires_grad=not config.freeze_predictor)
         return cls(config, image_encoder, text_encoder, fusion, target_fusion, predictor)
@@ -666,12 +670,11 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray]) -> None:
         raise
 
 
-def read_tensor_file(path) -> dict[str, np.ndarray]:
+def _tensor_views(path) -> dict[str, np.ndarray]:
+    """The tensors of a TIJP file by name, each a read-only view of the bytes read."""
     blob = read_input(path, "checkpoint")
     if len(blob) < 20:
         raise DataError(f"truncated checkpoint: {path}")
-    # one view of the file: the body and each payload are parsed in place, and
-    # each tensor is copied once, into its own writable array
     body = memoryview(blob)[:-8]
     (stored_crc,) = struct.unpack_from("<Q", blob, len(body))
     if (zlib.crc32(body) & 0xFFFFFFFF) != stored_crc:
@@ -706,7 +709,7 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
                 raise DataError(f"tensor names out of order at '{name}': {path}")
             previous_name = name
             arr = np.frombuffer(body, dtype="<f4", count=size, offset=offset)
-            tensors[name] = arr.reshape(dims).copy()
+            tensors[name] = arr.reshape(dims)
             offset += 4 * size
     except struct.error as exc:
         raise DataError(f"truncated checkpoint: {path}") from exc
@@ -715,6 +718,11 @@ def read_tensor_file(path) -> dict[str, np.ndarray]:
     if offset != len(body):
         raise DataError(f"trailing bytes after tensor table: {path}")
     return tensors
+
+
+def read_tensor_file(path) -> dict[str, np.ndarray]:
+    """The tensors of a TIJP file by name, each its own writable array."""
+    return {name: arr.copy() for name, arr in _tensor_views(path).items()}
 
 
 def _file_tensors(params: dict[str, Tensor], opt=None) -> dict[str, np.ndarray]:
@@ -728,11 +736,13 @@ def _file_tensors(params: dict[str, Tensor], opt=None) -> dict[str, np.ndarray]:
     return tensors
 
 
-def _load_tensors(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray], path,
+def _load_tensors(params: dict[str, Tensor], opt, tensors: dict[str, np.ndarray], path,
                   other: tuple[str, ...] = ()) -> None:
-    """Copy each tensor read from ``path`` into its array of ``targets`` once the file
-    holds exactly the names of ``targets`` and ``other`` (left to the caller), each
-    tensor has its target's shape and every value is finite; else a ``DataError``."""
+    """Copy the tensors read from ``path`` into ``params`` and ``opt``'s moments (see
+    :func:`_file_tensors`) once the file holds exactly their names and ``other`` (left
+    to the caller) in their shapes; then every value must be finite, each parameter
+    scanned alone and each moment buffer at once. Else a ``DataError``."""
+    targets = _file_tensors(params, opt)
     actual, expected = set(tensors), set(targets).union(other)
     if actual != expected:
         detail = [f"{kind} tensors: {', '.join(sorted(names)[:5])}" for kind, names
@@ -742,8 +752,19 @@ def _load_tensors(targets: dict[str, np.ndarray], tensors: dict[str, np.ndarray]
         arr = tensors[name]
         if arr.shape != dst.shape:
             raise DataError(f"tensor '{name}' has shape {arr.shape}, expected {dst.shape}: {path}")
-        _check_finite(arr, f"values in tensor '{name}': {path}", DataError)
         dst[...] = arr
+    for name, p in params.items():
+        _check_finite(p.data, f"values in tensor '{name}': {path}", DataError)
+    if opt is None:
+        return
+    for kind, flat, moments in (("m", opt.m_flat, opt.m), ("v", opt.v_flat, opt.v)):
+        try:
+            _check_finite(flat, f"optimizer.{kind}", DataError)
+        except DataError:  # name the first bad tensor
+            for name, arr in moments.items():
+                _check_finite(arr, f"values in tensor 'optimizer.{kind}.{name}': {path}",
+                              DataError)
+            raise
 
 
 def save_checkpoint(state: PretrainState, path) -> None:
@@ -756,7 +777,7 @@ def save_checkpoint(state: PretrainState, path) -> None:
 
 
 def load_checkpoint(path) -> PretrainState:
-    tensors = read_tensor_file(path)
+    tensors = _tensor_views(path)
     if "meta.config" not in tensors:
         raise DataError(f"checkpoint lacks a config snapshot: {path}")
     codes = tensors["meta.config"].reshape(-1)
@@ -768,10 +789,11 @@ def load_checkpoint(path) -> PretrainState:
         raise DataError(f"'meta.config' is not UTF-8 text: {path}") from exc
     config = TiJepaConfig.from_text(config_text)
     # names and shapes come from the modules' own constructors; every value is
-    # then taken from the file
-    state = PretrainState._build(config, _ZeroDraws())
+    # then taken from the file and checked there
+    with no_value_checks():
+        state = PretrainState._build(config, _ZeroDraws())
     # files written before the attention key bias was removed still hold it
-    _load_tensors(_file_tensors(state.named_parameters(), state.opt),
+    _load_tensors(state.named_parameters(), state.opt,
                   {name: arr for name, arr in tensors.items() if not name.endswith(".bk")},
                   path, ("optimizer.t", "meta.step", "meta.config"))
     counters = {}

@@ -93,6 +93,17 @@ class TestFuse:
             text = Tensor(np.zeros((2, DIM), dtype=np.float32))
             assert module(x, text).shape == (rows, DIM)
 
+    def test_pair_rows_do_not_depend_on_a_longer_caption_in_the_batch(self):
+        # the batch pads the text keys to the longer caption; a pair run alone
+        # pads them to its own, and its fused rows must keep every bit
+        module = small_fusion(layers=2)
+        rng = np.random.default_rng(6)
+        patches = rng.uniform(-1, 1, (2 * 16, DIM)).astype(np.float32)
+        text = rng.uniform(-1, 1, (5 + 13, DIM)).astype(np.float32)
+        batched = module(Tensor(patches), Tensor(text), [16, 16], [5, 13]).data
+        alone = module(Tensor(patches[:16]), Tensor(text[:5])).data
+        assert batched[:16].tobytes() == alone.tobytes()
+
     def test_width_mismatch(self):
         module = small_fusion()
         with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
-"""The package needs only the standard library and numpy, and its tests add only
-pytest: every import under ``src/`` and ``tests/`` is checked against that list."""
+"""The package and its tools need only the standard library and numpy, and its
+tests add only pytest: every import under ``src/``, ``tools/`` and ``tests/`` is
+checked against that list."""
 
 import ast
 import sys
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-ALLOWED = {"src": {"numpy", "tijepa"}, "tests": {"numpy", "tijepa", "pytest"}}
+ALLOWED = {"src": {"numpy", "tijepa"}, "tools": {"numpy", "tijepa"},
+           "tests": {"numpy", "tijepa", "pytest"}}
 
 
 def imported_modules(path: Path) -> set[str]:

@@ -179,8 +179,8 @@ class TestTextEncoder:
 
 class TestBatchedEncode:
     def test_caption_rows_do_not_depend_on_the_batch(self):
-        # widely spread lengths: padded to the batch's longest, a short
-        # caption's softmax sums would group their terms differently
+        # widely spread lengths: a short caption's attention is padded to the
+        # batch's longest, and the key-major layout must keep its rows bitwise
         enc = TextEncoder(small_cfg(max_text_len=64), np.random.default_rng(0))
         ids = [tokenize_text(c, 64) for c in ("ab", "twenty-one characters", "x" * 60, "xyz")]
         rows, sizes = enc.encode([i for seq in ids for i in seq], [len(seq) for seq in ids])

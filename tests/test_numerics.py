@@ -50,6 +50,21 @@ class TestTensor:
             Tensor([float("inf")])
 
 
+class TestNoValueChecks:
+    def test_skips_the_constructor_scan_only_inside_the_block(self):
+        with numerics_module.no_value_checks():
+            assert np.isnan(Tensor([float("nan")]).data).all()
+        with pytest.raises(NumericalError):
+            Tensor([float("nan")])
+
+    def test_restores_the_scan_when_the_block_raises(self):
+        with pytest.raises(ShapeError):
+            with numerics_module.no_value_checks():
+                raise ShapeError("inside")
+        with pytest.raises(NumericalError):
+            Tensor([float("inf")])
+
+
 class TestMatmul:
     def test_identity(self):
         eye = t([[1.0, 0.0], [0.0, 1.0]])
@@ -273,28 +288,18 @@ class TestAttention:
                 assert np.abs(out[q_row:q_row + nq] - expected).max() < 1e-6
                 q_row, kv_row = q_row + nq, kv_row + nk
 
-    def test_pad_to_changes_no_value(self):
-        rng = np.random.default_rng(11)
-        params = AttentionParams.create(8, rng, std=0.5)
-        x = t(rng.uniform(-1, 1, (6, 8)))
-        plain = attention(x, x, params, 2, (1, 5)).data
-        padded = attention(x, x, params, 2, (1, 5), pad_to=9).data
-        assert np.abs(plain - padded).max() < 1e-6
-        with pytest.raises(ShapeError):
-            attention(x, x, params, 2, (1, 5), pad_to=4)
-
     def test_query_and_key_segment_counts_must_agree(self):
         params = AttentionParams.create(4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             attention(t(np.zeros((5, 4))), t(np.zeros((3, 4))), params, 2, (2, 3), (3,))
 
-    @pytest.mark.parametrize("q_sizes, kv_sizes, pad_to", [
-        ((3, 3, 3), None, None),
-        ((2, 4, 3), (5, 1, 3), None),
-        ((1, 2, 1), (4, 5, 3), None),
-        ((2, 5, 1), None, 7),
-    ], ids=["equal_segments", "padded_cross_keys", "queries_narrower", "pad_to"])
-    def test_matches_float64_reference_with_gradients(self, q_sizes, kv_sizes, pad_to):
+    @pytest.mark.parametrize("q_sizes, kv_sizes", [
+        ((3, 3, 3), None),
+        ((2, 4, 3), (5, 1, 3)),
+        ((1, 2, 1), (4, 5, 3)),
+        ((4, 6, 2), (2, 3, 1)),
+    ], ids=["equal_segments", "padded_cross_keys", "queries_narrower", "keys_narrower"])
+    def test_matches_float64_reference_with_gradients(self, q_sizes, kv_sizes):
         rng = np.random.default_rng(12)
         d, heads = 8, 2
         params = AttentionParams.create(d, rng, dtype=np.float64, std=0.5)
@@ -304,7 +309,7 @@ class TestAttention:
         xkv = xq if kv_sizes is None else Tensor(rng.uniform(-1, 1, (sum(kv_sizes), d)), True,
                                                  dtype=np.float64)
         g = rng.uniform(-1, 1, xq.shape)
-        out = attention(xq, xkv, params, heads, q_sizes, kv_sizes, pad_to)
+        out = attention(xq, xkv, params, heads, q_sizes, kv_sizes)
         backward(sum_all(mul(out, Tensor(g, dtype=np.float64))))
         expected, grads = reference_attention(xq.data, xkv.data, params, heads, q_sizes,
                                               q_sizes if kv_sizes is None else kv_sizes, g)
@@ -338,6 +343,42 @@ class TestAttention:
         ops = sorted(op for op, *_ in active_tape())
         active_tape().clear()
         assert ops == ["add"] * 3 + ["attention"] + ["matmul"] * 4
+
+
+class TestPaddingWidth:
+    """A segment's rows must not depend on how wide its batch pads it. Each side
+    is padded to its own longest segment, so that rests on one fact: padding
+    adds exact zeros at the end of every sum over keys or queries, both in the
+    key-major softmax reductions and in the in-order K loop of the BLAS
+    products. A BLAS that splits or reorders that loop fails here first."""
+
+    @staticmethod
+    def attend(q, k, v, g, heads, segments=None, kv_segments=None):
+        q, k, v = (t(a, requires_grad=True) for a in (q, k, v))
+        out = numerics_module._attention_heads(q, k, v, heads, segments, kv_segments)
+        backward(sum_all(mul(out, t(g))))
+        return out.data, q.grad, k.grad, v.grad
+
+    @pytest.mark.parametrize("q_sizes, kv_sizes", [
+        ((4, 6, 2), (2, 3, 1)),
+        ((64, 64, 64, 64), (24, 31, 27, 29)),
+        ((1, 17, 3, 40, 2), None),
+    ], ids=["keys_narrower", "fusion_shape", "self_spread"])
+    def test_each_segment_matches_the_segment_run_alone(self, q_sizes, kv_sizes):
+        rng = np.random.default_rng(14)
+        d, heads = 32, 2
+        key_sizes = q_sizes if kv_sizes is None else kv_sizes
+        q, g = (rng.uniform(-1, 1, (sum(q_sizes), d)).astype(np.float32) for _ in range(2))
+        k, v = (rng.uniform(-1, 1, (sum(key_sizes), d)).astype(np.float32) for _ in range(2))
+        batched = self.attend(q, k, v, g, heads, q_sizes, kv_sizes)
+        q_row = kv_row = 0
+        for nq, nk in zip(q_sizes, key_sizes):
+            qs, ks = slice(q_row, q_row + nq), slice(kv_row, kv_row + nk)
+            alone = self.attend(q[qs], k[ks], v[ks], g[qs], heads)
+            for what, got, rows, want in zip(("out", "dq", "dk", "dv"), batched,
+                                             (qs, qs, ks, ks), alone):
+                assert got[rows].tobytes() == want.tobytes(), (what, nq, nk)
+            q_row, kv_row = q_row + nq, kv_row + nk
 
 
 class TestBackward:

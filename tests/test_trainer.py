@@ -613,6 +613,40 @@ class TestCheckpointing:
         with pytest.raises(DataError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["m", "v"])
+    def test_non_finite_moments_name_the_first_bad_tensor(self, tmp_path, kind):
+        path = tmp_path / "ckpt.tijp"
+        save_checkpoint(PretrainState.initialize(tiny_config(total_steps=1)), path)
+        tensors = read_tensor_file(path)
+        first, later = "fusion.layers.0.cross_attn.bq", "predictor.mask_token"
+        for name in (later, first):
+            tensors[f"optimizer.{kind}.{name}"].reshape(-1)[-1] = np.nan
+        write_tensor_file(path, tensors)
+        with pytest.raises(DataError, match=f"non-finite values in tensor "
+                                            f"'optimizer.{kind}.{first}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_load_checks_each_value_once(self, tmp_path, monkeypatch, frozen):
+        path = tmp_path / "ckpt.tijp"
+        save_checkpoint(train(tiny_config(total_steps=1, freeze_encoders=frozen),
+                              tiny_dataset()).state, path)
+        scanned = []
+        real_check = numerics_module._check_finite
+
+        def counting(arr, what, *args):
+            scanned.append(arr.size)
+            real_check(arr, what, *args)
+
+        for module in (numerics_module, trainer_module):
+            monkeypatch.setattr(module, "_check_finite", counting)
+        state = load_checkpoint(path)
+        # each parameter and each moment once; none of the zero layout's constants
+        assert sum(scanned) == sum(p.data.size for p in state.named_parameters().values()) \
+            + state.opt.m_flat.size + state.opt.v_flat.size
+        for p in state.named_parameters().values():
+            assert p.data.flags.writeable and p.data.flags.owndata
+
     @pytest.mark.parametrize("step", [-1.0, 2.5, np.nan])
     def test_negative_or_fractional_counters_rejected(self, tmp_path, step):
         path = tmp_path / "ckpt.tijp"
