@@ -10,7 +10,6 @@ positional encoding and reads its outputs back at those slots.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .numerics import (
     linear,
     mul,
     no_grad,
+    no_value_checks,
     scale,
     sum_all,
 )
@@ -130,10 +130,23 @@ class FusionModule(Module):
 
     def clone(self, requires_grad: bool = False) -> "FusionModule":
         """Bitwise copy without gradients, e.g. to initialize the EMA target twin."""
-        twin = copy.deepcopy(self)
-        for tensor in twin.named_parameters().values():
-            tensor.requires_grad, tensor.grad = requires_grad, None
+        params = self.named_parameters()
+        dtype = next(iter(params.values())).dtype
+        with no_value_checks():  # a layout of zeros, overwritten below
+            twin = FusionModule(self.cfg, _ZeroDraws(), requires_grad, dtype)
+        for name, tensor in twin.named_parameters().items():
+            tensor.data[...] = params[name].data
         return twin
+
+
+class _ZeroDraws:
+    """Stands in for the init generator where only the layout is wanted: the
+    modules' constructors draw every weight with ``normal``, and here each
+    draw is zeros of the requested shape (a broadcast view, no memory)."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.broadcast_to(np.float32(0.0), size)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ exactly like an uninterrupted one.
 
 from __future__ import annotations
 
-import copy
 import ctypes
 import dataclasses
 import logging
@@ -28,6 +27,7 @@ from .core import (
     FusionModule,
     Predictor,
     PredictorConfig,
+    _ZeroDraws,
     example_loss,
     make_targets,
 )
@@ -403,10 +403,8 @@ class PretrainState(Module):
     def _build(cls, config: TiJepaConfig, rng) -> "PretrainState":
         image_encoder = ImageEncoder(config.image_encoder_config(), rng)
         text_encoder = TextEncoder(config.text_encoder_config(), rng)
-        twin_rng = copy.deepcopy(rng)  # the target twin draws what the online module draws
         fusion = FusionModule(config.fusion_config(), rng, requires_grad=True)
-        with no_value_checks():  # the online module's scans covered the same values
-            target_fusion = FusionModule(config.fusion_config(), twin_rng, requires_grad=False)
+        target_fusion = fusion.clone(requires_grad=False)
         predictor = Predictor(config.predictor_config(), config.embed_dim, rng,
                               requires_grad=not config.freeze_predictor)
         return cls(config, image_encoder, text_encoder, fusion, target_fusion, predictor)
@@ -618,16 +616,6 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
                 _check_finite(loss.data, f"caption sensitivity loss from example {lo}")
                 totals[j] += loss.item() * len(masks[part])
     return totals[0] / n, totals[1] / n
-
-
-class _ZeroDraws:
-    """Stands in for the init generator where only the layout is wanted: the
-    modules' constructors draw every weight with ``normal``, and here each
-    draw is zeros of the requested shape (a broadcast view, no memory)."""
-
-    @staticmethod
-    def normal(loc, scale, size):
-        return np.broadcast_to(np.float32(0.0), size)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,22 @@ class TestFuse:
         alone = module(Tensor(patches[:16]), Tensor(text[:5])).data
         assert batched[:16].tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_clone_is_an_independent_bitwise_copy(self, dtype):
+        cfg = CrossAttnConfig(layers=2, heads=2, hidden=DIM, patch_dim=8, text_dim=12)
+        fusion = FusionModule(cfg, np.random.default_rng(7), dtype=dtype)
+        params = fusion.named_parameters()
+        rng = np.random.default_rng(8)
+        for p in params.values():  # trained values: biases and gains no longer 0 and 1
+            p.data[...] = rng.uniform(-1, 1, p.shape)
+            p.grad = np.ones_like(p.data)
+        twin = fusion.clone()
+        assert list(twin.named_parameters()) == list(params)
+        for name, p in twin.named_parameters().items():
+            assert p.data.dtype == dtype and p.data.tobytes() == params[name].data.tobytes()
+            assert not p.requires_grad and p.grad is None
+            assert not np.shares_memory(p.data, params[name].data)
+
     def test_width_mismatch(self):
         module = small_fusion()
         with pytest.raises(ShapeError):
