@@ -10,7 +10,7 @@ positional encoding and reads its outputs back at those slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -37,13 +37,12 @@ from .numerics import (
     linear,
     mul,
     no_grad,
-    no_value_checks,
     scale,
     sum_all,
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CrossAttnConfig:
     layers: int
     heads: int
@@ -90,7 +89,7 @@ class FusionModule(Module):
 
     PREFIX = "fusion"
 
-    def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator,
+    def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator | None,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE):
         if cfg.layers < 1:
             raise ShapeError("a fusion module needs at least one layer")
@@ -100,9 +99,9 @@ class FusionModule(Module):
         h = cfg.hidden
 
         def proj(name, d_in, d_out):
-            w = Tensor(rng.normal(0.0, INIT_STD, (d_in, d_out)), requires_grad, dtype=dtype)
-            b = Tensor(np.zeros(d_out), requires_grad, dtype=dtype)
-            return self._add(f"{name}.weight", w), self._add(f"{name}.bias", b)
+            return (self._param(f"{name}.weight", (d_in, d_out), rng, requires_grad, dtype,
+                                INIT_STD),
+                    self._param(f"{name}.bias", (d_out,), rng, requires_grad, dtype))
 
         patch_proj = cfg.patch_dim not in (None, h)
         self.patch_in = proj("patch_in", cfg.patch_dim, h) if patch_proj else None
@@ -132,24 +131,13 @@ class FusionModule(Module):
         """Bitwise copy without gradients, e.g. to initialize the EMA target twin."""
         params = self.named_parameters()
         dtype = next(iter(params.values())).dtype
-        with no_value_checks():  # a layout of zeros, overwritten below
-            twin = FusionModule(self.cfg, _ZeroDraws(), requires_grad, dtype)
+        twin = FusionModule(self.cfg, None, requires_grad, dtype)  # the layout, overwritten
         for name, tensor in twin.named_parameters().items():
             tensor.data[...] = params[name].data
         return twin
 
 
-class _ZeroDraws:
-    """Stands in for the init generator where only the layout is wanted: the
-    modules' constructors draw every weight with ``normal``, and here each
-    draw is zeros of the requested shape (a broadcast view, no memory)."""
-
-    @staticmethod
-    def normal(loc, scale, size):
-        return np.broadcast_to(np.float32(0.0), size)
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class PredictorConfig:
     depth: int
     heads: int
@@ -169,7 +157,7 @@ class Predictor(Module):
 
     PREFIX = "predictor"
 
-    def __init__(self, cfg: PredictorConfig, fused_dim: int, rng: np.random.Generator,
+    def __init__(self, cfg: PredictorConfig, fused_dim: int, rng: np.random.Generator | None,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE):
         cfg.validate()
         self.cfg = cfg
@@ -177,16 +165,16 @@ class Predictor(Module):
         self.dtype = dtype
         w = cfg.width
 
-        def param(name, arr):
-            return self._add(name, Tensor(arr, requires_grad, dtype=dtype))
+        def param(name, shape, std=None):
+            return self._param(name, shape, rng, requires_grad, dtype, std)
 
-        self.in_w = param("in.weight", rng.normal(0.0, INIT_STD, (fused_dim, w)))
-        self.in_b = param("in.bias", np.zeros(w))
-        self.mask_token = param("mask_token", rng.normal(0.0, INIT_STD, (w,)))
+        self.in_w = param("in.weight", (fused_dim, w), INIT_STD)
+        self.in_b = param("in.bias", (w,))
+        self.mask_token = param("mask_token", (w,), INIT_STD)
         self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
             w, cfg.heads, rng, requires_grad, dtype)) for i in range(cfg.depth)]
-        self.out_w = param("out.weight", rng.normal(0.0, INIT_STD, (w, fused_dim)))
-        self.out_b = param("out.bias", np.zeros(fused_dim))
+        self.out_w = param("out.weight", (w, fused_dim), INIT_STD)
+        self.out_b = param("out.bias", (fused_dim,))
 
     def predict(self, context_reps: Tensor, context_positions, target_blocks,
                 grid: tuple[int, int]) -> Tensor:

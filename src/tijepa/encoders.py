@@ -149,7 +149,7 @@ class TransformerBlock(Module):
     Fusion layers have it, encoder and predictor blocks do not.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator,
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE, mlp_ratio: int = 4,
                  cross_std: float | None = None):
         self.heads = heads
@@ -158,24 +158,24 @@ class TransformerBlock(Module):
         ln1, attn, ln2 = ("ln1", "attn", "ln2") if cross_std is None else \
             ("ln_self", "self_attn", "ln_mlp")
 
-        def param(name, arr):
-            return self._add(name, Tensor(arr, requires_grad, dtype=dtype))
+        def param(name, shape, std=None, fill=0.0):
+            return self._param(name, shape, rng, requires_grad, dtype, std, fill)
 
         def norm(name):
-            return param(f"{name}.gain", np.ones(dim)), param(f"{name}.bias", np.zeros(dim))
+            return param(f"{name}.gain", (dim,), fill=1.0), param(f"{name}.bias", (dim,))
 
         self.ln1_g, self.ln1_b = norm(ln1)
-        self.attn = self._add(attn, AttentionParams.create(dim, rng, requires_grad, dtype))
+        self.attn = self._add(attn, AttentionParams(dim, rng, requires_grad, dtype))
         self.cross_attn = None
         if cross_std is not None:
             self.ln_cross_g, self.ln_cross_b = norm("ln_cross")
-            self.cross_attn = self._add("cross_attn", AttentionParams.create(
+            self.cross_attn = self._add("cross_attn", AttentionParams(
                 dim, rng, requires_grad, dtype, std=cross_std))
         self.ln2_g, self.ln2_b = norm(ln2)
-        self.mlp_w1 = param("mlp.w1", rng.normal(0.0, INIT_STD, (dim, hidden)))
-        self.mlp_b1 = param("mlp.b1", np.zeros(hidden))
-        self.mlp_w2 = param("mlp.w2", rng.normal(0.0, INIT_STD, (hidden, dim)))
-        self.mlp_b2 = param("mlp.b2", np.zeros(dim))
+        self.mlp_w1 = param("mlp.w1", (dim, hidden), INIT_STD)
+        self.mlp_b1 = param("mlp.b1", (hidden,))
+        self.mlp_w2 = param("mlp.w2", (hidden, dim), INIT_STD)
+        self.mlp_b2 = param("mlp.b2", (dim,))
 
     def __call__(self, x: Tensor, segments=None, context: Tensor | None = None,
                  context_segments=None, keep=None, keep_segments=None) -> Tensor:
@@ -211,23 +211,22 @@ class ImageEncoder(Module):
 
     PREFIX = "image_encoder"
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None, dtype=DEFAULT_DTYPE):
         cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         trainable = not cfg.frozen
-        patch_dim = 3 * cfg.patch_size * cfg.patch_size
+        d = cfg.embed_dim
 
-        def param(name, arr):
-            return self._add(name, Tensor(arr, trainable, dtype=dtype))
+        def param(name, shape, std=None, fill=0.0):
+            return self._param(name, shape, rng, trainable, dtype, std, fill)
 
-        self.patch_w = param("patch_embed.weight",
-                             rng.normal(0.0, INIT_STD, (patch_dim, cfg.embed_dim)))
-        self.patch_b = param("patch_embed.bias", np.zeros(cfg.embed_dim))
+        self.patch_w = param("patch_embed.weight", (3 * cfg.patch_size ** 2, d), INIT_STD)
+        self.patch_b = param("patch_embed.bias", (d,))
         self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
-            cfg.embed_dim, cfg.heads, rng, trainable, dtype)) for i in range(cfg.depth)]
-        self.norm_g = param("norm.gain", np.ones(cfg.embed_dim))
-        self.norm_b = param("norm.bias", np.zeros(cfg.embed_dim))
+            d, cfg.heads, rng, trainable, dtype)) for i in range(cfg.depth)]
+        self.norm_g = param("norm.gain", (d,), fill=1.0)
+        self.norm_b = param("norm.bias", (d,))
 
     def encode(self, images, visible=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of (3, H, W) images as one stack of rows.
@@ -272,20 +271,20 @@ class TextEncoder(Module):
 
     PREFIX = "text_encoder"
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None, dtype=DEFAULT_DTYPE):
         cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         trainable = not cfg.frozen
 
-        def param(name, arr):
-            return self._add(name, Tensor(arr, trainable, dtype=dtype))
+        def param(name, shape, std=None, fill=0.0):
+            return self._param(name, shape, rng, trainable, dtype, std, fill)
 
-        self.embed = param("embed.weight", rng.normal(0.0, INIT_STD, (VOCAB_SIZE, cfg.embed_dim)))
+        self.embed = param("embed.weight", (VOCAB_SIZE, cfg.embed_dim), INIT_STD)
         self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
             cfg.embed_dim, cfg.heads, rng, trainable, dtype)) for i in range(cfg.depth)]
-        self.norm_g = param("norm.gain", np.ones(cfg.embed_dim))
-        self.norm_b = param("norm.bias", np.zeros(cfg.embed_dim))
+        self.norm_g = param("norm.gain", (cfg.embed_dim,), fill=1.0)
+        self.norm_b = param("norm.bias", (cfg.embed_dim,))
 
     def encode(self, token_ids, sizes=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of token-id sequences as one stack of rows.

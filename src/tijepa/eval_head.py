@@ -36,12 +36,9 @@ class ClassifierHead(Module):
 
     def __init__(self, feature_dim: int, rng: np.random.Generator | None = None):
         self.feature_dim = feature_dim
-        if rng is None:
-            weight = np.zeros((feature_dim, len(LABELS)))
-        else:
-            weight = rng.normal(0.0, 0.02, (feature_dim, len(LABELS)))
-        self.weight = self._add("weight", Tensor(weight, requires_grad=True, dtype=np.float32))
-        self.bias = self._add("bias", Tensor(np.zeros(len(LABELS)), True, dtype=np.float32))
+        self.weight = self._param("weight", (feature_dim, len(LABELS)), rng, True, np.float32,
+                                  std=0.02)
+        self.bias = self._param("bias", (len(LABELS),), rng, True, np.float32)
 
     def logits(self, pooled: Tensor) -> Tensor:
         """(B, feature_dim) pooled features to (B, 3) class logits."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,8 +61,7 @@ class Tensor:
             else:
                 dtype = DEFAULT_DTYPE
         arr = np.array(data, dtype=dtype)
-        if _CHECK_VALUES:
-            _check_finite(arr, "values in tensor data")
+        _check_finite(arr, "values in tensor data")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -94,11 +92,13 @@ class Tensor:
 class Module:
     """A node of the model's tree of named parameters.
 
-    ``__init__`` records each parameter or submodule it makes with ``_add``,
-    under its checkpoint name, so a name is given only where its tensor is
-    made. A parameter is made once and then updated in place (by AdamW, EMA
-    and checkpoint loads), never rebound, so the records stay the tensors the
-    attributes hold.
+    ``__init__`` makes each parameter with ``_param`` and records each
+    submodule with ``_add``, under its checkpoint name, so a name is given only
+    where its tensor is made. A parameter is made once and then updated in
+    place (by AdamW, EMA and checkpoint loads), never rebound, so the records
+    stay the tensors the attributes hold. Given no generator, a constructor
+    builds the layout alone: names, shapes and dtypes, every value its ``fill``,
+    for a caller that overwrites them (a target twin, a checkpoint load).
     """
 
     PREFIX = ""
@@ -107,6 +107,17 @@ class Module:
         """Record ``item``, a ``Tensor`` or a ``Module``, under ``name``; returns it."""
         vars(self).setdefault("_named", {})[name] = item
         return item
+
+    def _param(self, name: str, shape, rng: np.random.Generator | None, requires_grad: bool,
+               dtype, std: float | None = None, fill: float = 0.0) -> Tensor:
+        """Record a parameter under ``name``: ``rng``'s N(0, ``std``) draw, or ``fill``
+        everywhere when ``std`` or ``rng`` is None. Both are finite (every ``std`` and
+        ``fill`` is a code constant), so the tensor wraps its array unscanned."""
+        if rng is None or std is None:
+            arr = np.full(shape, fill, dtype=dtype)
+        else:
+            arr = rng.normal(0.0, std, shape).astype(dtype, copy=False)
+        return self._add(name, _wrap(arr, requires_grad))
 
     def named_parameters(self, prefix: str | None = None) -> dict[str, Tensor]:
         """Every parameter in creation order, named ``prefix.name`` (``PREFIX``
@@ -126,7 +137,6 @@ class Module:
 # output gradient to one gradient (or None) per input
 _TAPE: list[tuple] = []
 _GRAD_ENABLED = True
-_CHECK_VALUES = True
 
 
 def active_tape() -> list[tuple]:
@@ -145,21 +155,10 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-@contextlib.contextmanager
-def no_value_checks():
-    """Skip the ``Tensor`` constructor's scan: for a layout whose values get overwritten."""
-    global _CHECK_VALUES
-    prev, _CHECK_VALUES = _CHECK_VALUES, False
-    try:
-        yield
-    finally:
-        _CHECK_VALUES = prev
-
-
 def _wrap(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
     """A tensor around ``arr`` itself, without the constructor's copy and
-    finiteness scan: for op outputs (see the module docstring) and for arrays
-    the caller has already checked."""
+    finiteness scan: for op outputs (see the module docstring), parameters
+    (see ``Module._param``) and arrays the caller has already checked."""
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad, out.grad = arr, requires_grad, None
     return out
@@ -440,32 +439,19 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 # attention
 
 
-@dataclass
 class AttentionParams(Module):
     """Learned Q/K/V/output projections; K has no bias, which softmax would cancel."""
 
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
+    def __init__(self, dim: int, rng: np.random.Generator | None, requires_grad: bool = True,
+                 dtype=DEFAULT_DTYPE, std: float = 0.02):
+        def w(name):
+            return self._param(name, (dim, dim), rng, requires_grad, dtype, std)
 
-    @classmethod
-    def create(cls, dim: int, rng: np.random.Generator, requires_grad: bool = True,
-               dtype=DEFAULT_DTYPE, std: float = 0.02) -> "AttentionParams":
-        def w():
-            return Tensor(rng.normal(0.0, std, (dim, dim)), requires_grad, dtype=dtype)
+        def b(name):
+            return self._param(name, (dim,), rng, requires_grad, dtype)
 
-        def b():
-            return Tensor(np.zeros(dim), requires_grad, dtype=dtype)
-
-        return cls(w(), b(), w(), w(), b(), w(), b())
-
-    def __post_init__(self):
-        for f in fields(self):
-            self._add(f.name, getattr(self, f.name))
+        self.wq, self.bq, self.wk = w("wq"), b("bq"), w("wk")
+        self.wv, self.bv, self.wo, self.bo = w("wv"), b("bv"), w("wo"), b("bo")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -715,14 +701,14 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     checks.append(("cross_entropy", check_gradients(
         lambda: cross_entropy_logits(z, [2, 0, 2, 4]), [z])))
 
-    ap = AttentionParams.create(8, rng, dtype=np.float64)
+    ap = AttentionParams(8, rng, dtype=np.float64)
     x = _rand64(rng, (3, 8))
     r = _const64(rng, (3, 8))
     sp = [x] + list(ap.named_parameters().values())
     checks.append(("attention_self", check_gradients(
         lambda: sum_all(mul(attention(x, x, ap, 2), r)), sp)))
 
-    ap = AttentionParams.create(8, rng, dtype=np.float64)
+    ap = AttentionParams(8, rng, dtype=np.float64)
     q, kv = _rand64(rng, (3, 8)), _rand64(rng, (5, 8))
     r = _const64(rng, (3, 8))
     cp = [q, kv] + list(ap.named_parameters().values())

@@ -17,7 +17,6 @@ import os
 import platform
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +26,13 @@ from .core import (
     FusionModule,
     Predictor,
     PredictorConfig,
-    _ZeroDraws,
     example_loss,
     make_targets,
 )
 from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError, read_input
 from .masking import sample_masks
-from .numerics import (Module, Tensor, _check_finite, active_tape, backward, no_grad,
-                       no_value_checks, zero_grads)
+from .numerics import Module, Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +47,7 @@ _STREAM_SENSITIVITY = 3
 # configuration
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TiJepaConfig:
     """Every architecture and training hyperparameter, flat for `key = value` files."""
 
@@ -103,6 +100,9 @@ class TiJepaConfig:
                 raise DataError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.patch_size < 1 or self.image_size % self.patch_size != 0:
             raise DataError("image_size must be divisible by a positive patch_size")
+        if self.image_size // self.patch_size < 2:
+            raise DataError("image_size / patch_size gives a 1x1 patch grid: a target block "
+                            "covers its one patch and leaves no context")
         if self.loss_type not in ("l2", "l1"):
             raise DataError(f"loss_type must be 'l2' or 'l1', got '{self.loss_type}'")
         if not (0.0 <= self.ema_start <= self.ema_end <= 1.0):
@@ -234,7 +234,7 @@ def load_config(path, overrides=()) -> TiJepaConfig:
 # optimizer
 
 
-@dataclass
+@dataclasses.dataclass
 class AdamWState:
     """The step count and AdamW's moments: one flat buffer each over all parameters in
     sorted-name order, whose views ``m[name]`` and ``v[name]`` have each one's shape."""
@@ -318,7 +318,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float,
 # EMA schedule and update
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class EmaSchedule:
     m_start: float = 0.996
     m_end: float = 1.0
@@ -400,7 +400,7 @@ class PretrainState(Module):
         return cls._build(config, np.random.default_rng([config.seed, _STREAM_INIT]))
 
     @classmethod
-    def _build(cls, config: TiJepaConfig, rng) -> "PretrainState":
+    def _build(cls, config: TiJepaConfig, rng: np.random.Generator | None) -> "PretrainState":
         image_encoder = ImageEncoder(config.image_encoder_config(), rng)
         text_encoder = TextEncoder(config.text_encoder_config(), rng)
         fusion = FusionModule(config.fusion_config(), rng, requires_grad=True)
@@ -413,7 +413,7 @@ class PretrainState(Module):
         return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
 
 
-@dataclass
+@dataclasses.dataclass
 class MetricsRow:
     step: int
     loss: float
@@ -424,7 +424,7 @@ class MetricsRow:
         return f"{self.step}\t{self.loss:.6f}\t{self.collapse:.6f}\t{self.ema_m:.6f}"
 
 
-@dataclass
+@dataclasses.dataclass
 class TrainResult:
     state: PretrainState
     rows: list[MetricsRow]
@@ -628,27 +628,24 @@ _DTYPE_F32 = 0
 
 
 def write_tensor_file(path, tensors: dict[str, np.ndarray]) -> None:
-    chunks = [CHECKPOINT_MAGIC,
-              struct.pack("<I", CHECKPOINT_VERSION),
-              struct.pack("<I", len(tensors))]
+    # the file's pieces in order: each header, and each array's bytes as a view, not a copy
+    pieces = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(tensors))]
     for name in sorted(tensors):
         arr = np.asarray(tensors[name], dtype="<f4")
         encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", _DTYPE_F32))
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
-    crc = zlib.crc32(body) & 0xFFFFFFFF
+        pieces += [struct.pack(f"<I{len(encoded)}sBI{arr.ndim}I", len(encoded), encoded,
+                               _DTYPE_F32, arr.ndim, *arr.shape),
+                   memoryview(np.ascontiguousarray(arr).reshape(-1)).cast("B")]
     # write beside the destination, then rename over it: a failed write
     # leaves any previous file of that name untouched
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(body)
+        with open(tmp, "wb", buffering=1 << 20) as fh:  # a write call per MiB, not per array
+            crc = 0
+            for piece in pieces:  # checksummed and written in turn
+                crc = zlib.crc32(piece, crc)
+                fh.write(piece)
             fh.write(struct.pack("<Q", crc))
             fh.flush()
             os.fsync(fh.fileno())
@@ -776,10 +773,9 @@ def load_checkpoint(path) -> PretrainState:
     except UnicodeDecodeError as exc:
         raise DataError(f"'meta.config' is not UTF-8 text: {path}") from exc
     config = TiJepaConfig.from_text(config_text)
-    # names and shapes come from the modules' own constructors; every value is
-    # then taken from the file and checked there
-    with no_value_checks():
-        state = PretrainState._build(config, _ZeroDraws())
+    # names and shapes come from the modules' own constructors, built without a
+    # generator; every value is then taken from the file and checked there
+    state = PretrainState._build(config, None)
     # files written before the attention key bias was removed still hold it
     _load_tensors(state.named_parameters(), state.opt,
                   {name: arr for name, arr in tensors.items() if not name.endswith(".bk")},

@@ -280,6 +280,18 @@ class TestDataErrors:
         assert "num_targets" in caplog.text
         assert not list(out.glob("*.tijp"))
 
+    def test_one_by_one_patch_grid_exits_two_before_any_step(self, tmp_path, synth_dir, caplog):
+        # a target block would cover the grid's one patch and leave no context
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        out = tmp_path / "o"
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(synth_dir / "manifest.tsv"), "--out", str(out),
+                         "--set", "image_size=16", "--set", "patch_size=16"]) == EXIT_DATA
+        assert "1x1 patch grid" in caplog.text
+        assert "skipping example" not in caplog.text
+        assert not list(out.glob("*.tijp"))
+
     def test_nan_pixel_in_a_rawt_image_exits_two(self, tmp_path, caplog):
         data = tmp_path / "rawt"
         data.mkdir()

@@ -351,7 +351,7 @@ class TestConfig:
         assert cfg.batch_size == 2
 
     def test_validation_catches_bad_geometry(self):
-        for image_size, patch_size in ((60, 8), (64, 0), (64, -8)):
+        for image_size, patch_size in ((60, 8), (64, 0), (64, -8), (64, 64)):
             with pytest.raises(DataError):
                 TiJepaConfig(image_size=image_size, patch_size=patch_size).validate()
 
@@ -519,6 +519,41 @@ class TestParameterTree:
         ids = [id(p) for p in params.values()]
         assert len(set(ids)) == len(ids)
         assert set(ids) == set(reachable_tensors(module))
+
+    @pytest.mark.parametrize("make", [
+        lambda: PretrainState.initialize(TiJepaConfig()),
+        lambda: PretrainState.initialize(TiJepaConfig(freeze_encoders=False)),
+        lambda: PretrainState.initialize(TiJepaConfig(freeze_predictor=True)),
+        lambda: ClassifierHead(8, np.random.default_rng(0)),
+    ], ids=["default_state", "unfrozen_encoders", "frozen_predictor", "head"])
+    def test_each_parameter_is_made_by_one_param_call(self, monkeypatch, make):
+        made, real_param = [], Module._param
+
+        def counted(self, name, *args, **kwargs):
+            made.append(name)
+            return real_param(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(Module, "_param", counted)
+        params = make().named_parameters()
+        assert len(made) == len(params) > 0
+
+    def test_initialize_scans_no_parameter_value(self, monkeypatch):
+        scanned = []
+
+        def counting(arr, what, *args):
+            scanned.append(what)
+
+        for module in (numerics_module, trainer_module):
+            monkeypatch.setattr(module, "_check_finite", counting)
+        PretrainState.initialize(TiJepaConfig(freeze_encoders=False))
+        assert scanned == []
+
+    def test_every_parameter_owns_its_writable_array(self):
+        params = PretrainState.initialize(TiJepaConfig()).named_parameters().values()
+        for p in params:
+            assert p.data.flags.writeable and p.data.flags.owndata
+        # arrays that each own their memory share it only when they are one array
+        assert len({id(p.data) for p in params}) == len(params)
 
     def test_default_state_keeps_its_names(self):
         names = sorted(PretrainState.initialize(TiJepaConfig()).named_parameters())
@@ -742,6 +777,19 @@ class TestTrainLoop:
         save_checkpoint(resumed.state, p2)
         final = (tmp_path / "full" / "checkpoint_final.tijp").read_bytes()
         assert p2.read_bytes() == final
+
+    def test_a_batch_that_cannot_be_masked_stops_before_any_update(self, caplog):
+        # every target block covers the whole 2x2 grid, so no example keeps a context
+        cfg = tiny_config(tgt_scale_lo=1.0, tgt_scale_hi=1.0)
+        state = PretrainState.initialize(cfg)
+        before = step_bytes(state)
+        with caplog.at_level(logging.WARNING, logger="tijepa.trainer"):
+            with pytest.raises(DataError, match="step 1: no example of the batch could be masked"):
+                train(cfg, tiny_dataset(), state=state)
+        skipped = [r for r in caplog.records if "skipping example" in r.getMessage()]
+        assert len(skipped) == cfg.batch_size
+        assert state.step == 0
+        assert step_bytes(state) == before
 
     def test_metric_rows_follow_log_interval(self):
         cfg = tiny_config(total_steps=6, log_interval=2)
