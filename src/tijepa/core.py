@@ -20,6 +20,7 @@ from .encoders import (
     ImageEncoder,
     TextEncoder,
     TransformerBlock,
+    image_key,
     sincos_pos_2d,
     tokenize_text,
 )
@@ -251,19 +252,30 @@ def fuse_image(images, captions, image_encoder: ImageEncoder, text_encoder: Text
     return fusion(patch_reps, text_reps, sizes, text_sizes), sizes
 
 
+def distinct_pairs(images, captions, max_text_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct (image, caption) pair's first example, in order, and every example's pair."""
+    pairs: dict = {}
+    inverse = np.array([pairs.setdefault((None if image is None else image_key(image),
+                                          tuple(tokenize_text(caption, max_text_len))), len(pairs))
+                        for image, caption in zip(images, captions)], dtype=np.int64)
+    return np.unique(inverse, return_index=True)[1], inverse
+
+
 def make_targets(images, captions, masks: list[MaskSet], image_encoder: ImageEncoder,
                  text_encoder: TextEncoder, target_fusion: FusionModule) -> tuple[Tensor, Tensor]:
     """Fused full-image representations and their target-block rows, gradient-free.
 
     Returns ``(targets, fused)``: ``fused`` stacks every example's patch
-    rows; ``targets`` its target-block rows, example by example, blocks in
-    order, each block's patches in ``indices()`` order, matching the rows
-    ``Predictor.predict`` returns.
+    rows, each distinct pair fused once; ``targets`` its target-block rows,
+    example by example, blocks in order, each block's patches in ``indices()``
+    order, matching the rows ``Predictor.predict`` returns.
     """
+    first, inverse = distinct_pairs(images, captions, text_encoder.cfg.max_text_len)
     with no_grad():
-        fused, sizes = fuse_image(images, captions, image_encoder, text_encoder, target_fusion)
-        starts = np.cumsum(sizes) - sizes
-        targets = gather_rows(fused, [start + i for start, m in zip(starts, masks)
+        fused, sizes = fuse_image([images[i] for i in first], [captions[i] for i in first],
+                                  image_encoder, text_encoder, target_fusion)
+        fused = gather_rows(fused, (inverse[:, None] * sizes[0] + np.arange(sizes[0])).ravel())
+        targets = gather_rows(fused, [e * sizes[0] + i for e, m in enumerate(masks)
                                       for block in m.targets for i in block.indices()])
     return targets, fused
 

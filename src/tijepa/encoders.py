@@ -291,9 +291,8 @@ class TextEncoder(Module):
 
         ``token_ids`` holds the sequences back to back, ``sizes`` their
         lengths (one sequence when omitted). Returns the rows, sequence by
-        sequence, and ``sizes``. Attention pads every sequence to
-        ``max_text_len``, so a caption's rows do not depend on the other
-        captions of its batch.
+        sequence, and ``sizes``. Attention pads each sequence to the batch's
+        longest, and those trailing zeros change no bit of a caption's rows.
         """
         ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
         sizes = [ids.size] if sizes is None else [int(n) for n in sizes]
@@ -314,16 +313,20 @@ class TextEncoder(Module):
     __call__ = encode
 
 
+def image_key(image: np.ndarray) -> tuple:  # an image's shape, dtype and SHA-256
+    return image.shape, image.dtype.str, hashlib.sha256(np.ascontiguousarray(image)).digest()
+
+
 class EncodingMemo:
     """An encoder's ``encode`` that runs once per distinct input.
 
     Valid only while the encoder's weights stay fixed, so a caller builds one
     per call and drops it on return. A batch is split into its inputs: token
-    id sequences are keyed as tuples, a full image by its shape, dtype and
-    SHA-256. The inputs not seen before are encoded together in one batch
-    and stored as gradient-free tensors with read-only arrays; a batch of one
-    stored input returns the stored tensor itself. Calls with ``visible``
-    patches always run the encoder and are never stored.
+    id sequences are keyed as tuples, a full image by :func:`image_key`. The
+    inputs not seen before are encoded together in one batch and stored as
+    gradient-free tensors with read-only arrays; a batch of one stored input
+    returns the stored tensor itself. Calls with ``visible`` patches always
+    run the encoder and are never stored.
     """
 
     def __init__(self, encoder: ImageEncoder | TextEncoder):
@@ -341,8 +344,7 @@ class EncodingMemo:
             keys = [tuple(item.tolist()) for item in items]
         else:
             items = list(inputs)
-            keys = [(x.shape, x.dtype.str, hashlib.sha256(np.ascontiguousarray(x)).digest())
-                    for x in items]
+            keys = [image_key(x) for x in items]
         missing = {key: item for key, item in zip(keys, items) if key not in self._store}
         if missing:
             batch = list(missing.values())

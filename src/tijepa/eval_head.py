@@ -1,9 +1,9 @@
 """Linear sentiment head on frozen fused representations, plus metrics.
 
 The backbone (encoders + online fusion module) runs gradient-free; only the
-single linear layer trains. Because the backbone never moves, pooled features
-are computed once, ``batch_size`` pairs per forward, and reused across epochs;
-each fine-tune or eval call encodes every distinct caption and image once.
+single linear layer trains. Because the backbone never moves, each distinct
+(image, caption) pair of a fine-tune (train and val in one pass) or an eval
+call is pooled once, ``batch_size`` pairs a forward, and reused across epochs.
 A head step, validation and evaluation each run on a whole batch of features.
 """
 
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FusionModule, fuse_image
+from .core import FusionModule, distinct_pairs, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
-from .encoders import EncodingMemo, ImageEncoder, TextEncoder
+from .encoders import ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
 from .numerics import (Module, Tensor, _check_finite, _wrap, backward, cross_entropy_logits,
                        linear, no_grad, scale, zero_grads)
@@ -65,19 +65,20 @@ def pooled_representation(images, captions, image_encoder: ImageEncoder,
 
 
 def _pooled_features(state: PretrainState, examples) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled features and label indices of labeled examples, pooled in chunks
-    of ``batch_size`` through one encoding memo per encoder."""
+    """Pooled features and label indices of labeled examples: each distinct
+    (image, caption) pair is pooled once, in chunks of ``batch_size`` pairs."""
     if any(example.label is None for example in examples):
         raise DataError("fine-tuning and evaluation require labeled examples")
     for example in examples:
         if example.image is not None:  # one without an image is left to pooled_representation
             _check_example_image(example, state.config)
-    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
+    images, captions = [e.image for e in examples], [e.caption for e in examples]
+    first, inverse = distinct_pairs(images, captions, state.config.max_text_len)
     step = state.config.batch_size
-    chunks = [examples[i:i + step] for i in range(0, len(examples), step)]
-    pooled = [pooled_representation([e.image for e in chunk], [e.caption for e in chunk],
-                                    *encoders, state.fusion) for chunk in chunks]
-    features = (np.concatenate(pooled) if pooled
+    pooled = [pooled_representation([images[i] for i in part], [captions[i] for i in part],
+                                    state.image_encoder, state.text_encoder, state.fusion)
+              for part in (first[lo:lo + step] for lo in range(0, len(first), step))]
+    features = (np.concatenate(pooled)[inverse] if pooled
                 else np.zeros((0, state.config.embed_dim), dtype=np.float32))
     return features, np.array([LABEL_TO_INDEX[e.label] for e in examples], dtype=np.int64)
 
@@ -107,13 +108,13 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
     elif head.feature_dim != state.config.embed_dim:
         raise DataError(f"head width {head.feature_dim} != checkpoint width "
                         f"{state.config.embed_dim}")
-    features, labels = _pooled_features(state, train_examples)
-    val_features, val_labels = _pooled_features(state, val_examples)
+    n = len(train_examples)
+    features, labels = _pooled_features(state, [*train_examples, *val_examples])
+    (features, val_features), (labels, val_labels) = np.split(features, [n]), np.split(labels, [n])
 
     params = head.named_parameters()
     opt = AdamWState.create(params)
     history = FinetuneHistory()
-    n = len(labels)
     batch_size = min(batch_size, n)
     for epoch in range(epochs):
         order = np.random.default_rng([seed, _STREAM_HEAD, epoch + 1]).permutation(n)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import tijepa.core as core_module
 from tijepa.core import (
     CrossAttnConfig,
     FusionModule,
     Predictor,
     PredictorConfig,
+    distinct_pairs,
     example_loss,
     fusion_gradient_check,
     make_context,
@@ -218,6 +220,65 @@ class TestMakeTargets:
         second = make_targets([img2], ["cap"], [masks], image_encoder, text_encoder,
                               target_fusion)[0].data
         assert np.abs(first - second).max() > 1e-6
+
+
+class TestDistinctPairs:
+    def test_all_distinct_input_keeps_its_order(self):
+        images = [small_image(seed) for seed in range(4)]
+        first, inverse = distinct_pairs(images, ["a", "b", "a", "c"], 16)
+        np.testing.assert_array_equal(first, np.arange(4))
+        np.testing.assert_array_equal(inverse, np.arange(4))
+
+    def test_repeats_map_to_their_first_example(self):
+        a, b = small_image(1), small_image(2)
+        # a copy of an image's bytes is the same image
+        first, inverse = distinct_pairs([a, b, a.copy(), b, a], ["x", "y", "x", "y", "x"], 16)
+        np.testing.assert_array_equal(first, [0, 1])
+        np.testing.assert_array_equal(inverse, [0, 1, 0, 1, 0])
+
+    def test_a_pair_needs_both_its_image_and_its_caption(self):
+        a, b = small_image(1), small_image(2)
+        first, inverse = distinct_pairs([a, a.copy(), a, b], ["x", "y", "x", "x"], 16)
+        np.testing.assert_array_equal(first, [0, 1, 3])
+        np.testing.assert_array_equal(inverse, [0, 1, 0, 2])
+
+    def test_captions_are_keyed_by_their_token_ids(self):
+        # both captions truncate to the same ids, BOS and "a", at a 2-token limit
+        first, inverse = distinct_pairs([small_image()] * 2, ["ab", "ac"], 2)
+        np.testing.assert_array_equal(first, [0])
+        np.testing.assert_array_equal(inverse, [0, 0])
+
+    def test_a_missing_image_is_its_own_key(self):
+        first, inverse = distinct_pairs([None, small_image(), None], ["x", "x", "x"], 16)
+        np.testing.assert_array_equal(first, [0, 1])
+        np.testing.assert_array_equal(inverse, [0, 1, 0])
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
+    def test_targets_equal_those_of_fusing_every_example(self, frozen, monkeypatch):
+        image_encoder, text_encoder = small_encoders(frozen=frozen)
+        target_fusion = small_fusion(requires_grad=False)
+        images = [small_image(seed) for seed in (1, 2, 1, 1, 2, 3)]
+        captions = ["red", "blue", "red", "a longer caption", "blue", "red"]
+        masks = [sample_masks(GRID, 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
+                              np.random.default_rng(seed)) for seed in range(6)]
+        fused_pairs, real_call = [], FusionModule.__call__
+
+        def counted_call(self, patch_reps, text_reps, segments=None, text_segments=None):
+            fused_pairs.append(len(segments))
+            return real_call(self, patch_reps, text_reps, segments, text_segments)
+
+        monkeypatch.setattr(FusionModule, "__call__", counted_call)
+        targets, fused = make_targets(images, captions, masks, image_encoder, text_encoder,
+                                      target_fusion)
+        monkeypatch.setattr(core_module, "distinct_pairs",
+                            lambda images, captions, max_text_len:
+                            (np.arange(len(images)), np.arange(len(images))))
+        every_targets, every_fused = make_targets(images, captions, masks, image_encoder,
+                                                  text_encoder, target_fusion)
+        assert fused_pairs == [4, 6]
+        assert targets.data.tobytes() == every_targets.data.tobytes()
+        assert fused.data.tobytes() == every_fused.data.tobytes()
+        assert fused.shape == every_fused.shape and not targets.requires_grad
 
 
 class TestMakeContext:

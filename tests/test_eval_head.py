@@ -8,6 +8,7 @@ import pytest
 import tijepa.eval_head as eval_head_module
 import tijepa.numerics as numerics_module
 import tijepa.trainer as trainer_module
+from tijepa.core import FusionModule
 from tijepa.dataprep import LABELS, PairedExample, synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, ShapeError
@@ -287,18 +288,22 @@ class TestEncodingMemoInFinetuneAndEval:
         return head_path.read_bytes(), history.val_accuracies, cm.counts
 
     def test_results_equal_those_of_fresh_encodes(self, tmp_path, monkeypatch):
-        head_bytes, val_accuracies, counts = self.run(tmp_path / "memo.tijp")
-        monkeypatch.setattr(eval_head_module, "EncodingMemo", lambda encoder: encoder)
+        head_bytes, val_accuracies, counts = self.run(tmp_path / "distinct.tijp")
+        # every example its own pair: each one is encoded and fused afresh
+        monkeypatch.setattr(eval_head_module, "distinct_pairs",
+                            lambda images, captions, max_text_len:
+                            (np.arange(len(images)), np.arange(len(images))))
         plain = self.run(tmp_path / "plain.tijp")
         assert head_bytes == plain[0]
         assert val_accuracies == plain[1]
         np.testing.assert_array_equal(counts, plain[2])
 
     def test_each_call_encodes_each_distinct_input_once(self, tmp_path, monkeypatch):
-        calls = {"text": 0, "image": 0}
+        calls = {"text": 0, "image": 0, "fusion": 0}
         text_encode, image_encode = TextEncoder.encode, ImageEncoder.encode
+        fusion_call = FusionModule.__call__
 
-        # count encoded inputs, however they are batched
+        # count encoded inputs and fused pairs, however they are batched
         def counted_text(self, token_ids, sizes=None):
             rows, sizes = text_encode(self, token_ids, sizes)
             calls["text"] += len(sizes)
@@ -309,15 +314,27 @@ class TestEncodingMemoInFinetuneAndEval:
             calls["image"] += len(sizes)
             return rows, sizes
 
+        def counted_fusion(self, patch_reps, text_reps, segments=None, text_segments=None):
+            calls["fusion"] += len(segments)
+            return fusion_call(self, patch_reps, text_reps, segments, text_segments)
+
         monkeypatch.setattr(TextEncoder, "encode", counted_text)
         monkeypatch.setattr(ImageEncoder, "encode", counted_image)
+        monkeypatch.setattr(FusionModule, "__call__", counted_fusion)
         self.run(tmp_path / "head.tijp")
-        # fine-tuning pools the train and the val split (one memo each), eval
-        # its examples; each of the three sees every distinct input
+        # fine-tuning pools its train and val splits in one pass, eval its
+        # examples in another; each pass sees every distinct pair once
         examples = synth_generate(16, seed=0, image_size=16)
-        captions = {tuple(tokenize_text(e.caption, 16)) for e in examples}
-        images = {e.image.tobytes() for e in examples}
-        assert calls == {"text": 3 * len(captions), "image": 3 * len(images)}
+        pairs = {(e.image.tobytes(), e.caption) for e in examples}
+        assert len(pairs) == 16
+        assert calls == {"text": 2 * len(pairs), "image": 2 * len(pairs),
+                         "fusion": 2 * len(pairs)}
+
+    def test_an_example_without_an_image_among_repeats_is_a_data_error(self):
+        examples = synth_generate(8, seed=0, image_size=16, labeled=True)
+        examples += [PairedExample(None, examples[0].caption, examples[0].label)] * 2
+        with pytest.raises(DataError, match="require an image for every example"):
+            evaluate(tiny_state(), ClassifierHead(16), examples)
 
 
 class TestHeadCheckpoint:

@@ -1,8 +1,12 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+import tijepa.eval_head as eval_head_module
 from tijepa import trainer as trainer_module
-from tijepa.dataprep import synth_generate
+from tijepa.core import FusionModule
+from tijepa.dataprep import split_dataset, synth_generate
 from tijepa.numerics import active_tape
 from tijepa.trainer import TiJepaConfig
 
@@ -16,6 +20,13 @@ def load_tool(name):
     return module
 
 
+TINY = TiJepaConfig(image_size=16, patch_size=8, embed_dim=16, text_embed_dim=16,
+                    encoder_depth=1, encoder_heads=2, max_text_len=16,
+                    fusion_layers=1, fusion_heads=2, fusion_hidden=16,
+                    predictor_depth=1, predictor_heads=2, predictor_width=16,
+                    num_targets=2, tgt_scale_lo=0.15, tgt_scale_hi=0.3, batch_size=4)
+
+
 class TestDesignNumbers:
     def test_per_op_tape_records_add_up_to_the_tape(self, monkeypatch):
         design_numbers = load_tool("design_numbers")
@@ -26,13 +37,23 @@ class TestDesignNumbers:
             real_backward(loss)
 
         monkeypatch.setattr(trainer_module, "backward", sized_backward)
-        cfg = TiJepaConfig(image_size=16, patch_size=8, embed_dim=16, text_embed_dim=16,
-                           encoder_depth=1, encoder_heads=2, max_text_len=16,
-                           fusion_layers=1, fusion_heads=2, fusion_hidden=16,
-                           predictor_depth=1, predictor_heads=2, predictor_width=16,
-                           num_targets=2, tgt_scale_lo=0.15, tgt_scale_hi=0.3, batch_size=4)
-        counts = design_numbers.tape_records(cfg, synth_generate(8, seed=0, image_size=16))
+        counts = design_numbers.tape_records(TINY, synth_generate(8, seed=0, image_size=16))
         assert len(sizes) == 1
         assert sum(counts.values()) == sizes[0]
         assert counts["block_distance"] == counts["scale"] == 1
         assert trainer_module.backward is sized_backward
+
+    def test_finetune_and_eval_fuse_each_distinct_pair_of_a_pass_once(self, monkeypatch):
+        design_numbers = load_tool("design_numbers")
+        examples = synth_generate(64, seed=0, image_size=16, labeled=True)
+        train, val, test = split_dataset(examples)
+        # fine-tuning pools train and val in one pass, eval the test split in another
+        distinct = [len({(e.image.tobytes(), e.caption) for e in part})
+                    for part in (train + val, test)]
+        real_call = FusionModule.__call__
+        assert design_numbers.pairs_fused(TINY, examples) == sum(distinct) <= 32
+        assert FusionModule.__call__ is real_call
+        monkeypatch.setattr(eval_head_module, "distinct_pairs",
+                            lambda images, captions, max_text_len:
+                            (np.arange(len(images)), np.arange(len(images))))
+        assert design_numbers.pairs_fused(TINY, examples) == len(examples)

@@ -1,9 +1,13 @@
-"""Print the north star's two design-quality numbers.
+"""Print the north star's two design-quality numbers and one count of fusion work.
 
 - ``src/tijepa`` lines, per module and in total;
 - the tape records of one desk-config training step, by op, with frozen and
   with trainable encoders. They are counted from the tape itself just before
-  ``backward`` replays it, so every op is counted under its own name.
+  ``backward`` replays it, so every op is counted under its own name;
+- the (image, caption) pairs fused by one ``finetune`` plus one ``evaluate``
+  call on a 256-pair labeled synthetic set in the CLI's train/val/test split,
+  counted as the segments passed to ``FusionModule.__call__``. Unlike a wall
+  time, this number has no noise.
 
 Run from the repository root (a few seconds on one core):
 
@@ -15,9 +19,11 @@ from collections import Counter
 from pathlib import Path
 
 from tijepa import trainer
-from tijepa.dataprep import synth_generate
+from tijepa.core import FusionModule
+from tijepa.dataprep import split_dataset, synth_generate
+from tijepa.eval_head import evaluate, finetune
 from tijepa.numerics import active_tape
-from tijepa.trainer import TiJepaConfig
+from tijepa.trainer import PretrainState, TiJepaConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tijepa"
 
@@ -45,6 +51,29 @@ def tape_records(config: TiJepaConfig, dataset) -> Counter:
     return counts
 
 
+def pairs_fused(config: TiJepaConfig, examples) -> int:
+    """The pairs fused by a one-epoch ``finetune`` on the train and val splits of
+    ``examples`` and an ``evaluate`` on their test split; the epoch count
+    changes only head steps, which fuse nothing."""
+    count = 0
+    real_call = FusionModule.__call__
+
+    def counted_call(self, patch_reps, text_reps, segments=None, text_segments=None):
+        nonlocal count
+        count += 1 if segments is None else len(segments)
+        return real_call(self, patch_reps, text_reps, segments, text_segments)
+
+    FusionModule.__call__ = counted_call
+    try:
+        state = PretrainState.initialize(config)
+        train, val, test = split_dataset(examples)
+        head, _ = finetune(state, train, val, epochs=1)
+        evaluate(state, head, test)
+    finally:
+        FusionModule.__call__ = real_call
+    return count
+
+
 def main() -> None:
     lines = src_lines()
     for name, count in lines.items():
@@ -55,6 +84,9 @@ def main() -> None:
         counts = tape_records(TiJepaConfig(freeze_encoders=frozen), dataset)
         ops = ", ".join(f"{op} {n}" for op, n in counts.most_common())
         print(f"tape records per desk step, {label}\t{sum(counts.values())}\t({ops})")
+    labeled = synth_generate(256, seed=0, labeled=True)
+    print(f"pairs fused per finetune + eval, 256 labeled pairs\t"
+          f"{pairs_fused(TiJepaConfig(), labeled)}")
 
 
 if __name__ == "__main__":
