@@ -27,9 +27,9 @@ from .numerics import (
     attention,
     concat_rows,
     gather_rows,
-    gelu,
     layer_norm,
     linear,
+    mlp,
     no_grad,
 )
 
@@ -146,7 +146,8 @@ class TransformerBlock(Module):
 
     The cross-attention sublayer exists when ``cross_std`` (its projections'
     init std) is given; it reads the ``context`` tokens passed to each call.
-    Fusion layers have it, encoder and predictor blocks do not.
+    Fusion layers have it, encoder and predictor blocks do not. The MLP
+    sublayer is one ``mlp`` record, which keeps its pre-activation and tanh.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None,
@@ -197,8 +198,8 @@ class TransformerBlock(Module):
             normed = layer_norm(x, self.ln_cross_g, self.ln_cross_b)
             x = add(x, attention(normed, context, self.cross_attn, self.heads, q_segments,
                                  context_segments))
-        h = linear(gelu(linear(layer_norm(x, self.ln2_g, self.ln2_b), self.mlp_w1, self.mlp_b1)),
-                   self.mlp_w2, self.mlp_b2)
+        h = mlp(layer_norm(x, self.ln2_g, self.ln2_b), self.mlp_w1, self.mlp_b1,
+                self.mlp_w2, self.mlp_b2)
         return add(x, h)
 
 

@@ -22,7 +22,8 @@ from .errors import DataError, ShapeError
 from .numerics import (Module, Tensor, _check_finite, _wrap, backward, cross_entropy_logits,
                        linear, no_grad, scale, zero_grads)
 from .trainer import (AdamWState, PretrainState, _check_example_image, _file_tensors,
-                      _load_tensors, _tensor_views, adamw_step, write_tensor_file)
+                      _keep_freed_memory, _load_tensors, _tensor_views, adamw_step,
+                      write_tensor_file)
 
 logger = logging.getLogger(__name__)
 
@@ -97,6 +98,7 @@ def finetune(state: PretrainState, train_examples, val_examples=(), epochs: int 
              lr: float = 0.001, batch_size: int = 16, seed: int = 0,
              head: ClassifierHead | None = None) -> tuple[ClassifierHead, FinetuneHistory]:
     """Train the head with Adam (no weight decay) on frozen backbone features."""
+    _keep_freed_memory()
     if not train_examples:
         raise DataError("fine-tuning train split is empty")
     if epochs < 1 or batch_size < 1:
@@ -219,6 +221,7 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 
 def evaluate(state: PretrainState, head: ClassifierHead, examples) -> ConfusionMatrix:
+    _keep_freed_memory()
     if head.feature_dim != state.config.embed_dim:
         raise DataError(f"head width {head.feature_dim} != checkpoint width "
                         f"{state.config.embed_dim}")

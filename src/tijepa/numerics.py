@@ -219,6 +219,11 @@ def zero_grads(tensors) -> None:
 # elementwise and structural ops
 
 
+def _plus_bias(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``y + b`` in ``y``'s own array, unless a wider bias widens the sum, as in ``add``."""
+    return np.add(y, b, out=y if y.dtype == b.dtype else None)
+
+
 def _add_back(a: Tensor, b: Tensor):
     """The backward of ``add(a, b)``; ``ShapeError`` for shapes ``add`` does not take."""
     if a.shape == b.shape:
@@ -380,33 +385,45 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record("layer_norm", (x, gain, bias), y, back)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximation GELU, computed in place to spare full-size temporaries."""
-    x = a.data
-    t = x * x
+def _gelu_output(h: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tanh-approximation GELU of ``h``, ``0.5 * h * (1 + t)``, from its tanh ``t``."""
+    u = t + 1.0
+    u *= h
+    u *= 0.5
+    return u
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(x, w1, b1)``, tanh-approximation GELU and ``linear(., w2, b2)`` as one record
+    of the same ops in the same order. It keeps the pre-activation ``h`` and the tanh ``t``;
+    the backward rebuilds GELU's output from them, then GELU's derivative in its buffer."""
+    if (x.ndim, w1.ndim, b1.ndim, w2.ndim, b2.ndim) != (2, 2, 1, 2, 1) or \
+            w1.shape + w2.shape != (x.shape[1], *b1.shape * 2, *b2.shape):
+        raise ShapeError(f"mlp: incompatible shapes {[a.shape for a in (x, w1, b1, w2, b2)]}")
+    h = _plus_bias(x.data @ w1.data, b1.data)
+    t = h * h
     t *= _GELU_C * _GELU_K
     t += _GELU_C
-    t *= x
-    np.tanh(t, out=t)  # tanh(C * (x + K * x^3))
-    y = t + 1.0
-    y *= x
-    y *= 0.5
+    t *= h
+    np.tanh(t, out=t)  # tanh(C * (h + K * h^3))
 
     def back(g):
-        d_inner = x * x
+        d = _gelu_output(h, t)
+        gw2, gb2, gu = d.T @ g, np.ones(len(g), g.dtype) @ g, g @ w2.data.T
+        d_inner = h * h
         d_inner *= 3.0 * _GELU_C * _GELU_K
-        d_inner += _GELU_C  # C * (1 + 3K * x^2)
-        dydx = t * t
-        np.subtract(1.0, dydx, out=dydx)
-        dydx *= x
-        dydx *= d_inner
-        dydx += t
-        dydx += 1.0
-        dydx *= 0.5  # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * d_inner
-        dydx *= g
-        return (dydx,)
+        d_inner += _GELU_C  # C * (1 + 3K * h^2)
+        np.subtract(1.0, np.multiply(t, t, out=d), out=d)
+        d *= h
+        d *= d_inner
+        d += t
+        d += 1.0
+        d *= 0.5  # 0.5 * (1 + t) + 0.5 * h * (1 - t^2) * d_inner
+        d *= gu
+        return d @ w1.data.T, x.data.T @ d, np.ones(len(d), d.dtype) @ d, gw2, gb2
 
-    return _record("gelu", (a,), y, back)
+    y = _plus_bias(_gelu_output(h, t) @ w2.data, b2.data)
+    return _record("mlp", (x, w1, b1, w2, b2), y, back)
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
@@ -460,9 +477,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     ``w``, so the two records stay and one step-sized array goes."""
     y = matmul(x, w)
     back = _add_back(y, b)
-    # a bias of a wider dtype widens the sum, as in ``add``
-    arr = np.add(y.data, b.data, out=y.data if y.dtype == b.dtype else None)
-    return _record("add", (y, b), arr, back)
+    return _record("add", (y, b), _plus_bias(y.data, b.data), back)
 
 
 def _padded_rows(sizes: np.ndarray, width: int) -> np.ndarray | None:
@@ -682,9 +697,8 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     checks.append(("layer_norm", check_gradients(
         lambda: sum_all(mul(layer_norm(x, g_, b_), r)), [x, g_, b_])))
 
-    x = _rand64(rng, (3, 4), -2.0, 2.0)
-    r = _const64(rng, (3, 4))
-    checks.append(("gelu", check_gradients(lambda: sum_all(mul(gelu(x), r)), [x])))
+    mp, r = [_rand64(rng, s) for s in ((3, 4), (4, 6), (6,), (6, 5), (5,))], _const64(rng, (3, 5))
+    checks.append(("mlp", check_gradients(lambda: sum_all(mul(mlp(*mp), r)), mp)))
 
     x = _rand64(rng, (5, 3))
     r = _const64(rng, (4, 3))

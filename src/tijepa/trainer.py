@@ -471,6 +471,7 @@ def _keep_freed_memory() -> None:
     ``backward`` frees a step's activations as it replays the tape. Under
     glibc's adaptive thresholds that memory went back to the kernel and was
     faulted in again: ~20,000 minor faults per desk step, ~10 with these.
+    ``finetune`` and ``evaluate`` call it too, for their gradient-free passes.
     Where memory comes from changes, not what is computed.
     """
     if platform.libc_ver()[0] != "glibc":

@@ -81,10 +81,11 @@ class TestGradcheck:
     def test_a_nan_forward_exits_three(self, monkeypatch, caplog):
         from tijepa import numerics
 
-        def nan_gelu(x):
-            return numerics._record("gelu", (x,), x.data * np.nan, lambda g: (g,))
+        def nan_mlp(x, w1, b1, w2, b2):
+            out = np.full((x.shape[0], w2.shape[1]), np.nan)
+            return numerics._record("mlp", (x, w1, b1, w2, b2), out, lambda g: (None,) * 5)
 
-        monkeypatch.setattr(numerics, "gelu", nan_gelu)
+        monkeypatch.setattr(numerics, "mlp", nan_mlp)
         assert dispatch(["gradcheck"]) == EXIT_NUMERIC
         assert "non-finite loss in gradient check" in caplog.text
 

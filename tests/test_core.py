@@ -26,9 +26,9 @@ from tijepa.numerics import (
     backward,
     concat_rows,
     gather_rows,
-    gelu,
     layer_norm,
     linear,
+    mlp,
     mul,
     sum_all,
 )
@@ -70,9 +70,8 @@ class TestFuse:
         h = add(x, attention(normed, normed, layer.attn, layer.heads))
         normed = layer_norm(h, layer.ln_cross_g, layer.ln_cross_b)
         h = add(h, attention(normed, text, layer.cross_attn, layer.heads))
-        inner = linear(layer_norm(h, layer.ln2_g, layer.ln2_b),
-                       layer.mlp_w1, layer.mlp_b1)
-        expected = add(h, linear(gelu(inner), layer.mlp_w2, layer.mlp_b2)).data
+        expected = add(h, mlp(layer_norm(h, layer.ln2_g, layer.ln2_b), layer.mlp_w1,
+                              layer.mlp_b1, layer.mlp_w2, layer.mlp_b2)).data
 
         out = module(x, text).data
         assert np.abs(out - expected).max() < 1e-5
@@ -458,11 +457,11 @@ class TestPredictorKeptRows:
         from tijepa import encoders
         rows = []
 
-        def counted_gelu(a):
-            rows.append(a.shape[0])
-            return gelu(a)
+        def counted_mlp(x, *weights):
+            rows.append(x.shape[0])
+            return mlp(x, *weights)
 
-        monkeypatch.setattr(encoders, "gelu", counted_gelu)
+        monkeypatch.setattr(encoders, "mlp", counted_mlp)
         predictor, ctx = self.inputs(2)
         predictor.predict(ctx, self.CTX_POS, self.BLOCKS, self.GRID4)
         block_rows = [len(b) for blocks in self.BLOCKS for b in blocks]

@@ -515,6 +515,18 @@ class TestFinetuneAndEvaluateInputs:
         with pytest.raises(DataError, match="head width 64 != checkpoint width 16"):
             run(tiny_state(), ClassifierHead(64), examples)
 
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_sets_the_training_allocator_policy_before_pooling(self, run, monkeypatch):
+        events = []
+        real_pooled = eval_head_module._pooled_features
+        monkeypatch.setattr(eval_head_module, "_keep_freed_memory",
+                            lambda: events.append("policy"))
+        monkeypatch.setattr(eval_head_module, "_pooled_features",
+                            lambda *args: events.append("pool") or real_pooled(*args))
+        run(tiny_state(), ClassifierHead(16), synth_generate(4, seed=0, image_size=16,
+                                                             labeled=True))
+        assert events == ["policy", "pool"]
+
 
 class TestEvaluateAndReports:
     def test_evaluate_counts_everything(self):

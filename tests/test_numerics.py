@@ -16,11 +16,11 @@ from tijepa.numerics import (
     check_gradients,
     cross_entropy_logits,
     gather_rows,
-    gelu,
     gradient_suite,
     layer_norm,
     linear,
     matmul,
+    mlp,
     mul,
     no_grad,
     sum_all,
@@ -125,16 +125,85 @@ class TestLayerNorm:
         np.testing.assert_allclose(bt.grad, grads.sum(axis=0), rtol=rtol, atol=rtol)
 
 
-class TestGelu:
-    def test_zero(self):
-        assert gelu(t([0.0])).data[0] == 0.0
+def gelu(v):
+    """tanh-approximation GELU of one float32 value, through ``mlp`` with identity weights."""
+    one, zero = t([[1.0]]), t([0.0])
+    return mlp(t([[v]]), one, zero, one, zero).data[0, 0]
 
-    def test_asymptote(self):
-        assert abs(gelu(t([10.0])).data[0] - 10.0) < 1e-3
 
-    def test_at_one(self):
+def reference_mlp(x, w1, b1, w2, b2, g):
+    """The op sequence ``linear`` -> ``gelu`` -> ``linear`` ran before ``mlp`` was
+    one record, written out in numpy: the output and the gradients of
+    ``sum(out * g)`` with respect to x, w1, b1, w2 and b2."""
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    h = x @ w1
+    h += b1
+    th = h * h
+    th *= c * k
+    th += c
+    th *= h
+    np.tanh(th, out=th)
+    u = th + 1.0
+    u *= h
+    u *= 0.5
+    y = u @ w2
+    y += b2
+    gb2 = np.ones(g.shape[0], dtype=g.dtype) @ g
+    gu, gw2 = g @ w2.T, u.T @ g
+    d_inner = h * h
+    d_inner *= 3.0 * c * k
+    d_inner += c
+    dh = th * th
+    np.subtract(1.0, dh, out=dh)
+    dh *= h
+    dh *= d_inner
+    dh += th
+    dh += 1.0
+    dh *= 0.5
+    dh *= gu
+    gb1 = np.ones(dh.shape[0], dtype=dh.dtype) @ dh
+    return y, [dh @ w1.T, x.T @ dh, gb1, gw2, gb2]
+
+
+class TestMlp:
+    def test_gelu_at_zero(self):
+        assert gelu(0.0) == 0.0
+
+    def test_gelu_asymptote(self):
+        assert abs(gelu(10.0) - 10.0) < 1e-3
+
+    def test_gelu_at_one(self):
         # tanh approximation evaluates to ~0.84119 at x=1
-        assert abs(gelu(t([1.0])).data[0] - 0.8412) < 5e-4
+        assert abs(gelu(1.0) - 0.8412) < 5e-4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_the_linear_gelu_linear_sequence(self, dtype):
+        rng = np.random.default_rng(7)
+        shapes = ((5, 4), (4, 16), (16,), (16, 4), (4,), (5, 4))
+        arrays = [rng.normal(0.0, 1.0, shape).astype(dtype) for shape in shapes]
+        active_tape().clear()
+        params = [t(a, requires_grad=True, dtype=dtype) for a in arrays[:5]]
+        out = mlp(*params)
+        assert [op for op, *_ in active_tape()] == ["mlp"]
+        backward(sum_all(mul(out, t(arrays[5], dtype=dtype))))
+        ref, ref_grads = reference_mlp(*arrays)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == ref.tobytes()
+        for p, ref_g in zip(params, ref_grads):
+            assert p.grad.dtype == dtype
+            assert p.grad.tobytes() == ref_g.tobytes()
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 4), (5, 8), (8,), (8, 4), (4,)),     # x's width is not w1's rows
+        ((3, 4), (4, 8), (7,), (8, 4), (4,)),     # b1 is not w1's width
+        ((3, 4), (4, 8), (8,), (6, 4), (4,)),     # w2's rows are not the hidden width
+        ((3, 4), (4, 8), (8,), (8, 4), (5,)),     # b2 is not w2's width
+        ((3, 4), (4, 8), (1, 8), (8, 4), (4,)),   # a 2-D bias
+        ((4,), (4, 8), (8,), (8, 4), (4,)),       # a 1-D input
+    ])
+    def test_mismatched_shapes_raise(self, shapes):
+        with pytest.raises(ShapeError, match="mlp: incompatible shapes"):
+            mlp(*(t(np.ones(shape)) for shape in shapes))
 
 
 def reference_attention(xq, xkv, params, heads, q_sizes, kv_sizes, g):

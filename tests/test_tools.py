@@ -7,7 +7,7 @@ import tijepa.eval_head as eval_head_module
 from tijepa import trainer as trainer_module
 from tijepa.core import FusionModule
 from tijepa.dataprep import split_dataset, synth_generate
-from tijepa.numerics import active_tape
+from tijepa.numerics import Tensor, active_tape, linear, mlp, no_grad, scale
 from tijepa.trainer import TiJepaConfig
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -27,7 +27,50 @@ TINY = TiJepaConfig(image_size=16, patch_size=8, embed_dim=16, text_embed_dim=16
                     num_targets=2, tgt_scale_lo=0.15, tgt_scale_hi=0.3, batch_size=4)
 
 
+def tensor(shape, requires_grad=False):
+    return Tensor(np.ones(shape, dtype=np.float32), requires_grad)
+
+
 class TestDesignNumbers:
+    def test_tape_held_bytes_count_each_base_array_once(self):
+        design_numbers = load_tool("design_numbers")
+        active_tape().clear()
+        x = tensor((2, 3), requires_grad=True)   # 24 bytes
+        w, b = tensor((3, 4)), tensor((4,))      # 48 and 16 bytes
+        # linear's matmul output is its add's input and output too: 32 bytes once
+        y = scale(linear(x, w, b), 2.0)          # a new 32-byte array
+        with no_grad():
+            scale(y, 3.0)                        # not recorded
+        held = design_numbers.held_arrays(active_tape())
+        active_tape().clear()
+        assert sorted(a.nbytes for a in held) == [16, 24, 32, 32, 48]
+
+    def test_held_arrays_see_views_and_backward_captures(self):
+        design_numbers = load_tool("design_numbers")
+        base = np.zeros((4, 4), dtype=np.float32)
+        captured = np.ones(5)
+
+        def back(g):
+            return (g * captured,)
+
+        view = Tensor.__new__(Tensor)
+        view.data, view.requires_grad, view.grad = base[1:3], True, None
+        held = design_numbers.held_arrays([("op", (view,), view, back)])
+        assert sorted(a.nbytes for a in held) == [40, 64]
+        assert any(a is base for a in held)
+
+    def test_one_mlp_record_holds_two_hidden_width_arrays(self):
+        design_numbers = load_tool("design_numbers")
+        active_tape().clear()
+        rows, dim, hidden = 3, 4, 8
+        mlp(tensor((rows, dim), requires_grad=True), tensor((dim, hidden)), tensor((hidden,)),
+            tensor((hidden, dim)), tensor((dim,)))
+        assert [op for op, *_ in active_tape()] == ["mlp"]
+        held = design_numbers.held_arrays(active_tape())
+        active_tape().clear()
+        # the pre-activation and its tanh; GELU's output is rebuilt in backward
+        assert sum(a.shape == (rows, hidden) for a in held) == 2
+
     def test_per_op_tape_records_add_up_to_the_tape(self, monkeypatch):
         design_numbers = load_tool("design_numbers")
         sizes, real_backward = [], trainer_module.backward

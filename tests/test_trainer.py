@@ -1005,15 +1005,15 @@ class TestFinitenessPolicy:
     def test_nan_only_in_a_backward_stops_the_step_at_adamw(self, monkeypatch):
         real_record = numerics_module._record
 
-        def nan_gelu_backward(op, inputs, arr, back):
-            if op == "gelu":
+        def nan_mlp_backward(op, inputs, arr, back):
+            if op == "mlp":
                 return real_record(op, inputs, arr,
                                    lambda g: tuple(np.full_like(gi, np.nan) for gi in back(g)))
             return real_record(op, inputs, arr, back)
 
         state = self.trained_state(frozen=True)
         before = step_bytes(state)
-        monkeypatch.setattr(numerics_module, "_record", nan_gelu_backward)
+        monkeypatch.setattr(numerics_module, "_record", nan_mlp_backward)
         with pytest.raises(NumericalError, match="non-finite gradient for parameter '"):
             train(tiny_config(total_steps=2), tiny_dataset(), state=state)
         assert step_bytes(state) == before

@@ -4,6 +4,10 @@
 - the tape records of one desk-config training step, by op, with frozen and
   with trainable encoders. They are counted from the tape itself just before
   ``backward`` replays it, so every op is counted under its own name;
+- the MiB the tape holds at that moment: the distinct base arrays of every
+  record's inputs and output and of what its backward captured. The step's
+  memory peak is where ``backward`` starts, so this is the part of
+  ``peak_rss_mib`` that a change to what records keep moves, with no noise;
 - the (image, caption) pairs fused by one ``finetune`` plus one ``evaluate``
   call on a 256-pair labeled synthetic set in the CLI's train/val/test split,
   counted as the segments passed to ``FusionModule.__call__``. Unlike a wall
@@ -18,11 +22,13 @@ import dataclasses
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from tijepa import trainer
 from tijepa.core import FusionModule
 from tijepa.dataprep import split_dataset, synth_generate
 from tijepa.eval_head import evaluate, finetune
-from tijepa.numerics import active_tape
+from tijepa.numerics import Tensor, active_tape
 from tijepa.trainer import PretrainState, TiJepaConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tijepa"
@@ -34,21 +40,43 @@ def src_lines(root: Path = SRC) -> dict[str, int]:
             for path in sorted(root.glob("*.py"))}
 
 
-def tape_records(config: TiJepaConfig, dataset) -> Counter:
-    """The records on the tape of ``config``'s first training step, by op."""
-    counts: Counter = Counter()
+def held_arrays(tape) -> list[np.ndarray]:
+    """The distinct base arrays that ``tape`` references: each record's inputs
+    and output, and the arrays and tensors its backward closure captured."""
+    held = {}
+    for _op, inputs, output, back in tape:
+        cells = [cell.cell_contents for cell in back.__closure__ or ()]
+        for item in (*inputs, output, *cells):
+            arr = item.data if isinstance(item, Tensor) else item
+            if isinstance(arr, np.ndarray):
+                while isinstance(arr.base, np.ndarray):
+                    arr = arr.base
+                held[id(arr)] = arr
+    return list(held.values())
+
+
+def tape_at_backward(config: TiJepaConfig, dataset) -> tuple[Counter, int]:
+    """The records on the tape of ``config``'s first training step, by op, and
+    the bytes of the arrays they hold, taken just before ``backward`` replays it."""
+    measured = []
     real_backward = trainer.backward
 
-    def counted_backward(loss):
-        counts.update(op for op, *_ in active_tape())
+    def measured_backward(loss):
+        tape = active_tape()
+        measured.append((Counter(op for op, *_ in tape), sum(a.nbytes for a in held_arrays(tape))))
         real_backward(loss)
 
-    trainer.backward = counted_backward
+    trainer.backward = measured_backward
     try:
         trainer.train(dataclasses.replace(config, total_steps=1), dataset)
     finally:
         trainer.backward = real_backward
-    return counts
+    return measured[0]
+
+
+def tape_records(config: TiJepaConfig, dataset) -> Counter:
+    """The records on the tape of ``config``'s first training step, by op."""
+    return tape_at_backward(config, dataset)[0]
 
 
 def pairs_fused(config: TiJepaConfig, examples) -> int:
@@ -81,9 +109,10 @@ def main() -> None:
     print(f"src/tijepa total\t{sum(lines.values())}")
     dataset = synth_generate(16, seed=0)
     for label, frozen in (("frozen", True), ("unfrozen", False)):
-        counts = tape_records(TiJepaConfig(freeze_encoders=frozen), dataset)
+        counts, held = tape_at_backward(TiJepaConfig(freeze_encoders=frozen), dataset)
         ops = ", ".join(f"{op} {n}" for op, n in counts.most_common())
         print(f"tape records per desk step, {label}\t{sum(counts.values())}\t({ops})")
+        print(f"tape-held MiB at backward, {label}\t{held / 2**20:.1f}")
     labeled = synth_generate(256, seed=0, labeled=True)
     print(f"pairs fused per finetune + eval, 256 labeled pairs\t"
           f"{pairs_fused(TiJepaConfig(), labeled)}")
