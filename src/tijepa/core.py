@@ -11,6 +11,7 @@ positional encoding and reads its outputs back at those slots.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .encoders import (
     ImageEncoder,
     TextEncoder,
     TransformerBlock,
-    image_key,
     sincos_pos_2d,
     tokenize_text,
 )
@@ -236,57 +236,103 @@ class Predictor(Module):
 # forward paths
 
 
-def fuse_image(images, captions, image_encoder: ImageEncoder, text_encoder: TextEncoder,
-               fusion: FusionModule, visible=None) -> tuple[Tensor, list[int]]:
-    """Tokenize and encode the captions, encode the images and fuse each pair.
+class PairInputs:
+    """The (image, caption) pairs of one call, each distinct input keyed once.
+
+    ``ids`` holds one (image id, caption id) row per pair: an image is keyed
+    by its shape, dtype and SHA-256, a caption by its token ids, and each is
+    numbered by first appearance (``images[i]`` and ``tokens[j]`` are the
+    first of each). ``stored`` promises that no encoder weight moves while
+    the table is in use: each distinct full image and caption is then
+    encoded once, on first use, and kept gradient-free and read-only. The
+    encodings of ``visible`` patches are never stored.
+    """
+
+    def __init__(self, images, captions, image_encoder: ImageEncoder,
+                 text_encoder: TextEncoder, stored: bool):
+        self.encoders = (image_encoder, text_encoder)
+        max_len = text_encoder.cfg.max_text_len
+        image_ids, caption_ids = {}, {}
+        self.ids = np.array([
+            (image_ids.setdefault((image.shape, image.dtype.str,
+                                   hashlib.sha256(np.ascontiguousarray(image)).digest()),
+                                  len(image_ids)),
+             caption_ids.setdefault(tuple(tokenize_text(caption, max_len)), len(caption_ids)))
+            for image, caption in zip(images, captions)], dtype=np.int64).reshape(-1, 2)
+        self.images = [images[i] for i in np.unique(self.ids[:, 0], return_index=True)[1]]
+        self.tokens = list(caption_ids)
+        self._stores = ({}, {}) if stored else None
+
+    def _run(self, column: int, ids, visible=None) -> tuple[Tensor, list[int]]:
+        if column == 0:
+            return self.encoders[0].encode([self.images[i] for i in ids], visible=visible)
+        seqs = [self.tokens[i] for i in ids]
+        return self.encoders[1].encode([t for seq in seqs for t in seq], [len(s) for s in seqs])
+
+    def encode(self, column: int, ids, visible=None) -> tuple[Tensor, list[int]]:
+        """The encoded rows of the images (``column`` 0) or captions (1) ``ids``, input
+        by input, and each one's row count; ``visible`` as in ``ImageEncoder.encode``.
+        A stored input missing from the store is encoded with the request's others."""
+        if self._stores is None or visible is not None:
+            return self._run(column, ids, visible)
+        store, ids = self._stores[column], np.asarray(ids).tolist()
+        missing = [i for i in dict.fromkeys(ids) if i not in store]
+        if missing:
+            with no_grad():
+                rows, counts = self._run(column, missing)
+            for i, part in zip(missing, np.split(rows.data, np.cumsum(counts)[:-1])):
+                store[i] = Tensor(part)
+                store[i].data.setflags(write=False)
+        parts = [store[i] for i in ids]
+        return (parts[0] if len(parts) == 1 else concat_rows(parts)), [p.shape[0] for p in parts]
+
+
+def distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct row's first position, in order of appearance, and every row's
+    number among the distinct ones."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
+
+
+def fuse_image(table: PairInputs, rows, fusion: FusionModule,
+               visible=None) -> tuple[Tensor, list[int]]:
+    """Encode the captions and images of ``table``'s pairs ``rows`` and fuse each pair.
 
     ``visible`` limits the image encoder to one set of patches per image
     (rows follow ascending patch index); by default every patch is encoded.
-    Returns the fused rows, example by example, and each example's row
-    count. Gradients flow wherever parameters require them.
+    Returns the fused rows, pair by pair, and each pair's row count.
+    Gradients flow wherever parameters require them.
     """
-    ids = [tokenize_text(caption, text_encoder.cfg.max_text_len) for caption in captions]
-    text_reps, text_sizes = text_encoder.encode([i for seq in ids for i in seq],
-                                                [len(seq) for seq in ids])
-    patch_reps, sizes = image_encoder.encode(images, visible=visible)
+    text_reps, text_sizes = table.encode(1, rows[:, 1])
+    patch_reps, sizes = table.encode(0, rows[:, 0], visible)
     return fusion(patch_reps, text_reps, sizes, text_sizes), sizes
 
 
-def distinct_pairs(images, captions, max_text_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct (image, caption) pair's first example, in order, and every example's pair."""
-    pairs: dict = {}
-    inverse = np.array([pairs.setdefault((None if image is None else image_key(image),
-                                          tuple(tokenize_text(caption, max_text_len))), len(pairs))
-                        for image, caption in zip(images, captions)], dtype=np.int64)
-    return np.unique(inverse, return_index=True)[1], inverse
-
-
-def make_targets(images, captions, masks: list[MaskSet], image_encoder: ImageEncoder,
-                 text_encoder: TextEncoder, target_fusion: FusionModule) -> tuple[Tensor, Tensor]:
-    """Fused full-image representations and their target-block rows, gradient-free.
+def make_targets(table: PairInputs, rows, masks: list[MaskSet],
+                 target_fusion: FusionModule) -> tuple[Tensor, Tensor]:
+    """Fused full-image representations of ``table``'s pairs ``rows`` and their
+    target-block rows, gradient-free.
 
     Returns ``(targets, fused)``: ``fused`` stacks every example's patch
     rows, each distinct pair fused once; ``targets`` its target-block rows,
     example by example, blocks in order, each block's patches in ``indices()``
     order, matching the rows ``Predictor.predict`` returns.
     """
-    first, inverse = distinct_pairs(images, captions, text_encoder.cfg.max_text_len)
+    first, inverse = distinct_rows(rows)
     with no_grad():
-        fused, sizes = fuse_image([images[i] for i in first], [captions[i] for i in first],
-                                  image_encoder, text_encoder, target_fusion)
+        fused, sizes = fuse_image(table, rows[first], target_fusion)
         fused = gather_rows(fused, (inverse[:, None] * sizes[0] + np.arange(sizes[0])).ravel())
         targets = gather_rows(fused, [e * sizes[0] + i for e, m in enumerate(masks)
                                       for block in m.targets for i in block.indices()])
     return targets, fused
 
 
-def make_context(images, captions, masks: list[MaskSet], image_encoder: ImageEncoder,
-                 text_encoder: TextEncoder, fusion: FusionModule) -> Tensor:
+def make_context(table: PairInputs, rows, masks: list[MaskSet], fusion: FusionModule) -> Tensor:
     """Fused representations of every example's visible context patches, stacked; gradients flow."""
     if not all(m.context for m in masks):
         raise ShapeError("context index set is empty")
-    return fuse_image(images, captions, image_encoder, text_encoder, fusion,
-                      visible=[m.context for m in masks])[0]
+    return fuse_image(table, rows, fusion, visible=[m.context for m in masks])[0]
 
 
 def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
@@ -312,15 +358,15 @@ def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
     return scale(block_distance(predictions, targets, row_weight, kind), 1.0 / len(sizes))
 
 
-def example_loss(encoders, fusion: FusionModule, predictor: Predictor, images, captions,
+def example_loss(table: PairInputs, rows, fusion: FusionModule, predictor: Predictor,
                  masks: list[MaskSet], targets: Tensor, kind: str) -> Tensor:
-    """Prediction loss of a batch whose context path reads ``captions``.
+    """Prediction loss of the batch of ``table``'s pairs ``rows``, whose context
+    path reads each row's caption.
 
-    ``encoders`` is the (image, text) encoder pair, plain or memoized;
     ``targets`` are the rows :func:`make_targets` returns for ``masks``. A
     single example is a batch of one.
     """
-    context = make_context(images, captions, masks, *encoders, fusion)
+    context = make_context(table, rows, masks, fusion)
     preds = predictor.predict(context, [m.context for m in masks],
                               [[block.indices() for block in m.targets] for m in masks],
                               (masks[0].grid_h, masks[0].grid_w))
@@ -369,11 +415,11 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
     captions = ["ab", "wxyz"]
     masks = [sample_masks((3, 3), 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
                           np.random.default_rng(seed + i)) for i in (1, 2)]
-    encoders = (image_encoder, text_encoder)
-    targets, _ = make_targets(images, captions, masks, *encoders, target_fusion)
+    table = PairInputs(images, captions, image_encoder, text_encoder, stored=False)
+    targets, _ = make_targets(table, table.ids, masks, target_fusion)
 
     def build():
-        return example_loss(encoders, fusion, predictor, images, captions, masks, targets, "l2")
+        return example_loss(table, table.ids, fusion, predictor, masks, targets, "l2")
 
     params = {name: p for module in (image_encoder, text_encoder, fusion, predictor)
               for name, p in module.named_parameters().items()}

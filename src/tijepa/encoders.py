@@ -9,7 +9,6 @@ by default during pretraining.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -25,12 +24,10 @@ from .numerics import (
     _check_finite,
     add,
     attention,
-    concat_rows,
     gather_rows,
     layer_norm,
     linear,
     mlp,
-    no_grad,
 )
 
 BOS_ID = 256
@@ -312,53 +309,6 @@ class TextEncoder(Module):
         return layer_norm(x, self.norm_g, self.norm_b), sizes
 
     __call__ = encode
-
-
-def image_key(image: np.ndarray) -> tuple:  # an image's shape, dtype and SHA-256
-    return image.shape, image.dtype.str, hashlib.sha256(np.ascontiguousarray(image)).digest()
-
-
-class EncodingMemo:
-    """An encoder's ``encode`` that runs once per distinct input.
-
-    Valid only while the encoder's weights stay fixed, so a caller builds one
-    per call and drops it on return. A batch is split into its inputs: token
-    id sequences are keyed as tuples, a full image by :func:`image_key`. The
-    inputs not seen before are encoded together in one batch and stored as
-    gradient-free tensors with read-only arrays; a batch of one stored input
-    returns the stored tensor itself. Calls with ``visible`` patches always
-    run the encoder and are never stored.
-    """
-
-    def __init__(self, encoder: ImageEncoder | TextEncoder):
-        self.encoder = encoder
-        self.cfg = encoder.cfg
-        self._store: dict[tuple, Tensor] = {}
-
-    def encode(self, inputs, sizes=None, visible=None) -> tuple[Tensor, list[int]]:
-        if visible is not None:
-            return self.encoder.encode(inputs, visible=visible)
-        text = isinstance(self.encoder, TextEncoder)
-        if text:
-            ids = np.asarray(inputs, dtype=np.int64).reshape(-1)
-            items = np.split(ids, np.cumsum([ids.size] if sizes is None else sizes)[:-1])
-            keys = [tuple(item.tolist()) for item in items]
-        else:
-            items = list(inputs)
-            keys = [image_key(x) for x in items]
-        missing = {key: item for key, item in zip(keys, items) if key not in self._store}
-        if missing:
-            batch = list(missing.values())
-            with no_grad():
-                rows, counts = (self.encoder.encode(np.concatenate(batch), [b.size for b in batch])
-                                if text else self.encoder.encode(batch))
-            for key, part in zip(missing, np.split(rows.data, np.cumsum(counts)[:-1])):
-                stored = Tensor(part)
-                stored.data.setflags(write=False)
-                self._store[key] = stored
-        parts = [self._store[key] for key in keys]
-        out = parts[0] if len(parts) == 1 else concat_rows(parts)
-        return out, [part.shape[0] for part in parts]
 
 
 # ---------------------------------------------------------------------------

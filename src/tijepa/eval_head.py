@@ -1,9 +1,10 @@
 """Linear sentiment head on frozen fused representations, plus metrics.
 
 The backbone (encoders + online fusion module) runs gradient-free; only the
-single linear layer trains. Because the backbone never moves, each distinct
-(image, caption) pair of a fine-tune (train and val in one pass) or an eval
-call is pooled once, ``batch_size`` pairs a forward, and reused across epochs.
+single linear layer trains. A fine-tune (train and val in one pass) or an
+eval call keys its examples once, in one :class:`~tijepa.core.PairInputs`
+table. Because the backbone never moves, each distinct (image, caption) pair
+is pooled once, ``batch_size`` pairs a forward, and reused across epochs.
 A head step, validation and evaluation each run on a whole batch of features.
 """
 
@@ -15,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FusionModule, distinct_pairs, fuse_image
+from .core import FusionModule, PairInputs, distinct_rows, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
-from .encoders import ImageEncoder, TextEncoder
 from .errors import DataError, ShapeError
 from .numerics import (Module, Tensor, _check_finite, _wrap, backward, cross_entropy_logits,
                        linear, no_grad, scale, zero_grads)
@@ -52,14 +52,12 @@ class ClassifierHead(Module):
             return np.argmax(self.logits(_wrap(np.asarray(features))).data, axis=1)
 
 
-def pooled_representation(images, captions, image_encoder: ImageEncoder,
-                          text_encoder: TextEncoder, fusion: FusionModule) -> np.ndarray:
-    """Each pair's mean over its fused full-image patch rows, (B, D), gradient-free;
-    no loss guards them, so non-finite features raise ``NumericalError``."""
-    if any(image is None for image in images):
-        raise DataError("fine-tuning and evaluation require an image for every example")
+def pooled_representation(table: PairInputs, rows, fusion: FusionModule) -> np.ndarray:
+    """The mean over each of ``table``'s pairs ``rows`` of its fused full-image patch
+    rows, (B, D), gradient-free; no loss guards them, so non-finite features raise
+    ``NumericalError``."""
     with no_grad():
-        fused, sizes = fuse_image(images, captions, image_encoder, text_encoder, fusion)
+        fused, sizes = fuse_image(table, rows, fusion)
     pooled = fused.data.reshape(len(sizes), sizes[0], -1).mean(axis=1)
     _check_finite(pooled, "pooled features")
     return pooled
@@ -70,15 +68,17 @@ def _pooled_features(state: PretrainState, examples) -> tuple[np.ndarray, np.nda
     (image, caption) pair is pooled once, in chunks of ``batch_size`` pairs."""
     if any(example.label is None for example in examples):
         raise DataError("fine-tuning and evaluation require labeled examples")
+    if any(example.image is None for example in examples):
+        raise DataError("fine-tuning and evaluation require an image for every example")
     for example in examples:
-        if example.image is not None:  # one without an image is left to pooled_representation
-            _check_example_image(example, state.config)
-    images, captions = [e.image for e in examples], [e.caption for e in examples]
-    first, inverse = distinct_pairs(images, captions, state.config.max_text_len)
+        _check_example_image(example, state.config)
+    # each distinct pair is fused once, so stored encodings would only hold memory
+    table = PairInputs([e.image for e in examples], [e.caption for e in examples],
+                       state.image_encoder, state.text_encoder, stored=False)
+    first, inverse = distinct_rows(table.ids)
     step = state.config.batch_size
-    pooled = [pooled_representation([images[i] for i in part], [captions[i] for i in part],
-                                    state.image_encoder, state.text_encoder, state.fusion)
-              for part in (first[lo:lo + step] for lo in range(0, len(first), step))]
+    pooled = [pooled_representation(table, table.ids[first[lo:lo + step]], state.fusion)
+              for lo in range(0, len(first), step)]
     features = (np.concatenate(pooled)[inverse] if pooled
                 else np.zeros((0, state.config.embed_dim), dtype=np.float32))
     return features, np.array([LABEL_TO_INDEX[e.label] for e in examples], dtype=np.int64)

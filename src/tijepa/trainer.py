@@ -24,12 +24,13 @@ import numpy as np
 from .core import (
     CrossAttnConfig,
     FusionModule,
+    PairInputs,
     Predictor,
     PredictorConfig,
     example_loss,
     make_targets,
 )
-from .encoders import EncoderConfig, EncodingMemo, ImageEncoder, TextEncoder
+from .encoders import EncoderConfig, ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError, read_input
 from .masking import sample_masks
 from .numerics import Module, Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
@@ -441,13 +442,6 @@ def _check_example_image(example, config: TiJepaConfig) -> None:
             f"image shape {img.shape} does not match configured size {config.image_size}")
 
 
-def _memo_if_frozen(encoder):
-    """``encoder`` behind an :class:`EncodingMemo` unless a gradient can reach it."""
-    if any(p.requires_grad for p in encoder.named_parameters().values()):
-        return encoder
-    return EncodingMemo(encoder)
-
-
 def _drop_rows_after(log: Path, step: int) -> None:
     """Remove the rows past ``step`` from a metrics log, which a run resumed
     from the checkpoint of ``step`` is about to log again."""
@@ -514,8 +508,13 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
     online_fusion_params = state.fusion.named_parameters("m")
     target_fusion_params = state.target_fusion.named_parameters("m")
 
-    # one memo per call: entries never outlive it, so a resumed run starts clean
-    encoders = (_memo_if_frozen(state.image_encoder), _memo_if_frozen(state.text_encoder))
+    # one table per call keys every example once; while no gradient reaches the
+    # encoders it stores their encodings, which never outlive the call, so a
+    # resumed run starts clean
+    frozen = not any(name.startswith(("image_encoder.", "text_encoder.")) for name in trainable)
+    table = PairInputs([example.image for example in dataset],
+                       [example.caption for example in dataset], state.image_encoder,
+                       state.text_encoder, stored=frozen)
     rows: list[MetricsRow] = []
     losses: list[float] = []
     skipped = 0
@@ -529,7 +528,7 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
 
         active_tape().clear()
         zero_grads(trainable)
-        examples, masks = [], []
+        picked, masks = [], []
         for example_index in batch:
             mask_rng = np.random.default_rng(
                 [config.seed, _STREAM_MASK, epoch, int(example_index)])
@@ -541,19 +540,18 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
                 logger.warning("step %d: skipping example %d (%s)", s + 1,
                                int(example_index), exc)
                 continue
-            examples.append(dataset[int(example_index)])
-        if not examples:
+            picked.append(example_index)
+        if not picked:
             # a masking config that fails for a whole batch is a config error
             raise DataError(
                 f"step {s + 1}: no example of the batch could be masked ({mask_failure}); "
                 "num_targets, ctx_scale_lo/hi, tgt_scale_lo/hi, tgt_aspect_lo/hi and "
                 "mask_max_retries leave no context on this grid")
 
-        images = [example.image for example in examples]
-        captions = [example.caption for example in examples]
-        targets, fused = make_targets(images, captions, masks, *encoders, state.target_fusion)
-        batch_loss = example_loss(encoders, state.fusion, state.predictor, images, captions,
-                                  masks, targets, config.loss_type)
+        pairs = table.ids[picked]
+        targets, fused = make_targets(table, pairs, masks, state.target_fusion)
+        batch_loss = example_loss(table, pairs, state.fusion, state.predictor, masks, targets,
+                                  config.loss_type)
         _check_finite(batch_loss.data, f"loss at step {s + 1}")
         loss_value = batch_loss.item()
         backward(batch_loss)
@@ -566,8 +564,8 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
 
         done = state.step
         if done == 1 or done % config.log_interval == 0 or done == config.total_steps:
-            collapse = collapse_metric(fused.data.reshape(len(examples), -1, fused.shape[1])) \
-                if len(examples) >= 2 else 0.0
+            collapse = collapse_metric(fused.data.reshape(len(picked), -1, fused.shape[1])) \
+                if len(picked) >= 2 else 0.0
             row = MetricsRow(done, loss_value, collapse, m)
             rows.append(row)
             logger.info("step %d: loss=%.6f collapse=%.6f ema_m=%.6f",
@@ -597,23 +595,23 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
     n = len(dataset) if limit is None else min(limit, len(dataset))
     if n < 2:
         raise DataError("caption sensitivity needs at least 2 examples")
+    for i in range(n):
+        _check_example_image(dataset[i], config)
     masks = [sample_masks(rng=np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i]),
                           **config.mask_args()) for i in range(n)]
-    images = [dataset[i].image for i in range(n)]
-    captions = [dataset[i].caption for i in range(n)]
-    permuted = captions[1:] + captions[:1]
-    # no weight moves here, so the encoders count as frozen even when they train
-    encoders = (EncodingMemo(state.image_encoder), EncodingMemo(state.text_encoder))
+    # no weight moves here, so the encodings are stored even when the encoders train
+    table = PairInputs([dataset[i].image for i in range(n)], [dataset[i].caption for i in range(n)],
+                       state.image_encoder, state.text_encoder, stored=True)
+    permuted = np.column_stack([table.ids[:, 0], np.roll(table.ids[:, 1], -1)])
     totals = [0.0, 0.0]
     with no_grad():
         # batches of the training size bound the memory of one forward
         for lo in range(0, n, config.batch_size):
             part = slice(lo, lo + config.batch_size)
-            targets, _ = make_targets(images[part], captions[part], masks[part], *encoders,
-                                      state.target_fusion)
-            for j, shown in enumerate((captions, permuted)):
-                loss = example_loss(encoders, state.fusion, state.predictor, images[part],
-                                    shown[part], masks[part], targets, config.loss_type)
+            targets, _ = make_targets(table, table.ids[part], masks[part], state.target_fusion)
+            for j, shown in enumerate((table.ids, permuted)):
+                loss = example_loss(table, shown[part], state.fusion, state.predictor,
+                                    masks[part], targets, config.loss_type)
                 _check_finite(loss.data, f"caption sensitivity loss from example {lo}")
                 totals[j] += loss.item() * len(masks[part])
     return totals[0] / n, totals[1] / n

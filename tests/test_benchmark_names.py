@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import tijepa
-from tijepa import cli, core, dataprep, encoders, eval_head, numerics, trainer
+from tijepa import cli, core, dataprep, encoders, eval_head, masking, numerics, trainer
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 
@@ -45,11 +45,21 @@ def parameters(fn) -> list[str]:
 @pytest.mark.parametrize("module, name", [
     (trainer, "adamw_step"),  # its return ends a step, in the untraced step clock too
     (trainer, "save_checkpoint"),
+    (trainer, "load_checkpoint"),
+    (trainer, "ema_update"),
     (numerics, "backward"),
     (numerics, "active_tape"),
     (numerics, "_record"),
     (numerics, "_check_finite"),
     (dataprep, "load_manifest"),
+    (dataprep, "split_dataset"),
+    (masking, "sample_masks"),
+    (core, "make_targets"),  # the target and context paths' per-step times
+    (core, "make_context"),
+    (core, "prediction_loss"),
+    (eval_head, "pooled_representation"),  # feature time, inside and outside finetune
+    (eval_head, "finetune"),
+    (eval_head, "evaluate"),
     (cli, "dispatch"),
 ])
 def test_function_is_defined_at_module_level_under_its_name(module, name):

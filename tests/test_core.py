@@ -5,9 +5,10 @@ import tijepa.core as core_module
 from tijepa.core import (
     CrossAttnConfig,
     FusionModule,
+    PairInputs,
     Predictor,
     PredictorConfig,
-    distinct_pairs,
+    distinct_rows,
     example_loss,
     fusion_gradient_check,
     make_context,
@@ -16,7 +17,8 @@ from tijepa.core import (
     pipeline_gradient_check,
     prediction_loss,
 )
-from tijepa.encoders import EncoderConfig, ImageEncoder, TextEncoder, TransformerBlock
+from tijepa.encoders import (EncoderConfig, ImageEncoder, TextEncoder, TransformerBlock,
+                             tokenize_text)
 from tijepa.errors import ShapeError
 from tijepa.masking import BlockMask, MaskSet, sample_masks
 from tijepa.numerics import (
@@ -57,6 +59,12 @@ def small_image(seed=1):
 def mask_set():
     return sample_masks(GRID, 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
                         np.random.default_rng(3))
+
+
+def pairs(images, captions, image_encoder, text_encoder, stored=False):
+    """A table of the pairs and all its id rows: the forward paths' first two arguments."""
+    table = PairInputs(images, captions, image_encoder, text_encoder, stored)
+    return table, table.ids
 
 
 class TestFuse:
@@ -184,8 +192,8 @@ class TestMakeTargets:
         image_encoder, text_encoder = small_encoders()
         target_fusion = small_fusion(requires_grad=False)
         masks = mask_set()
-        targets, fused = make_targets([small_image()], ["cap"], [masks], image_encoder,
-                                      text_encoder, target_fusion)
+        targets, fused = make_targets(*pairs([small_image()], ["cap"], image_encoder,
+                                             text_encoder), [masks], target_fusion)
         assert targets.shape == (sum(block.area for block in masks.targets), DIM)
         assert not targets.requires_grad
         row = 0
@@ -199,8 +207,8 @@ class TestMakeTargets:
         target_fusion = small_fusion(requires_grad=False)
         single = BlockMask(2, 2, row=1, col=0, height=1, width=1, requested_area=1)
         masks = MaskSet(2, 2, single, (0, 1, 3), (single,))
-        targets, fused = make_targets([small_image()], ["cap"], [masks], image_encoder,
-                                      text_encoder, target_fusion)
+        targets, fused = make_targets(*pairs([small_image()], ["cap"], image_encoder,
+                                             text_encoder), [masks], target_fusion)
         np.testing.assert_array_equal(targets.data, fused.data[2:3])
 
     def test_context_pixels_influence_targets(self):
@@ -212,45 +220,159 @@ class TestMakeTargets:
         ctx = BlockMask(2, 2, row=1, col=1, height=1, width=1, requested_area=1)
         masks = MaskSet(2, 2, ctx, (3,), (target,))
         img = small_image()
-        first = make_targets([img], ["cap"], [masks], image_encoder, text_encoder,
+        first = make_targets(*pairs([img], ["cap"], image_encoder, text_encoder), [masks],
                              target_fusion)[0].data
         img2 = img.copy()
         img2[:, 8:, 8:] = 1.0 - img2[:, 8:, 8:]  # patch 3 only (context area)
-        second = make_targets([img2], ["cap"], [masks], image_encoder, text_encoder,
+        second = make_targets(*pairs([img2], ["cap"], image_encoder, text_encoder), [masks],
                               target_fusion)[0].data
         assert np.abs(first - second).max() > 1e-6
 
 
-class TestDistinctPairs:
+class CountingEncoder:
+    """Forwards to an encoder and records the ``visible`` of every call."""
+
+    def __init__(self, encoder):
+        self.cfg = encoder.cfg
+        self.inner = encoder
+        self.calls = []
+
+    def encode(self, images, visible=None):
+        self.calls.append(visible)
+        return self.inner.encode(images, visible=visible)
+
+
+def distinct(images, captions, max_text_len=16):
+    """The table's distinct pairs: each one's first example and every example's pair."""
+    cfg = EncoderConfig(patch_size=8, embed_dim=DIM, depth=1, heads=2, max_text_len=max_text_len)
+    table = PairInputs(images, captions, None, TextEncoder(cfg, None), stored=False)
+    return distinct_rows(table.ids)
+
+
+class TestPairInputs:
     def test_all_distinct_input_keeps_its_order(self):
         images = [small_image(seed) for seed in range(4)]
-        first, inverse = distinct_pairs(images, ["a", "b", "a", "c"], 16)
+        table = PairInputs(images, ["a", "b", "a", "c"], *small_encoders(), stored=False)
+        # images and captions are each numbered by first appearance
+        np.testing.assert_array_equal(table.ids, [[0, 0], [1, 1], [2, 0], [3, 2]])
+        assert all(a is b for a, b in zip(table.images, images))
+        assert table.tokens == [(256, 97, 257), (256, 98, 257), (256, 99, 257)]
+        first, inverse = distinct_rows(table.ids)
         np.testing.assert_array_equal(first, np.arange(4))
         np.testing.assert_array_equal(inverse, np.arange(4))
 
     def test_repeats_map_to_their_first_example(self):
         a, b = small_image(1), small_image(2)
         # a copy of an image's bytes is the same image
-        first, inverse = distinct_pairs([a, b, a.copy(), b, a], ["x", "y", "x", "y", "x"], 16)
+        first, inverse = distinct([a, b, a.copy(), b, a], ["x", "y", "x", "y", "x"])
         np.testing.assert_array_equal(first, [0, 1])
         np.testing.assert_array_equal(inverse, [0, 1, 0, 1, 0])
 
     def test_a_pair_needs_both_its_image_and_its_caption(self):
         a, b = small_image(1), small_image(2)
-        first, inverse = distinct_pairs([a, a.copy(), a, b], ["x", "y", "x", "x"], 16)
+        first, inverse = distinct([a, a.copy(), a, b], ["x", "y", "x", "x"])
         np.testing.assert_array_equal(first, [0, 1, 3])
         np.testing.assert_array_equal(inverse, [0, 1, 0, 2])
 
     def test_captions_are_keyed_by_their_token_ids(self):
         # both captions truncate to the same ids, BOS and "a", at a 2-token limit
-        first, inverse = distinct_pairs([small_image()] * 2, ["ab", "ac"], 2)
+        first, inverse = distinct([small_image()] * 2, ["ab", "ac"], max_text_len=2)
         np.testing.assert_array_equal(first, [0])
         np.testing.assert_array_equal(inverse, [0, 0])
 
-    def test_a_missing_image_is_its_own_key(self):
-        first, inverse = distinct_pairs([None, small_image(), None], ["x", "x", "x"], 16)
-        np.testing.assert_array_equal(first, [0, 1])
-        np.testing.assert_array_equal(inverse, [0, 1, 0])
+    def test_a_shuffled_batch_gives_its_distinct_rows_in_order_of_first_appearance(self):
+        rows = np.array([[3, 1], [0, 2], [3, 1], [1, 0], [0, 2], [0, 0], [1, 0], [2, 2]])
+        rows = rows[np.random.default_rng(5).permutation(len(rows))]
+        seen = {}
+        for i, row in enumerate(map(tuple, rows)):
+            seen.setdefault(row, i)
+        first, inverse = distinct_rows(rows)
+        np.testing.assert_array_equal(first, list(seen.values()))
+        np.testing.assert_array_equal(rows[first][inverse], rows)
+
+    def test_key_separates_values_shapes_and_dtypes(self):
+        image_encoder, text_encoder = small_encoders()
+        counting = CountingEncoder(image_encoder)
+        img = small_image(3)
+        images = [img, small_image(4), img.astype(np.float64),
+                  np.ascontiguousarray(img.transpose(0, 2, 1)), img, img[:, :8]]
+        table = PairInputs(images, ["c"] * 6, counting, text_encoder, stored=True)
+        np.testing.assert_array_equal(table.ids[:, 0], [0, 1, 2, 3, 0, 4])
+        for i in (0, 1, 2, 3, 0):
+            table.encode(0, [i])
+        assert counting.calls == [None] * 4
+
+    def test_one_request_encodes_each_missing_input_once(self):
+        image_encoder, text_encoder = small_encoders()
+        counting = CountingEncoder(image_encoder)
+        images = [small_image(seed) for seed in (3, 4, 3)]
+        table = PairInputs(images, ["c"] * 3, counting, text_encoder, stored=True)
+        rows, sizes = table.encode(0, table.ids[:, 0])
+        assert sizes == [4, 4, 4] and len(counting.calls) == 1
+        assert rows.data[:4].tobytes() == rows.data[8:].tobytes()
+        single, _ = table.encode(0, [1])
+        assert single.data.tobytes() == rows.data[4:8].tobytes()
+        assert len(counting.calls) == 1
+
+    def test_text_hit_is_bitwise_equal_to_fresh_encode(self):
+        image_encoder, text_encoder = small_encoders()
+        table = PairInputs([small_image()] * 2, ["red square", "blue square"], image_encoder,
+                           text_encoder, stored=True)
+        ids = tokenize_text("red square", 16)
+        first, sizes = table.encode(1, [0])
+        again, _ = table.encode(1, np.array([0]))
+        assert again is first
+        assert sizes == [len(ids)]
+        assert again.data.tobytes() == text_encoder.encode(ids)[0].data.tobytes()
+        assert table.encode(1, [1])[0] is not first
+
+    def test_image_hit_is_bitwise_equal_to_fresh_encode(self):
+        image_encoder, text_encoder = small_encoders()
+        img = small_image(3)
+        # equal bytes in another array are the same image
+        table = PairInputs([img, img.copy()], ["c", "c"], image_encoder, text_encoder,
+                           stored=True)
+        first, _ = table.encode(0, table.ids[:1, 0])
+        again, _ = table.encode(0, table.ids[1:, 0])
+        assert again is first
+        assert again.data.tobytes() == image_encoder.encode([img])[0].data.tobytes()
+        assert not again.requires_grad
+
+    def test_stored_array_rejects_writes(self):
+        table = PairInputs([small_image()], ["abc"], *small_encoders(), stored=True)
+        for column in (0, 1):
+            out, _ = table.encode(column, [0])
+            with pytest.raises(ValueError):
+                out.data[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                out.data += 1.0
+
+    def test_visible_calls_run_the_encoder_and_are_never_stored(self):
+        image_encoder, text_encoder = small_encoders()
+        counting = CountingEncoder(image_encoder)
+        img = small_image(3)
+        table = PairInputs([img], ["c"], counting, text_encoder, stored=True)
+        a, _ = table.encode(0, [0], visible=[[0, 2]])
+        b, _ = table.encode(0, [0], visible=[[0, 2]])
+        assert a is not b
+        assert a.shape == (2, DIM)
+        np.testing.assert_array_equal(a.data,
+                                      image_encoder.encode([img], visible=[[0, 2]])[0].data)
+        assert a.data.flags.writeable
+        assert counting.calls == [[[0, 2]], [[0, 2]]]
+        # a full encode afterwards is still a first sighting
+        table.encode(0, [0])
+        table.encode(0, [0])
+        assert counting.calls == [[[0, 2]], [[0, 2]], None]
+
+    def test_without_a_store_every_request_runs_the_encoder(self):
+        image_encoder, text_encoder = small_encoders()
+        counting = CountingEncoder(image_encoder)
+        table = PairInputs([small_image()], ["c"], counting, text_encoder, stored=False)
+        a, _ = table.encode(0, [0])
+        b, _ = table.encode(0, [0])
+        assert a is not b and a.data.tobytes() == b.data.tobytes()
+        assert a.data.flags.writeable and counting.calls == [None, None]
 
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
     def test_targets_equal_those_of_fusing_every_example(self, frozen, monkeypatch):
@@ -267,13 +389,11 @@ class TestDistinctPairs:
             return real_call(self, patch_reps, text_reps, segments, text_segments)
 
         monkeypatch.setattr(FusionModule, "__call__", counted_call)
-        targets, fused = make_targets(images, captions, masks, image_encoder, text_encoder,
-                                      target_fusion)
-        monkeypatch.setattr(core_module, "distinct_pairs",
-                            lambda images, captions, max_text_len:
-                            (np.arange(len(images)), np.arange(len(images))))
-        every_targets, every_fused = make_targets(images, captions, masks, image_encoder,
-                                                  text_encoder, target_fusion)
+        batch = pairs(images, captions, image_encoder, text_encoder, stored=frozen)
+        targets, fused = make_targets(*batch, masks, target_fusion)
+        monkeypatch.setattr(core_module, "distinct_rows",
+                            lambda rows: (np.arange(len(rows)), np.arange(len(rows))))
+        every_targets, every_fused = make_targets(*batch, masks, target_fusion)
         assert fused_pairs == [4, 6]
         assert targets.data.tobytes() == every_targets.data.tobytes()
         assert fused.data.tobytes() == every_fused.data.tobytes()
@@ -285,8 +405,8 @@ class TestMakeContext:
         image_encoder, text_encoder = small_encoders()
         fusion = small_fusion()
         masks = mask_set()
-        out = make_context([small_image()], ["cap"], [masks], image_encoder,
-                           text_encoder, fusion)
+        out = make_context(*pairs([small_image()], ["cap"], image_encoder, text_encoder),
+                           [masks], fusion)
         assert out.shape == (len(masks.context), DIM)
 
     def test_equals_target_path_when_modules_match_and_all_visible(self):
@@ -297,8 +417,9 @@ class TestMakeContext:
         dummy_target = BlockMask(2, 2, 0, 0, 1, 1, 1)
         masks = MaskSet(2, 2, full_block, (0, 1, 2, 3), (dummy_target,))
         img = small_image()
-        context = make_context([img], ["cap"], [masks], image_encoder, text_encoder, fusion)
-        _, fused = make_targets([img], ["cap"], [masks], image_encoder, text_encoder, twin)
+        context = make_context(*pairs([img], ["cap"], image_encoder, text_encoder), [masks],
+                               fusion)
+        _, fused = make_targets(*pairs([img], ["cap"], image_encoder, text_encoder), [masks], twin)
         np.testing.assert_allclose(context.data, fused.data, atol=1e-6)
 
     def test_masking_changes_representation(self):
@@ -309,10 +430,10 @@ class TestMakeContext:
         full = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 2, 2, 4), (0, 1, 2, 3),
                        (BlockMask(2, 2, 0, 0, 1, 1, 1),))
         img = small_image()
-        seen_partial = make_context([img], ["cap"], [partial], image_encoder,
-                                    text_encoder, fusion).data
-        seen_full = make_context([img], ["cap"], [full], image_encoder,
-                                 text_encoder, fusion).data
+        seen_partial = make_context(*pairs([img], ["cap"], image_encoder, text_encoder),
+                                    [partial], fusion).data
+        seen_full = make_context(*pairs([img], ["cap"], image_encoder, text_encoder),
+                                 [full], fusion).data
         assert np.abs(seen_partial - seen_full[:2]).max() > 1e-6
 
     def test_empty_context_rejected(self):
@@ -321,8 +442,8 @@ class TestMakeContext:
         masks = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 1, 1, 1), (),
                         (BlockMask(2, 2, 0, 0, 2, 2, 4),))
         with pytest.raises(ShapeError):
-            make_context([small_image()], ["cap"], [masks], image_encoder,
-                         text_encoder, fusion)
+            make_context(*pairs([small_image()], ["cap"], image_encoder, text_encoder),
+                         [masks], fusion)
 
 
 class TestPredict:
@@ -565,12 +686,13 @@ class TestExampleLoss:
                               np.random.default_rng(9))
         masks = mask_set()
         img = small_image()
-        targets, _ = make_targets([img], ["cap"], [masks], *encoders, fusion.clone())
-        context = make_context([img], ["cap"], [masks], *encoders, fusion)
+        targets, _ = make_targets(*pairs([img], ["cap"], *encoders), [masks], fusion.clone())
+        context = make_context(*pairs([img], ["cap"], *encoders), [masks], fusion)
         preds = predictor.predict(context, [masks.context],
                                   [[block.indices() for block in masks.targets]], GRID)
         expected = prediction_loss(preds, targets, [[block.area for block in masks.targets]], kind)
-        loss = example_loss(encoders, fusion, predictor, [img], ["cap"], [masks], targets, kind)
+        loss = example_loss(*pairs([img], ["cap"], *encoders), fusion, predictor, [masks],
+                            targets, kind)
         assert loss.data.tobytes() == expected.data.tobytes()
         assert loss.requires_grad
 
@@ -585,9 +707,9 @@ class TestStopGradient:
         masks = mask_set()
         img = small_image()
 
-        targets, _ = make_targets([img], ["cap"], [masks], image_encoder, text_encoder,
-                                  target_fusion)
-        context = make_context([img], ["cap"], [masks], image_encoder, text_encoder, fusion)
+        batch = pairs([img], ["cap"], image_encoder, text_encoder)
+        targets, _ = make_targets(*batch, [masks], target_fusion)
+        context = make_context(*batch, [masks], fusion)
         preds = predictor.predict(context, [masks.context],
                                   [[block.indices() for block in masks.targets]], GRID)
         backward(prediction_loss(preds, targets, [[block.area for block in masks.targets]]))
@@ -611,8 +733,9 @@ class TestStopGradient:
         target = BlockMask(2, 2, 1, 1, 1, 1, 1)
         masks = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 2, 2, 4), (0, 1, 2), (target,))
         img = small_image()
-        targets, _ = make_targets([img], ["cap"], [masks], image_encoder, text_encoder, twin)
-        context = make_context([img], ["cap"], [masks], image_encoder, text_encoder, fusion)
+        batch = pairs([img], ["cap"], image_encoder, text_encoder)
+        targets, _ = make_targets(*batch, [masks], twin)
+        context = make_context(*batch, [masks], fusion)
         preds = predictor.predict(context, [masks.context],
                                   [[block.indices() for block in masks.targets]], GRID)
         loss = prediction_loss(preds, targets, [[block.area for block in masks.targets]])
@@ -656,7 +779,7 @@ class TestBatchedForward:
         return encoders, fusion, predictor, images, masks
 
     def predictions(self, encoders, fusion, predictor, images, captions, masks):
-        context = make_context(images, captions, masks, *encoders, fusion)
+        context = make_context(*pairs(images, captions, *encoders), masks, fusion)
         preds = predictor.predict(context, [m.context for m in masks],
                                   [[b.indices() for b in m.targets] for m in masks], self.GRID3)
         sizes = np.cumsum([0] + [sum(b.area for b in m.targets) for m in masks])
@@ -678,9 +801,9 @@ class TestBatchedForward:
         """The batched loss, then each batch-of-one loss; ``after`` sees each as it is made."""
         out = []
         for picked in (slice(0, 3), slice(0, 1), slice(1, 2), slice(2, 3)):
-            batch = (images[picked], self.CAPTIONS[picked], masks[picked])
-            targets, _ = make_targets(*batch, *encoders, fusion.clone())
-            out.append(example_loss(encoders, fusion, predictor, *batch, targets, "l2"))
+            batch = pairs(images[picked], self.CAPTIONS[picked], *encoders)
+            targets, _ = make_targets(*batch, masks[picked], fusion.clone())
+            out.append(example_loss(*batch, fusion, predictor, masks[picked], targets, "l2"))
             after(out[-1])
         return out[0], out[1:]
 

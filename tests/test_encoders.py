@@ -7,7 +7,6 @@ from tijepa.encoders import (
     BOS_ID,
     EOS_ID,
     EncoderConfig,
-    EncodingMemo,
     ImageEncoder,
     TextEncoder,
     load_image,
@@ -223,95 +222,6 @@ class TestBatchedEncode:
                 enc.encode(ids, sizes)
         with pytest.raises(ShapeError):
             enc.encode(list(range(17)))  # longer than max_text_len
-
-    def test_memo_batch_stores_each_input(self):
-        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
-        counting = CountingEncoder(enc)
-        memo = EncodingMemo(counting)
-        images = [np.random.default_rng(s).uniform(0, 1, (3, 16, 16)).astype(np.float32)
-                  for s in (3, 4, 3)]
-        rows, sizes = memo.encode(images)
-        assert sizes == [4, 4, 4] and len(counting.calls) == 1
-        assert rows.data[:4].tobytes() == rows.data[8:].tobytes()
-        single, _ = memo.encode(images[1:2])
-        assert single.data.tobytes() == rows.data[4:8].tobytes()
-        assert len(counting.calls) == 1
-
-
-class CountingEncoder:
-    """Forwards to an encoder and records the ``visible`` of every call."""
-
-    def __init__(self, encoder):
-        self.cfg = encoder.cfg
-        self.inner = encoder
-        self.calls = []
-
-    def encode(self, images, visible=None):
-        self.calls.append(visible)
-        return self.inner.encode(images, visible=visible)
-
-
-class TestEncodingMemo:
-    def image(self, seed=3):
-        return np.random.default_rng(seed).uniform(0, 1, (3, 16, 16)).astype(np.float32)
-
-    def test_text_hit_is_bitwise_equal_to_fresh_encode(self):
-        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
-        memo = EncodingMemo(enc)
-        ids = tokenize_text("red square", 16)
-        first, sizes = memo.encode(ids)
-        again, _ = memo.encode(list(ids))
-        assert again is first
-        assert sizes == [len(ids)]
-        assert again.data.tobytes() == enc.encode(ids)[0].data.tobytes()
-        assert memo.encode(tokenize_text("blue square", 16))[0] is not first
-        assert memo.cfg is enc.cfg
-
-    def test_image_hit_is_bitwise_equal_to_fresh_encode(self):
-        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
-        memo = EncodingMemo(enc)
-        img = self.image()
-        first, _ = memo.encode([img])
-        again, _ = memo.encode([img.copy()])  # equal bytes in another array still hit
-        assert again is first
-        assert again.data.tobytes() == enc.encode([img])[0].data.tobytes()
-        assert not again.requires_grad
-
-    def test_key_separates_values_shapes_and_dtypes(self):
-        counting = CountingEncoder(ImageEncoder(small_cfg(), np.random.default_rng(0)))
-        memo = EncodingMemo(counting)
-        img = self.image()
-        memo.encode([img])
-        memo.encode([self.image(seed=4)])
-        memo.encode([img.astype(np.float64)])
-        memo.encode([np.ascontiguousarray(img.transpose(0, 2, 1))])
-        memo.encode([img])
-        assert counting.calls == [None] * 4
-
-    def test_stored_array_rejects_writes(self):
-        memo = EncodingMemo(TextEncoder(small_cfg(), np.random.default_rng(0)))
-        out, _ = memo.encode(tokenize_text("abc", 16))
-        with pytest.raises(ValueError):
-            out.data[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            out.data += 1.0
-
-    def test_visible_calls_run_the_encoder_and_are_never_stored(self):
-        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
-        counting = CountingEncoder(enc)
-        memo = EncodingMemo(counting)
-        img = self.image()
-        a, _ = memo.encode([img], visible=[[0, 2]])
-        b, _ = memo.encode([img], visible=[[0, 2]])
-        assert a is not b
-        assert a.shape == (2, 16)
-        np.testing.assert_array_equal(a.data, enc.encode([img], visible=[[0, 2]])[0].data)
-        assert a.data.flags.writeable
-        assert counting.calls == [[[0, 2]], [[0, 2]]]
-        # a full encode afterwards is still a first sighting
-        memo.encode([img])
-        memo.encode([img])
-        assert counting.calls == [[[0, 2]], [[0, 2]], None]
 
 
 class TestConfigValidation:

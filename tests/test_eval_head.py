@@ -8,7 +8,7 @@ import pytest
 import tijepa.eval_head as eval_head_module
 import tijepa.numerics as numerics_module
 import tijepa.trainer as trainer_module
-from tijepa.core import FusionModule
+from tijepa.core import FusionModule, PairInputs
 from tijepa.dataprep import LABELS, PairedExample, synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, ShapeError
@@ -46,8 +46,9 @@ def backbone_digest(state):
 
 
 def pool(state, examples):
-    return pooled_representation([e.image for e in examples], [e.caption for e in examples],
-                                 state.image_encoder, state.text_encoder, state.fusion)
+    table = PairInputs([e.image for e in examples], [e.caption for e in examples],
+                       state.image_encoder, state.text_encoder, stored=False)
+    return pooled_representation(table, table.ids, state.fusion)
 
 
 def classify(state, head, examples):
@@ -140,12 +141,14 @@ class TestFinetune:
             label = i % 3
             feature = centers[label] + rng.normal(0, 0.1, 16)
             features.append(feature.astype(np.float32))
-            examples.append(PairedExample(None, f"e{i}", LABELS[label]))
+            examples.append(PairedExample(np.zeros((3, 16, 16), np.float32), f"e{i}",
+                                          LABELS[label]))
 
         import tijepa.eval_head as eh
         original = eh.pooled_representation
+        # caption ids number the captions by first appearance: e0 is 0, e1 is 1, ...
         eh.pooled_representation = \
-            lambda images, captions, *modules: np.stack([features[int(c[1:])] for c in captions])
+            lambda table, rows, fusion: np.stack([features[i] for i in rows[:, 1]])
         try:
             head, history = finetune(state, examples, examples, epochs=20,
                                      lr=0.05, seed=0)
@@ -277,7 +280,7 @@ class TestBenchmarkedTapeOps:
             assert {"matmul", "add", "scale"} <= ops
 
 
-class TestEncodingMemoInFinetuneAndEval:
+class TestDistinctPairsInFinetuneAndEval:
     # 32 synthetic examples hold the 16 (caption, image) pairs twice each
     def run(self, head_path):
         state = tiny_state()
@@ -290,9 +293,8 @@ class TestEncodingMemoInFinetuneAndEval:
     def test_results_equal_those_of_fresh_encodes(self, tmp_path, monkeypatch):
         head_bytes, val_accuracies, counts = self.run(tmp_path / "distinct.tijp")
         # every example its own pair: each one is encoded and fused afresh
-        monkeypatch.setattr(eval_head_module, "distinct_pairs",
-                            lambda images, captions, max_text_len:
-                            (np.arange(len(images)), np.arange(len(images))))
+        monkeypatch.setattr(eval_head_module, "distinct_rows",
+                            lambda rows: (np.arange(len(rows)), np.arange(len(rows))))
         plain = self.run(tmp_path / "plain.tijp")
         assert head_bytes == plain[0]
         assert val_accuracies == plain[1]

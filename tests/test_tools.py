@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
 import tijepa.eval_head as eval_head_module
+from tijepa import core as core_module
+from tijepa import numerics as numerics_module
 from tijepa import trainer as trainer_module
 from tijepa.core import FusionModule
 from tijepa.dataprep import split_dataset, synth_generate
@@ -86,6 +90,21 @@ class TestDesignNumbers:
         assert counts["block_distance"] == counts["scale"] == 1
         assert trainer_module.backward is sized_backward
 
+    def test_a_call_hashes_each_example_at_most_once_and_no_step_hashes_one(self):
+        design_numbers = load_tool("design_numbers")
+        data = synth_generate(8, seed=0, image_size=16)
+        for frozen in (True, False):
+            config = dataclasses.replace(TINY, total_steps=5, freeze_encoders=frozen)
+            total, in_steps = design_numbers.image_hashes(
+                lambda: trainer_module.train(config, data))
+            assert in_steps == 0 and 0 < total <= len(data)
+        examples = synth_generate(64, seed=0, image_size=16, labeled=True)
+        total, in_steps = design_numbers.image_hashes(
+            lambda: design_numbers.finetune_and_eval(TINY, examples))
+        assert in_steps == 0 and 0 < total <= len(examples)
+        assert core_module.hashlib is hashlib
+        assert trainer_module.zero_grads is numerics_module.zero_grads
+
     def test_finetune_and_eval_fuse_each_distinct_pair_of_a_pass_once(self, monkeypatch):
         design_numbers = load_tool("design_numbers")
         examples = synth_generate(64, seed=0, image_size=16, labeled=True)
@@ -96,7 +115,6 @@ class TestDesignNumbers:
         real_call = FusionModule.__call__
         assert design_numbers.pairs_fused(TINY, examples) == sum(distinct) <= 32
         assert FusionModule.__call__ is real_call
-        monkeypatch.setattr(eval_head_module, "distinct_pairs",
-                            lambda images, captions, max_text_len:
-                            (np.arange(len(images)), np.arange(len(images))))
+        monkeypatch.setattr(eval_head_module, "distinct_rows",
+                            lambda rows: (np.arange(len(rows)), np.arange(len(rows))))
         assert design_numbers.pairs_fused(TINY, examples) == len(examples)

@@ -12,8 +12,8 @@ import pytest
 
 from tijepa import numerics as numerics_module
 from tijepa import trainer as trainer_module
-from tijepa.core import CrossAttnConfig, FusionModule, Predictor, PredictorConfig
-from tijepa.dataprep import synth_generate
+from tijepa.core import CrossAttnConfig, FusionModule, PairInputs, Predictor, PredictorConfig
+from tijepa.dataprep import PairedExample, synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
 from tijepa.eval_head import ClassifierHead, evaluate, finetune
@@ -904,6 +904,17 @@ class TestTrainLoop:
                                                        limit=4)
         assert np.isfinite(true_loss) and np.isfinite(permuted_loss)
 
+    def test_caption_sensitivity_rejects_an_example_without_an_image(self):
+        data = tiny_dataset()
+        data[2] = PairedExample(None, data[2].caption)
+        with pytest.raises(DataError, match="no image data"):
+            caption_sensitivity(PretrainState.initialize(tiny_config()), data, limit=4)
+
+    def test_caption_sensitivity_rejects_an_image_of_another_size(self):
+        data = tiny_dataset()[:3] + synth_generate(1, seed=0, image_size=32)
+        with pytest.raises(DataError, match="image shape"):
+            caption_sensitivity(PretrainState.initialize(tiny_config()), data, limit=4)
+
 
 class TestBackwardReplay:
     """``backward`` pops each record as it replays it; the gradients are those of
@@ -1105,7 +1116,7 @@ def count_encoder_calls(monkeypatch):
     return counts, calls
 
 
-class TestEncodingMemoInTraining:
+class TestStoredEncodingsInTraining:
     # 3 steps of 4 over 8 examples: epoch 0 sees all 8, then 4 again
     STEPS, BATCH = 3, 4
 
@@ -1130,19 +1141,24 @@ class TestEncodingMemoInTraining:
         assert calls == {"text": 2 * self.STEPS, "image_full": self.STEPS,
                          "image_ctx": self.STEPS}
 
-    def test_memo_leaves_checkpoint_bytes_unchanged(self, tmp_path, monkeypatch):
+    @staticmethod
+    def never_store(monkeypatch):
+        monkeypatch.setattr(trainer_module, "PairInputs",
+                            lambda *args, stored: PairInputs(*args, stored=False))
+
+    def test_stored_encodings_leave_checkpoint_bytes_unchanged(self, tmp_path, monkeypatch):
         cfg = tiny_config(total_steps=4, checkpoint_interval=2)
         train(cfg, tiny_dataset(), out_dir=tmp_path / "memo")
-        monkeypatch.setattr(trainer_module, "EncodingMemo", lambda encoder: encoder)
+        self.never_store(monkeypatch)
         train(cfg, tiny_dataset(), out_dir=tmp_path / "plain")
         for name in ("checkpoint_000002.tijp", "checkpoint_final.tijp", "metrics.log"):
             assert (tmp_path / "memo" / name).read_bytes() == \
                 (tmp_path / "plain" / name).read_bytes(), name
 
-    def test_caption_sensitivity_unchanged_by_memo(self, monkeypatch):
+    def test_caption_sensitivity_unchanged_by_stored_encodings(self, monkeypatch):
         state = train(tiny_config(total_steps=1), tiny_dataset()).state
         with_memo = caption_sensitivity(state, tiny_dataset(), limit=6)
-        monkeypatch.setattr(trainer_module, "EncodingMemo", lambda encoder: encoder)
+        self.never_store(monkeypatch)
         assert caption_sensitivity(state, tiny_dataset(), limit=6) == with_memo
 
 

@@ -1,4 +1,4 @@
-"""Print the north star's two design-quality numbers and one count of fusion work.
+"""Print the north star's two design-quality numbers and counts of fusion and keying work.
 
 - ``src/tijepa`` lines, per module and in total;
 - the tape records of one desk-config training step, by op, with frozen and
@@ -11,7 +11,10 @@
 - the (image, caption) pairs fused by one ``finetune`` plus one ``evaluate``
   call on a 256-pair labeled synthetic set in the CLI's train/val/test split,
   counted as the segments passed to ``FusionModule.__call__``. Unlike a wall
-  time, this number has no noise.
+  time, this number has no noise;
+- the images SHA-256-hashed by one 15-step desk pretraining call on 256
+  synthetic pairs, frozen and unfrozen, in all and once its first step has
+  begun, and by that ``finetune`` plus ``evaluate``.
 
 Run from the repository root (a few seconds on one core):
 
@@ -19,12 +22,13 @@ Run from the repository root (a few seconds on one core):
 """
 
 import dataclasses
+import types
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from tijepa import trainer
+from tijepa import core, trainer
 from tijepa.core import FusionModule
 from tijepa.dataprep import split_dataset, synth_generate
 from tijepa.eval_head import evaluate, finetune
@@ -79,10 +83,41 @@ def tape_records(config: TiJepaConfig, dataset) -> Counter:
     return tape_at_backward(config, dataset)[0]
 
 
+def finetune_and_eval(config: TiJepaConfig, examples) -> None:
+    """A one-epoch ``finetune`` of an initialised ``config`` state on the train and
+    val splits of ``examples``, then an ``evaluate`` on their test split; the epoch
+    count changes only head steps, which fuse and key nothing."""
+    state = PretrainState.initialize(config)
+    train, val, test = split_dataset(examples)
+    head, _ = finetune(state, train, val, epochs=1)
+    evaluate(state, head, test)
+
+
+def image_hashes(run) -> tuple[int, int]:
+    """The images that ``run()`` hashes, in all and once a pretraining step has
+    begun (from the training loop's first ``zero_grads`` on)."""
+    counts = Counter()
+    real_hashlib, real_zero_grads = core.hashlib, trainer.zero_grads
+
+    def sha256(data):
+        counts["all"] += 1
+        counts["in_steps"] += counts["steps"] > 0
+        return real_hashlib.sha256(data)
+
+    def zero_grads(params):
+        counts["steps"] += 1
+        real_zero_grads(params)
+
+    core.hashlib, trainer.zero_grads = types.SimpleNamespace(sha256=sha256), zero_grads
+    try:
+        run()
+    finally:
+        core.hashlib, trainer.zero_grads = real_hashlib, real_zero_grads
+    return counts["all"], counts["in_steps"]
+
+
 def pairs_fused(config: TiJepaConfig, examples) -> int:
-    """The pairs fused by a one-epoch ``finetune`` on the train and val splits of
-    ``examples`` and an ``evaluate`` on their test split; the epoch count
-    changes only head steps, which fuse nothing."""
+    """The pairs fused by :func:`finetune_and_eval`."""
     count = 0
     real_call = FusionModule.__call__
 
@@ -93,10 +128,7 @@ def pairs_fused(config: TiJepaConfig, examples) -> int:
 
     FusionModule.__call__ = counted_call
     try:
-        state = PretrainState.initialize(config)
-        train, val, test = split_dataset(examples)
-        head, _ = finetune(state, train, val, epochs=1)
-        evaluate(state, head, test)
+        finetune_and_eval(config, examples)
     finally:
         FusionModule.__call__ = real_call
     return count
@@ -116,6 +148,14 @@ def main() -> None:
     labeled = synth_generate(256, seed=0, labeled=True)
     print(f"pairs fused per finetune + eval, 256 labeled pairs\t"
           f"{pairs_fused(TiJepaConfig(), labeled)}")
+    pairs = synth_generate(256, seed=0)
+    for label, frozen in (("frozen", True), ("unfrozen", False)):
+        config = TiJepaConfig(freeze_encoders=frozen, total_steps=15)
+        total, in_steps = image_hashes(lambda: trainer.train(config, pairs))
+        print(f"image hashes per 15-step desk pretraining call, 256 pairs, {label}\t{total}\t"
+              f"({in_steps} inside steps)")
+    total, _ = image_hashes(lambda: finetune_and_eval(TiJepaConfig(), labeled))
+    print(f"image hashes per finetune + eval, 256 labeled pairs\t{total}")
 
 
 if __name__ == "__main__":
