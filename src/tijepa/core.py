@@ -24,7 +24,7 @@ from .encoders import (
     sincos_pos_2d,
     tokenize_text,
 )
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .masking import MaskSet, sample_masks
 from .numerics import (
     DEFAULT_DTYPE,
@@ -128,11 +128,11 @@ class FusionModule(Module):
             tokens = layer(tokens, segments, context=text, context_segments=text_segments)
         return linear(tokens, *self.patch_out) if self.patch_out else tokens
 
-    def clone(self, requires_grad: bool = False) -> "FusionModule":
+    def clone(self) -> "FusionModule":
         """Bitwise copy without gradients, e.g. to initialize the EMA target twin."""
         params = self.named_parameters()
         dtype = next(iter(params.values())).dtype
-        twin = FusionModule(self.cfg, None, requires_grad, dtype)  # the layout, overwritten
+        twin = FusionModule(self.cfg, None, False, dtype)  # the layout, overwritten
         for name, tensor in twin.named_parameters().items():
             tensor.data[...] = params[name].data
         return twin
@@ -229,32 +229,38 @@ class Predictor(Module):
         tokens = self.blocks[-1](tokens, segments, keep=slots, keep_segments=block_sizes)
         return linear(tokens, self.out_w, self.out_b)
 
-    __call__ = predict
-
 
 # ---------------------------------------------------------------------------
 # forward paths
 
 
 class PairInputs:
-    """The (image, caption) pairs of one call, each distinct input keyed once.
+    """The (image, caption) pairs of one call, each checked and each distinct input keyed once.
 
-    ``ids`` holds one (image id, caption id) row per pair: an image is keyed
-    by its shape, dtype and SHA-256, a caption by its token ids, and each is
-    numbered by first appearance (``images[i]`` and ``tokens[j]`` are the
-    first of each). ``stored`` promises that no encoder weight moves while
-    the table is in use: each distinct full image and caption is then
-    encoded once, on first use, and kept gradient-free and read-only. The
-    encodings of ``visible`` patches are never stored.
+    Every image must be a ``(3, image_size, image_size)`` array: before any
+    hashing, a missing or wrong-size one raises ``DataError`` that names its
+    example's position. ``ids`` holds one (image id, caption id) row per
+    pair: an image is keyed by its dtype and SHA-256, a caption by its token
+    ids, and each is numbered by first appearance (``images[i]`` and
+    ``tokens[j]`` are the first of each). ``stored`` promises that no encoder
+    weight moves while the table is in use: each distinct full image and
+    caption is then encoded once, on first use, and kept gradient-free and
+    read-only. The encodings of ``visible`` patches are never stored.
     """
 
-    def __init__(self, images, captions, image_encoder: ImageEncoder,
+    def __init__(self, images, captions, image_size: int, image_encoder: ImageEncoder,
                  text_encoder: TextEncoder, stored: bool):
+        for i, image in enumerate(images):
+            if image is None:
+                raise DataError(f"example {i} has no image data")
+            if image.shape != (3, image_size, image_size):
+                raise DataError(f"example {i}: image shape {image.shape} "
+                                f"does not match configured size {image_size}")
         self.encoders = (image_encoder, text_encoder)
         max_len = text_encoder.cfg.max_text_len
         image_ids, caption_ids = {}, {}
         self.ids = np.array([
-            (image_ids.setdefault((image.shape, image.dtype.str,
+            (image_ids.setdefault((image.dtype.str,
                                    hashlib.sha256(np.ascontiguousarray(image)).digest()),
                                   len(image_ids)),
              caption_ids.setdefault(tuple(tokenize_text(caption, max_len)), len(caption_ids)))
@@ -404,7 +410,7 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
     text_encoder = TextEncoder(enc_cfg, rng, dtype=np.float64)
     fusion = FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=8), rng,
                           requires_grad=True, dtype=np.float64)
-    target_fusion = fusion.clone(requires_grad=False)
+    target_fusion = fusion.clone()
     predictor = Predictor(PredictorConfig(depth=1, heads=2, width=8), 8, rng,
                           requires_grad=True, dtype=np.float64)
 
@@ -415,7 +421,7 @@ def pipeline_gradient_check(seed: int = 0, max_coords: int = 16) -> float:
     captions = ["ab", "wxyz"]
     masks = [sample_masks((3, 3), 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),
                           np.random.default_rng(seed + i)) for i in (1, 2)]
-    table = PairInputs(images, captions, image_encoder, text_encoder, stored=False)
+    table = PairInputs(images, captions, 12, image_encoder, text_encoder, stored=False)
     targets, _ = make_targets(table, table.ids, masks, target_fusion)
 
     def build():

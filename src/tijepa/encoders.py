@@ -261,8 +261,6 @@ class ImageEncoder(Module):
             x = block(x, sizes)
         return layer_norm(x, self.norm_g, self.norm_b), sizes
 
-    __call__ = encode
-
 
 class TextEncoder(Module):
     """Token embedding + fixed 1-D positions + transformer blocks."""
@@ -307,8 +305,6 @@ class TextEncoder(Module):
         for block in self.blocks:
             x = block(x, sizes)
         return layer_norm(x, self.norm_g, self.norm_b), sizes
-
-    __call__ = encode
 
 
 # ---------------------------------------------------------------------------

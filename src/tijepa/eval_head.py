@@ -21,9 +21,8 @@ from .dataprep import LABELS, LABEL_TO_INDEX
 from .errors import DataError, ShapeError
 from .numerics import (Module, Tensor, _check_finite, _wrap, backward, cross_entropy_logits,
                        linear, no_grad, scale, zero_grads)
-from .trainer import (AdamWState, PretrainState, _check_example_image, _file_tensors,
-                      _keep_freed_memory, _load_tensors, _tensor_views, adamw_step,
-                      write_tensor_file)
+from .trainer import (AdamWState, PretrainState, _file_tensors, _keep_freed_memory,
+                      _load_tensors, _tensor_views, adamw_step, write_tensor_file)
 
 logger = logging.getLogger(__name__)
 
@@ -65,16 +64,15 @@ def pooled_representation(table: PairInputs, rows, fusion: FusionModule) -> np.n
 
 def _pooled_features(state: PretrainState, examples) -> tuple[np.ndarray, np.ndarray]:
     """Pooled features and label indices of labeled examples: each distinct
-    (image, caption) pair is pooled once, in chunks of ``batch_size`` pairs."""
+    (image, caption) pair is pooled once, in chunks of ``batch_size`` pairs.
+    A missing or wrong-size image raises ``DataError`` at its position in
+    ``examples`` before any pooling."""
     if any(example.label is None for example in examples):
         raise DataError("fine-tuning and evaluation require labeled examples")
-    if any(example.image is None for example in examples):
-        raise DataError("fine-tuning and evaluation require an image for every example")
-    for example in examples:
-        _check_example_image(example, state.config)
     # each distinct pair is fused once, so stored encodings would only hold memory
     table = PairInputs([e.image for e in examples], [e.caption for e in examples],
-                       state.image_encoder, state.text_encoder, stored=False)
+                       state.config.image_size, state.image_encoder, state.text_encoder,
+                       stored=False)
     first, inverse = distinct_rows(table.ids)
     step = state.config.batch_size
     pooled = [pooled_representation(table, table.ids[first[lo:lo + step]], state.fusion)

@@ -381,7 +381,7 @@ def collapse_metric(target_reps) -> float:
 
 
 class PretrainState(Module):
-    """All modules plus optimizer state and the step counter, both starting at zero."""
+    """All modules plus optimizer state, whose step count starting at zero is ``step``."""
 
     def __init__(self, config: TiJepaConfig, image_encoder: ImageEncoder,
                  text_encoder: TextEncoder, fusion: FusionModule,
@@ -393,7 +393,11 @@ class PretrainState(Module):
         self.target_fusion = self._add("target_fusion", target_fusion)
         self.predictor = self._add("predictor", predictor)
         self.opt = AdamWState.create(self.trainable_parameters())
-        self.step = 0
+
+    @property
+    def step(self) -> int:
+        """Steps taken: the optimizer's count, which advances exactly when a step lands."""
+        return self.opt.t
 
     @classmethod
     def initialize(cls, config: TiJepaConfig) -> "PretrainState":
@@ -405,7 +409,7 @@ class PretrainState(Module):
         image_encoder = ImageEncoder(config.image_encoder_config(), rng)
         text_encoder = TextEncoder(config.text_encoder_config(), rng)
         fusion = FusionModule(config.fusion_config(), rng, requires_grad=True)
-        target_fusion = fusion.clone(requires_grad=False)
+        target_fusion = fusion.clone()
         predictor = Predictor(config.predictor_config(), config.embed_dim, rng,
                               requires_grad=not config.freeze_predictor)
         return cls(config, image_encoder, text_encoder, fusion, target_fusion, predictor)
@@ -431,15 +435,6 @@ class TrainResult:
     rows: list[MetricsRow]
     losses: list[float]
     skipped_examples: int
-
-
-def _check_example_image(example, config: TiJepaConfig) -> None:
-    img = example.image
-    if img is None:
-        raise DataError("training example has no image data")
-    if img.shape != (3, config.image_size, config.image_size):
-        raise DataError(
-            f"image shape {img.shape} does not match configured size {config.image_size}")
 
 
 def _drop_rows_after(log: Path, step: int) -> None:
@@ -492,8 +487,15 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
         raise DataError("dataset is empty")
     if state is None:
         state = PretrainState.initialize(config)
-    for example in dataset:
-        _check_example_image(example, config)
+
+    # one table per call checks and keys every example once, before anything under
+    # ``out_dir`` is touched; while no gradient reaches the encoders it stores their
+    # encodings, which never outlive the call, so a resumed run starts clean
+    trainable = state.trainable_parameters()
+    frozen = not any(name.startswith(("image_encoder.", "text_encoder.")) for name in trainable)
+    table = PairInputs([example.image for example in dataset],
+                       [example.caption for example in dataset], config.image_size,
+                       state.image_encoder, state.text_encoder, stored=frozen)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -504,17 +506,8 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
     batch_size = min(config.batch_size, n)
     batches_per_epoch = max(1, n // batch_size)
     sched = config.ema_schedule()
-    trainable = state.trainable_parameters()
     online_fusion_params = state.fusion.named_parameters("m")
     target_fusion_params = state.target_fusion.named_parameters("m")
-
-    # one table per call keys every example once; while no gradient reaches the
-    # encoders it stores their encodings, which never outlive the call, so a
-    # resumed run starts clean
-    frozen = not any(name.startswith(("image_encoder.", "text_encoder.")) for name in trainable)
-    table = PairInputs([example.image for example in dataset],
-                       [example.caption for example in dataset], state.image_encoder,
-                       state.text_encoder, stored=frozen)
     rows: list[MetricsRow] = []
     losses: list[float] = []
     skipped = 0
@@ -559,7 +552,6 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
                    config.beta2, config.adam_eps, config.weight_decay)
         m = momentum_at(s + 1, sched)
         ema_update(target_fusion_params, online_fusion_params, m)
-        state.step = s + 1
         losses.append(loss_value)
 
         done = state.step
@@ -595,13 +587,11 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
     n = len(dataset) if limit is None else min(limit, len(dataset))
     if n < 2:
         raise DataError("caption sensitivity needs at least 2 examples")
-    for i in range(n):
-        _check_example_image(dataset[i], config)
-    masks = [sample_masks(rng=np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i]),
-                          **config.mask_args()) for i in range(n)]
     # no weight moves here, so the encodings are stored even when the encoders train
     table = PairInputs([dataset[i].image for i in range(n)], [dataset[i].caption for i in range(n)],
-                       state.image_encoder, state.text_encoder, stored=True)
+                       config.image_size, state.image_encoder, state.text_encoder, stored=True)
+    masks = [sample_masks(rng=np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i]),
+                          **config.mask_args()) for i in range(n)]
     permuted = np.column_stack([table.ids[:, 0], np.roll(table.ids[:, 1], -1)])
     totals = [0.0, 0.0]
     with no_grad():
@@ -790,5 +780,5 @@ def load_checkpoint(path) -> PretrainState:
     if counters["optimizer.t"] != counters["meta.step"]:
         raise DataError(f"optimizer.t {counters['optimizer.t']} != meta.step "
                         f"{counters['meta.step']}: {path}")
-    state.opt.t = state.step = counters["meta.step"]
+    state.opt.t = counters["meta.step"]
     return state

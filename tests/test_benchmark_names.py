@@ -120,6 +120,11 @@ def test_image_encode_takes_images_first_and_visible_by_keyword():
     assert params["visible"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
+def test_predictor_predicts_through_its_own_predict_method():
+    # the predictor's step metrics are read from calls to this name
+    assert isinstance(vars(core.Predictor).get("predict"), types.FunctionType)
+
+
 def test_fusion_module_is_called_through_its_own_call_method():
     # an `encode` or `predict` beside `__call__` would rename its metrics
     members = vars(core.FusionModule)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tijepa.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dispatch
-from tijepa.dataprep import LABELS, synth_generate, write_synth_dataset
+from tijepa.dataprep import (LABELS, load_manifest, split_dataset, synth_generate,
+                             write_synth_dataset)
 from tijepa.encoders import write_rawt
 from tijepa.eval_head import ClassifierHead, save_head
 from tijepa.trainer import (PretrainState, TiJepaConfig, read_tensor_file, save_checkpoint,
@@ -230,7 +231,11 @@ class TestDataErrors:
         out = tmp_path / "head"
         assert dispatch(["finetune", "--ckpt", str(ckpt), "--data", str(manifest),
                          "--out", str(out), "--epochs", "1"]) == EXIT_DATA
-        assert "image shape (3, 32, 32) does not match configured size 16" in caplog.text
+        # the message names the position among the train split, then the val split
+        train, val, _ = split_dataset(load_manifest(manifest))
+        first = next(i for i, e in enumerate(train + val) if e.image.shape == (3, 32, 32))
+        assert (f"example {first}: image shape (3, 32, 32) does not match configured size 16"
+                in caplog.text)
         assert not (out / "head.tijp").exists()
 
     @pytest.mark.parametrize("sizes", [(32,), (16, 32)], ids=["all_wrong", "mixed"])
@@ -240,7 +245,8 @@ class TestDataErrors:
         save_head(ClassifierHead(16), head)
         assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(head),
                          "--data", str(manifest), "--split", "all"]) == EXIT_DATA
-        assert "image shape (3, 32, 32) does not match configured size 16" in caplog.text
+        assert (f"example {12 * sizes.index(32)}: image shape (3, 32, 32) does not match "
+                "configured size 16" in caplog.text)
 
     def test_eval_with_a_head_of_another_width_exits_two_before_pooling(self, tmp_path, caplog,
                                                                         monkeypatch):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from tijepa.core import (
 )
 from tijepa.encoders import (EncoderConfig, ImageEncoder, TextEncoder, TransformerBlock,
                              tokenize_text)
-from tijepa.errors import ShapeError
+from tijepa.errors import DataError, ShapeError
 from tijepa.masking import BlockMask, MaskSet, sample_masks
 from tijepa.numerics import (
     Tensor,
@@ -61,9 +63,9 @@ def mask_set():
                         np.random.default_rng(3))
 
 
-def pairs(images, captions, image_encoder, text_encoder, stored=False):
+def pairs(images, captions, image_encoder, text_encoder, stored=False, image_size=16):
     """A table of the pairs and all its id rows: the forward paths' first two arguments."""
-    table = PairInputs(images, captions, image_encoder, text_encoder, stored)
+    table = PairInputs(images, captions, image_size, image_encoder, text_encoder, stored)
     return table, table.ids
 
 
@@ -245,14 +247,14 @@ class CountingEncoder:
 def distinct(images, captions, max_text_len=16):
     """The table's distinct pairs: each one's first example and every example's pair."""
     cfg = EncoderConfig(patch_size=8, embed_dim=DIM, depth=1, heads=2, max_text_len=max_text_len)
-    table = PairInputs(images, captions, None, TextEncoder(cfg, None), stored=False)
+    table = PairInputs(images, captions, 16, None, TextEncoder(cfg, None), stored=False)
     return distinct_rows(table.ids)
 
 
 class TestPairInputs:
     def test_all_distinct_input_keeps_its_order(self):
         images = [small_image(seed) for seed in range(4)]
-        table = PairInputs(images, ["a", "b", "a", "c"], *small_encoders(), stored=False)
+        table = PairInputs(images, ["a", "b", "a", "c"], 16, *small_encoders(), stored=False)
         # images and captions are each numbered by first appearance
         np.testing.assert_array_equal(table.ids, [[0, 0], [1, 1], [2, 0], [3, 2]])
         assert all(a is b for a, b in zip(table.images, images))
@@ -290,23 +292,39 @@ class TestPairInputs:
         np.testing.assert_array_equal(first, list(seen.values()))
         np.testing.assert_array_equal(rows[first][inverse], rows)
 
-    def test_key_separates_values_shapes_and_dtypes(self):
+    def test_key_separates_values_and_dtypes(self):
         image_encoder, text_encoder = small_encoders()
         counting = CountingEncoder(image_encoder)
         img = small_image(3)
         images = [img, small_image(4), img.astype(np.float64),
-                  np.ascontiguousarray(img.transpose(0, 2, 1)), img, img[:, :8]]
-        table = PairInputs(images, ["c"] * 6, counting, text_encoder, stored=True)
-        np.testing.assert_array_equal(table.ids[:, 0], [0, 1, 2, 3, 0, 4])
+                  np.ascontiguousarray(img.transpose(0, 2, 1)), img]
+        table = PairInputs(images, ["c"] * 5, 16, counting, text_encoder, stored=True)
+        np.testing.assert_array_equal(table.ids[:, 0], [0, 1, 2, 3, 0])
         for i in (0, 1, 2, 3, 0):
             table.encode(0, [i])
         assert counting.calls == [None] * 4
+
+    @pytest.mark.parametrize("bad, message", [
+        (None, "example 2 has no image data"),
+        (small_image(4)[:, :8], r"example 2: image shape \(3, 8, 16\) does not match "
+                                "configured size 16"),
+        (small_image(4)[None], r"example 2: image shape \(1, 3, 16, 16\) does not match"),
+    ], ids=["missing", "another_shape", "batched"])
+    def test_a_missing_or_wrong_size_image_is_rejected_before_any_hashing(self, bad, message,
+                                                                          monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hashed an image before every image was checked")
+
+        monkeypatch.setattr(core_module, "hashlib", types.SimpleNamespace(sha256=refuse))
+        with pytest.raises(DataError, match=message):
+            PairInputs([small_image(), small_image(3), bad], ["a", "b", "c"], 16,
+                       *small_encoders(), stored=False)
 
     def test_one_request_encodes_each_missing_input_once(self):
         image_encoder, text_encoder = small_encoders()
         counting = CountingEncoder(image_encoder)
         images = [small_image(seed) for seed in (3, 4, 3)]
-        table = PairInputs(images, ["c"] * 3, counting, text_encoder, stored=True)
+        table = PairInputs(images, ["c"] * 3, 16, counting, text_encoder, stored=True)
         rows, sizes = table.encode(0, table.ids[:, 0])
         assert sizes == [4, 4, 4] and len(counting.calls) == 1
         assert rows.data[:4].tobytes() == rows.data[8:].tobytes()
@@ -316,8 +334,8 @@ class TestPairInputs:
 
     def test_text_hit_is_bitwise_equal_to_fresh_encode(self):
         image_encoder, text_encoder = small_encoders()
-        table = PairInputs([small_image()] * 2, ["red square", "blue square"], image_encoder,
-                           text_encoder, stored=True)
+        table = PairInputs([small_image()] * 2, ["red square", "blue square"], 16,
+                           image_encoder, text_encoder, stored=True)
         ids = tokenize_text("red square", 16)
         first, sizes = table.encode(1, [0])
         again, _ = table.encode(1, np.array([0]))
@@ -330,7 +348,7 @@ class TestPairInputs:
         image_encoder, text_encoder = small_encoders()
         img = small_image(3)
         # equal bytes in another array are the same image
-        table = PairInputs([img, img.copy()], ["c", "c"], image_encoder, text_encoder,
+        table = PairInputs([img, img.copy()], ["c", "c"], 16, image_encoder, text_encoder,
                            stored=True)
         first, _ = table.encode(0, table.ids[:1, 0])
         again, _ = table.encode(0, table.ids[1:, 0])
@@ -339,7 +357,7 @@ class TestPairInputs:
         assert not again.requires_grad
 
     def test_stored_array_rejects_writes(self):
-        table = PairInputs([small_image()], ["abc"], *small_encoders(), stored=True)
+        table = PairInputs([small_image()], ["abc"], 16, *small_encoders(), stored=True)
         for column in (0, 1):
             out, _ = table.encode(column, [0])
             with pytest.raises(ValueError):
@@ -351,7 +369,7 @@ class TestPairInputs:
         image_encoder, text_encoder = small_encoders()
         counting = CountingEncoder(image_encoder)
         img = small_image(3)
-        table = PairInputs([img], ["c"], counting, text_encoder, stored=True)
+        table = PairInputs([img], ["c"], 16, counting, text_encoder, stored=True)
         a, _ = table.encode(0, [0], visible=[[0, 2]])
         b, _ = table.encode(0, [0], visible=[[0, 2]])
         assert a is not b
@@ -368,7 +386,7 @@ class TestPairInputs:
     def test_without_a_store_every_request_runs_the_encoder(self):
         image_encoder, text_encoder = small_encoders()
         counting = CountingEncoder(image_encoder)
-        table = PairInputs([small_image()], ["c"], counting, text_encoder, stored=False)
+        table = PairInputs([small_image()], ["c"], 16, counting, text_encoder, stored=False)
         a, _ = table.encode(0, [0])
         b, _ = table.encode(0, [0])
         assert a is not b and a.data.tobytes() == b.data.tobytes()
@@ -412,7 +430,7 @@ class TestMakeContext:
     def test_equals_target_path_when_modules_match_and_all_visible(self):
         image_encoder, text_encoder = small_encoders()
         fusion = small_fusion()
-        twin = fusion.clone(requires_grad=False)
+        twin = fusion.clone()
         full_block = BlockMask(2, 2, 0, 0, 2, 2, 4)
         dummy_target = BlockMask(2, 2, 0, 0, 1, 1, 1)
         masks = MaskSet(2, 2, full_block, (0, 1, 2, 3), (dummy_target,))
@@ -701,7 +719,7 @@ class TestStopGradient:
     def test_gradients_reach_only_online_modules(self):
         image_encoder, text_encoder = small_encoders(frozen=True)
         fusion = small_fusion()
-        target_fusion = fusion.clone(requires_grad=False)
+        target_fusion = fusion.clone()
         predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM,
                               np.random.default_rng(9))
         masks = mask_set()
@@ -727,7 +745,7 @@ class TestStopGradient:
         # predictor reconstructing its own input's fused targets
         image_encoder, text_encoder = small_encoders()
         fusion = small_fusion()
-        twin = fusion.clone(requires_grad=False)
+        twin = fusion.clone()
         predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM,
                               np.random.default_rng(10))
         target = BlockMask(2, 2, 1, 1, 1, 1, 1)
@@ -779,7 +797,7 @@ class TestBatchedForward:
         return encoders, fusion, predictor, images, masks
 
     def predictions(self, encoders, fusion, predictor, images, captions, masks):
-        context = make_context(*pairs(images, captions, *encoders), masks, fusion)
+        context = make_context(*pairs(images, captions, *encoders, image_size=12), masks, fusion)
         preds = predictor.predict(context, [m.context for m in masks],
                                   [[b.indices() for b in m.targets] for m in masks], self.GRID3)
         sizes = np.cumsum([0] + [sum(b.area for b in m.targets) for m in masks])
@@ -801,7 +819,7 @@ class TestBatchedForward:
         """The batched loss, then each batch-of-one loss; ``after`` sees each as it is made."""
         out = []
         for picked in (slice(0, 3), slice(0, 1), slice(1, 2), slice(2, 3)):
-            batch = pairs(images[picked], self.CAPTIONS[picked], *encoders)
+            batch = pairs(images[picked], self.CAPTIONS[picked], *encoders, image_size=12)
             targets, _ = make_targets(*batch, masks[picked], fusion.clone())
             out.append(example_loss(*batch, fusion, predictor, masks[picked], targets, "l2"))
             after(out[-1])

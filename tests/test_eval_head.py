@@ -47,7 +47,8 @@ def backbone_digest(state):
 
 def pool(state, examples):
     table = PairInputs([e.image for e in examples], [e.caption for e in examples],
-                       state.image_encoder, state.text_encoder, stored=False)
+                       state.config.image_size, state.image_encoder, state.text_encoder,
+                       stored=False)
     return pooled_representation(table, table.ids, state.fusion)
 
 
@@ -335,7 +336,7 @@ class TestDistinctPairsInFinetuneAndEval:
     def test_an_example_without_an_image_among_repeats_is_a_data_error(self):
         examples = synth_generate(8, seed=0, image_size=16, labeled=True)
         examples += [PairedExample(None, examples[0].caption, examples[0].label)] * 2
-        with pytest.raises(DataError, match="require an image for every example"):
+        with pytest.raises(DataError, match="example 8 has no image data"):
             evaluate(tiny_state(), ClassifierHead(16), examples)
 
 
@@ -504,7 +505,7 @@ class TestFinetuneAndEvaluateInputs:
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
     def test_an_example_without_an_image_is_a_data_error(self, run):
         examples = [PairedExample(None, "a red square", "positive")]
-        with pytest.raises(DataError, match="image"):
+        with pytest.raises(DataError, match="example 0 has no image data"):
             run(tiny_state(), ClassifierHead(16), examples)
 
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())

@@ -894,8 +894,23 @@ class TestTrainLoop:
 
     def test_wrong_image_size_rejected(self):
         cfg = tiny_config()
-        with pytest.raises(DataError, match="image shape"):
+        with pytest.raises(DataError, match=r"example 0: image shape \(3, 32, 32\)"):
             train(cfg, synth_generate(4, seed=0, image_size=32))
+
+    def test_a_wrong_size_image_leaves_a_resumed_runs_files_as_they_were(self, tmp_path):
+        # a resume would first cut the log back to step 2, so the image check
+        # must come before anything under out_dir is touched
+        cfg = tiny_config(total_steps=4, log_interval=1, checkpoint_interval=2)
+        train(cfg, tiny_dataset(), out_dir=tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert {"metrics.log", "checkpoint_000002.tijp"} <= set(before)
+        state = load_checkpoint(tmp_path / "checkpoint_000002.tijp")
+        data = tiny_dataset()
+        data[5] = synth_generate(1, seed=0, image_size=32)[0]
+        with pytest.raises(DataError, match="example 5: image shape"):
+            train(cfg, data, out_dir=tmp_path, state=state)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert state.step == 2
 
     def test_caption_sensitivity_returns_two_means(self):
         cfg = tiny_config(total_steps=1)
@@ -907,12 +922,12 @@ class TestTrainLoop:
     def test_caption_sensitivity_rejects_an_example_without_an_image(self):
         data = tiny_dataset()
         data[2] = PairedExample(None, data[2].caption)
-        with pytest.raises(DataError, match="no image data"):
+        with pytest.raises(DataError, match="example 2 has no image data"):
             caption_sensitivity(PretrainState.initialize(tiny_config()), data, limit=4)
 
     def test_caption_sensitivity_rejects_an_image_of_another_size(self):
         data = tiny_dataset()[:3] + synth_generate(1, seed=0, image_size=32)
-        with pytest.raises(DataError, match="image shape"):
+        with pytest.raises(DataError, match="example 3: image shape"):
             caption_sensitivity(PretrainState.initialize(tiny_config()), data, limit=4)
 
 
