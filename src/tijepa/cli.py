@@ -125,11 +125,18 @@ def _labeled_splits(args, whole: bool = False) -> tuple[trainer.PretrainState, d
 
 def _cmd_finetune(args) -> int:
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    state, splits = _labeled_splits(args)
-    head, history = eval_head.finetune(state, splits["train"], splits["val"],
-                                       epochs=args.epochs, lr=args.lr,
-                                       batch_size=args.batch_size, seed=args.seed)
+    try:
+        state, splits = _labeled_splits(args)
+        head, history = eval_head.finetune(state, splits["train"], splits["val"],
+                                           epochs=args.epochs, lr=args.lr,
+                                           batch_size=args.batch_size, seed=args.seed)
+    except BaseException:
+        # a refused fine-tune leaves no empty --out directory of its own making behind
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
     head_path = out / "head.tijp"
     eval_head.save_head(head, head_path)
     if history.val_accuracies:

@@ -238,16 +238,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record("add", (a, b), a.data + b.data, _add_back(a, b))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g):
-        return g * b.data, g * a.data
-
-    return _record("mul", (a, b), a.data * b.data, back)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     if not math.isfinite(c):
@@ -308,13 +298,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=0))
 
     return _record("concat_rows", tuple(parts), np.concatenate([p.data for p in parts], axis=0), back)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def back(g):
-        return (np.full_like(a.data, g),)
-
-    return _record("sum", (a,), a.data.sum(), back)
 
 
 def block_distance(a: Tensor, b: Tensor, row_weights, kind: str = "l2") -> Tensor:
@@ -623,20 +606,36 @@ FD_TOLERANCE = 1e-4
 _FD_FLOOR = 1e-3
 
 
+def _fd_head(out: Tensor) -> Callable[[Tensor], Tensor]:
+    """The loss ``check_gradients`` makes of each output of ``build``, given the first."""
+    if out.ndim == 0:
+        return lambda t: t
+    rng = np.random.default_rng(0)
+    target = _wrap(rng.uniform(-1.0, 1.0, out.shape))
+    weights = rng.uniform(0.5, 1.5, out.shape[0])
+    return lambda t: block_distance(t, target, weights)
+
+
 def check_gradients(build: Callable[[], Tensor], params: Sequence[Tensor],
-                    h: float = FD_STEP, max_coords: int | None = None) -> float:
+                    max_coords: int | None = None) -> float:
     """Max relative error between tape gradients and central differences.
 
-    ``build`` must reconstruct the scalar loss from ``params``, which must all
-    hold float64 data. ``max_coords`` caps the checked coordinates per tensor
-    (evenly spaced) for larger composites. A non-finite loss or analytic
-    gradient raises ``NumericalError``: ``max`` would drop a NaN error.
+    ``build`` must reconstruct its output from ``params``, which must all hold
+    float64 data. A scalar output is the loss checked as it is. A non-scalar
+    output must be 2-D: the loss is then its l2 ``block_distance`` to a
+    target drawn from U(-1, 1), with row weights from U(0.5, 1.5), both drawn
+    once per call from one fixed seed, so every coordinate of the output
+    carries its own gradient. ``max_coords`` caps the checked coordinates per
+    tensor (evenly spaced) for larger composites. A non-finite loss or
+    analytic gradient raises ``NumericalError``: ``max`` would drop a NaN error.
     """
     for p in params:
         if p.data.dtype != np.float64:
             raise ValueError("check_gradients requires float64 parameters")
     zero_grads(params)
-    loss = build()
+    out = build()
+    head = _fd_head(out)
+    loss = head(out)
     _check_finite(loss.data, "loss in gradient check")
     backward(loss)
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
@@ -653,13 +652,13 @@ def check_gradients(build: Callable[[], Tensor], params: Sequence[Tensor],
                 coords = np.arange(n)
             for i in coords:
                 orig = flat[i]
-                flat[i] = orig + h
-                f_plus = float(build().data)
-                flat[i] = orig - h
-                f_minus = float(build().data)
+                flat[i] = orig + FD_STEP
+                f_plus = float(head(build()).data)
+                flat[i] = orig - FD_STEP
+                f_minus = float(head(build()).data)
                 flat[i] = orig
                 _check_finite(np.array([f_plus, f_minus]), "loss in gradient check")
-                numeric = (f_plus - f_minus) / (2.0 * h)
+                numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
                 denom = max(abs(gflat[i]), abs(numeric), _FD_FLOOR)
                 worst = max(worst, abs(gflat[i] - numeric) / denom)
     zero_grads(params)
@@ -670,46 +669,32 @@ def _rand64(rng: np.random.Generator, shape, lo=-1.0, hi=1.0) -> Tensor:
     return Tensor(rng.uniform(lo, hi, shape), requires_grad=True, dtype=np.float64)
 
 
-def _const64(rng: np.random.Generator, shape) -> Tensor:
-    return Tensor(rng.uniform(-1.0, 1.0, shape), dtype=np.float64)
-
-
 def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
-    """Finite-difference checks for every primitive op; returns (name, max rel err)."""
+    """Finite-difference checks for every primitive op, each non-scalar output scored
+    through ``check_gradients``' l2 head; returns (name, max rel err)."""
     rng = np.random.default_rng(seed)
     checks: list[tuple[str, float]] = []
 
     a, b = _rand64(rng, (3, 4)), _rand64(rng, (4, 2))
-    r = _const64(rng, (3, 2))
-    checks.append(("matmul", check_gradients(lambda: sum_all(mul(matmul(a, b), r)), [a, b])))
+    checks.append(("matmul", check_gradients(lambda: matmul(a, b), [a, b])))
 
     x, bias = _rand64(rng, (3, 4)), _rand64(rng, (4,))
-    r = _const64(rng, (3, 4))
-    checks.append(("add_bias", check_gradients(lambda: sum_all(mul(add(x, bias), r)), [x, bias])))
+    checks.append(("add_bias", check_gradients(lambda: add(x, bias), [x, bias])))
 
     u, v = _rand64(rng, (2, 3)), _rand64(rng, (2, 3))
-    r = _const64(rng, (2, 3))
-    checks.append(("elementwise", check_gradients(
-        lambda: sum_all(mul(scale(mul(u, v), 0.7), r)), [u, v])))
+    checks.append(("elementwise", check_gradients(lambda: scale(add(u, v), 0.7), [u, v])))
 
     x, g_, b_ = _rand64(rng, (4, 6)), _rand64(rng, (6,), 0.5, 1.5), _rand64(rng, (6,))
-    r = _const64(rng, (4, 6))
-    checks.append(("layer_norm", check_gradients(
-        lambda: sum_all(mul(layer_norm(x, g_, b_), r)), [x, g_, b_])))
+    checks.append(("layer_norm", check_gradients(lambda: layer_norm(x, g_, b_), [x, g_, b_])))
 
-    mp, r = [_rand64(rng, s) for s in ((3, 4), (4, 6), (6,), (6, 5), (5,))], _const64(rng, (3, 5))
-    checks.append(("mlp", check_gradients(lambda: sum_all(mul(mlp(*mp), r)), mp)))
+    mp = [_rand64(rng, s) for s in ((3, 4), (4, 6), (6,), (6, 5), (5,))]
+    checks.append(("mlp", check_gradients(lambda: mlp(*mp), mp)))
 
     x = _rand64(rng, (5, 3))
-    r = _const64(rng, (4, 3))
-    idx = [0, 2, 2, 4]
-    checks.append(("gather_rows", check_gradients(
-        lambda: sum_all(mul(gather_rows(x, idx), r)), [x])))
+    checks.append(("gather_rows", check_gradients(lambda: gather_rows(x, [0, 2, 2, 4]), [x])))
 
     p1, p2 = _rand64(rng, (2, 4)), _rand64(rng, (3, 4))
-    r = _const64(rng, (5, 4))
-    checks.append(("concat_rows", check_gradients(
-        lambda: sum_all(mul(concat_rows([p1, p2]), r)), [p1, p2])))
+    checks.append(("concat_rows", check_gradients(lambda: concat_rows([p1, p2]), [p1, p2])))
 
     z = _rand64(rng, (4, 5), -2.0, 2.0)
     checks.append(("cross_entropy", check_gradients(
@@ -717,36 +702,27 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
 
     ap = AttentionParams(8, rng, dtype=np.float64)
     x = _rand64(rng, (3, 8))
-    r = _const64(rng, (3, 8))
     sp = [x] + list(ap.named_parameters().values())
-    checks.append(("attention_self", check_gradients(
-        lambda: sum_all(mul(attention(x, x, ap, 2), r)), sp)))
+    checks.append(("attention_self", check_gradients(lambda: attention(x, x, ap, 2), sp)))
 
     ap = AttentionParams(8, rng, dtype=np.float64)
     q, kv = _rand64(rng, (3, 8)), _rand64(rng, (5, 8))
-    r = _const64(rng, (3, 8))
     cp = [q, kv] + list(ap.named_parameters().values())
-    checks.append(("attention_cross", check_gradients(
-        lambda: sum_all(mul(attention(q, kv, ap, 2), r)), cp)))
+    checks.append(("attention_cross", check_gradients(lambda: attention(q, kv, ap, 2), cp)))
 
     x = _rand64(rng, (7, 8))
-    r = _const64(rng, (7, 8))
     checks.append(("attention_segments", check_gradients(
-        lambda: sum_all(mul(attention(x, x, ap, 2, segments=(2, 4, 1)), r)), [x] + cp[2:])))
+        lambda: attention(x, x, ap, 2, segments=(2, 4, 1)), [x] + cp[2:])))
 
     # example i's queries against example i's keys, with unequal counts on both sides
     q, kv = _rand64(rng, (7, 8)), _rand64(rng, (6, 8))
-    r = _const64(rng, (7, 8))
     checks.append(("attention_cross_segments", check_gradients(
-        lambda: sum_all(mul(attention(q, kv, ap, 2, (2, 4, 1), (3, 1, 2)), r)),
-        [q, kv] + cp[2:])))
+        lambda: attention(q, kv, ap, 2, (2, 4, 1), (3, 1, 2)), [q, kv] + cp[2:])))
 
     # queries padded narrower than keys, as the predictor's last block runs them
     q, kv = _rand64(rng, (6, 8)), _rand64(rng, (12, 8))
-    r = _const64(rng, (6, 8))
     checks.append(("attention_query_rows", check_gradients(
-        lambda: sum_all(mul(attention(q, kv, ap, 2, (1, 3, 2), (4, 5, 3)), r)),
-        [q, kv] + cp[2:])))
+        lambda: attention(q, kv, ap, 2, (1, 3, 2), (4, 5, 3)), [q, kv] + cp[2:])))
 
     a, b = _rand64(rng, (5, 4)), _rand64(rng, (5, 4))
     w = rng.uniform(0.5, 1.5, 5)

@@ -237,6 +237,8 @@ class TestDataErrors:
         assert (f"example {first}: image shape (3, 32, 32) does not match configured size 16"
                 in caplog.text)
         assert not (out / "head.tijp").exists()
+        # the refused call removes the --out directory it made
+        assert not out.exists()
 
     @pytest.mark.parametrize("sizes", [(32,), (16, 32)], ids=["all_wrong", "mixed"])
     def test_eval_on_images_of_another_size_exits_two(self, tmp_path, caplog, sizes):

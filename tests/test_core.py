@@ -33,8 +33,6 @@ from tijepa.numerics import (
     layer_norm,
     linear,
     mlp,
-    mul,
-    sum_all,
 )
 
 DIM = 16
@@ -510,7 +508,7 @@ class TestPredict:
         with pytest.raises(ShapeError):
             predictor.predict(ctx, [[0, 1]], [[[2], [3, 0]]], GRID)
 
-    def test_multi_block_pass_matches_single_block_calls(self):
+    def test_multi_block_pass_matches_single_block_calls(self, inner):
         grid = (4, 4)
         predictor = Predictor(PredictorConfig(depth=2, heads=2, width=DIM), DIM,
                               np.random.default_rng(11))
@@ -519,13 +517,13 @@ class TestPredict:
                      requires_grad=True)
         ctx_pos = [0, 1, 4, 5, 8, 9]
         blocks = [[2, 3, 6], [15], [10, 11, 14, 7], [3, 7]]
-        weights = Tensor(np.random.default_rng(13).uniform(-1, 1, (10, DIM)).astype(np.float32))
+        weights = np.random.default_rng(13).uniform(-1, 1, (10, DIM)).astype(np.float32)
 
         def run(pieces):
             for p in [ctx, *params.values()]:
                 p.grad = None
             out = pieces()
-            backward(sum_all(mul(out, weights)))
+            backward(inner(out, weights))
             return out.data, {n: p.grad.copy() for n, p in [("ctx", ctx), *params.items()]}
 
         joint, joint_grads = run(lambda: predictor.predict(ctx, [ctx_pos], [blocks], grid))
@@ -572,21 +570,21 @@ class TestPredictorKeptRows:
             tokens = block(tokens, segments)
         return linear(gather_rows(tokens, slots), predictor.out_w, predictor.out_b)
 
-    def run(self, predictor, ctx, forward):
+    def run(self, predictor, ctx, forward, inner):
         params = {"ctx": ctx, **predictor.named_parameters()}
-        weights = Tensor(np.random.default_rng(33).uniform(-1, 1, (12, DIM)).astype(np.float32))
+        weights = np.random.default_rng(33).uniform(-1, 1, (12, DIM)).astype(np.float32)
         for p in params.values():
             p.grad = None
         out = forward()
-        backward(sum_all(mul(out, weights)))
+        backward(inner(out, weights))
         return out.data, {name: p.grad.copy() for name, p in params.items()}
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_equals_the_all_rows_computation(self, depth):
+    def test_equals_the_all_rows_computation(self, depth, inner):
         predictor, ctx = self.inputs(depth)
         kept, kept_grads = self.run(predictor, ctx, lambda: predictor.predict(
-            ctx, self.CTX_POS, self.BLOCKS, self.GRID4))
-        full, full_grads = self.run(predictor, ctx, lambda: self.all_rows(predictor, ctx))
+            ctx, self.CTX_POS, self.BLOCKS, self.GRID4), inner)
+        full, full_grads = self.run(predictor, ctx, lambda: self.all_rows(predictor, ctx), inner)
         assert kept.shape == (12, DIM)
         assert np.abs(kept - full).max() <= 1e-6
         for name, grad in full_grads.items():

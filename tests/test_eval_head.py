@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import math
 import re
 
@@ -279,6 +281,26 @@ class TestBenchmarkedTapeOps:
         assert len(taped) == 2
         for ops in taped:
             assert {"matmul", "add", "scale"} <= ops
+
+
+class TestEveryRecordedOpRuns:
+    def test_each_op_numerics_records_is_on_a_pretrain_or_head_step_tape(self, monkeypatch):
+        # numerics holds only the ops the model runs: an op that only a check
+        # or a test puts on the tape belongs to that check or test
+        taped = set()
+        for module in (trainer_module, eval_head_module):
+            def recorded_backward(loss, real=module.backward):
+                taped.update(record[0] for record in active_tape())
+                real(loss)
+
+            monkeypatch.setattr(module, "backward", recorded_backward)
+        state = tiny_state()
+        examples = synth_generate(4, seed=0, image_size=16, labeled=True)
+        for frozen in (True, False):
+            train(dataclasses.replace(state.config, freeze_encoders=frozen), examples)
+        finetune(state, examples, epochs=1, batch_size=4)
+        ops = set(re.findall(r'_record\("(\w+)"', inspect.getsource(numerics_module)))
+        assert ops and ops <= taped, f"ops no step records: {sorted(ops - taped)}"
 
 
 class TestDistinctPairsInFinetuneAndEval:

@@ -13,6 +13,7 @@ from tijepa.numerics import (
     add,
     attention,
     backward,
+    block_distance,
     check_gradients,
     cross_entropy_logits,
     gather_rows,
@@ -21,9 +22,7 @@ from tijepa.numerics import (
     linear,
     matmul,
     mlp,
-    mul,
     no_grad,
-    sum_all,
 )
 
 
@@ -100,7 +99,7 @@ class TestLayerNorm:
     @pytest.mark.parametrize("shape, constant_row", [((6,), False), ((6,), True),
                                                      ((4, 6), True), ((2, 3, 6), True)])
     def test_forward_and_gradients_match_a_float64_reference(self, shape, constant_row,
-                                                             dtype, rtol):
+                                                             dtype, rtol, inner):
         eps = 1e-5
         rng = np.random.default_rng(len(shape))
         x = rng.uniform(-2.0, 2.0, shape)
@@ -110,7 +109,7 @@ class TestLayerNorm:
         g = rng.uniform(-1.0, 1.0, shape)
         xt, gt, bt = (Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias))
         out = layer_norm(xt, gt, bt, eps)
-        backward(sum_all(mul(out, Tensor(g, dtype=dtype))))
+        backward(inner(out, g))
 
         # float64 reference: each row's Jacobian written out as a matrix
         rows, grads = x.reshape(-1, 6), g.reshape(-1, 6)
@@ -177,7 +176,7 @@ class TestMlp:
         assert abs(gelu(1.0) - 0.8412) < 5e-4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equal_to_the_linear_gelu_linear_sequence(self, dtype):
+    def test_bitwise_equal_to_the_linear_gelu_linear_sequence(self, dtype, inner):
         rng = np.random.default_rng(7)
         shapes = ((5, 4), (4, 16), (16,), (16, 4), (4,), (5, 4))
         arrays = [rng.normal(0.0, 1.0, shape).astype(dtype) for shape in shapes]
@@ -185,7 +184,7 @@ class TestMlp:
         params = [t(a, requires_grad=True, dtype=dtype) for a in arrays[:5]]
         out = mlp(*params)
         assert [op for op, *_ in active_tape()] == ["mlp"]
-        backward(sum_all(mul(out, t(arrays[5], dtype=dtype))))
+        backward(inner(out, arrays[5]))
         ref, ref_grads = reference_mlp(*arrays)
         assert out.data.dtype == dtype
         assert out.data.tobytes() == ref.tobytes()
@@ -308,12 +307,12 @@ class TestAttention:
             assert np.abs(out[row:row + n] - expected).max() < 1e-6
             row += n
 
-    def test_no_gradient_crosses_a_segment(self):
+    def test_no_gradient_crosses_a_segment(self, inner):
         rng = np.random.default_rng(7)
         params = AttentionParams(8, rng, std=0.5)
         x = t(rng.uniform(-1, 1, (7, 8)), requires_grad=True)
         out = attention(x, x, params, 2, segments=(2, 4, 1))
-        backward(sum_all(gather_rows(out, [2, 3, 4, 5])))
+        backward(inner(gather_rows(out, [2, 3, 4, 5]), np.ones((4, 8))))
         assert np.abs(x.grad[2:6]).max() > 0
         np.testing.assert_array_equal(x.grad[:2], 0.0)
         np.testing.assert_array_equal(x.grad[6:], 0.0)
@@ -353,7 +352,7 @@ class TestAttention:
         ((1, 2, 1), (4, 5, 3)),
         ((4, 6, 2), (2, 3, 1)),
     ], ids=["equal_segments", "padded_cross_keys", "queries_narrower", "keys_narrower"])
-    def test_matches_float64_reference_with_gradients(self, q_sizes, kv_sizes):
+    def test_matches_float64_reference_with_gradients(self, q_sizes, kv_sizes, inner):
         rng = np.random.default_rng(12)
         d, heads = 8, 2
         params = AttentionParams(d, rng, dtype=np.float64, std=0.5)
@@ -364,7 +363,7 @@ class TestAttention:
                                                  dtype=np.float64)
         g = rng.uniform(-1, 1, xq.shape)
         out = attention(xq, xkv, params, heads, q_sizes, kv_sizes)
-        backward(sum_all(mul(out, Tensor(g, dtype=np.float64))))
+        backward(inner(out, g))
         expected, grads = reference_attention(xq.data, xkv.data, params, heads, q_sizes,
                                               q_sizes if kv_sizes is None else kv_sizes, g)
         assert np.abs(out.data - expected).max() < 1e-10
@@ -407,10 +406,10 @@ class TestPaddingWidth:
     products. A BLAS that splits or reorders that loop fails here first."""
 
     @staticmethod
-    def attend(q, k, v, g, heads, segments=None, kv_segments=None):
+    def attend(inner, q, k, v, g, heads, segments=None, kv_segments=None):
         q, k, v = (t(a, requires_grad=True) for a in (q, k, v))
         out = numerics_module._attention_heads(q, k, v, heads, segments, kv_segments)
-        backward(sum_all(mul(out, t(g))))
+        backward(inner(out, g))
         return out.data, q.grad, k.grad, v.grad
 
     @pytest.mark.parametrize("q_sizes, kv_sizes", [
@@ -418,17 +417,17 @@ class TestPaddingWidth:
         ((64, 64, 64, 64), (24, 31, 27, 29)),
         ((1, 17, 3, 40, 2), None),
     ], ids=["keys_narrower", "fusion_shape", "self_spread"])
-    def test_each_segment_matches_the_segment_run_alone(self, q_sizes, kv_sizes):
+    def test_each_segment_matches_the_segment_run_alone(self, q_sizes, kv_sizes, inner):
         rng = np.random.default_rng(14)
         d, heads = 32, 2
         key_sizes = q_sizes if kv_sizes is None else kv_sizes
         q, g = (rng.uniform(-1, 1, (sum(q_sizes), d)).astype(np.float32) for _ in range(2))
         k, v = (rng.uniform(-1, 1, (sum(key_sizes), d)).astype(np.float32) for _ in range(2))
-        batched = self.attend(q, k, v, g, heads, q_sizes, kv_sizes)
+        batched = self.attend(inner, q, k, v, g, heads, q_sizes, kv_sizes)
         q_row = kv_row = 0
         for nq, nk in zip(q_sizes, key_sizes):
             qs, ks = slice(q_row, q_row + nq), slice(kv_row, kv_row + nk)
-            alone = self.attend(q[qs], k[ks], v[ks], g[qs], heads)
+            alone = self.attend(inner, q[qs], k[ks], v[ks], g[qs], heads)
             for what, got, rows, want in zip(("out", "dq", "dk", "dv"), batched,
                                              (qs, qs, ks, ks), alone):
                 assert got[rows].tobytes() == want.tobytes(), (what, nq, nk)
@@ -436,56 +435,56 @@ class TestPaddingWidth:
 
 
 class TestBackward:
-    def test_linear_case(self):
+    def test_linear_case(self, inner):
         x = np.array([2.0, -1.0, 3.0], dtype=np.float32)
         w = t([1.0, 1.0, 1.0], requires_grad=True)
-        loss = sum_all(mul(w, t(x)))
+        loss = inner(w, x)
         backward(loss)
         np.testing.assert_array_equal(w.grad, x)
 
     def test_square(self):
-        w = t([1.0, 2.0], requires_grad=True)
-        loss = sum_all(mul(w, w))
+        w = t([[1.0, 2.0]], requires_grad=True)
+        loss = block_distance(w, t([[0.0, 0.0]]), [1.0])  # the sum of w's squares
         backward(loss)
-        np.testing.assert_allclose(w.grad, [2.0, 4.0])
+        np.testing.assert_allclose(w.grad, [[2.0, 4.0]])
 
     def test_non_scalar_loss_rejected(self):
         w = t([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(mul(w, w))
+            backward(add(w, w))
 
-    def test_off_path_leaf_gets_zero_grad(self):
+    def test_off_path_leaf_gets_zero_grad(self, inner):
         w = t([1.0, 2.0], requires_grad=True)
         unused = t([3.0, 4.0], requires_grad=True)
-        mul(unused, unused)  # recorded but not connected to the loss
-        loss = sum_all(mul(w, w))
+        add(unused, unused)  # recorded but not connected to the loss
+        loss = inner(w, [1.0, 1.0])
         backward(loss)
         np.testing.assert_array_equal(unused.grad, [0.0, 0.0])
 
-    def test_tape_cleared_after_backward(self):
+    def test_tape_cleared_after_backward(self, inner):
         w = t([1.0], requires_grad=True)
-        backward(sum_all(mul(w, w)))
+        backward(inner(w, [1.0]))
         assert len(active_tape()) == 0
 
-    def test_gradient_accumulates_across_backwards(self):
+    def test_gradient_accumulates_across_backwards(self, inner):
         w = t([1.0], requires_grad=True)
-        backward(sum_all(mul(w, t([3.0]))))
-        backward(sum_all(mul(w, t([4.0]))))
+        backward(inner(w, [3.0]))
+        backward(inner(w, [4.0]))
         np.testing.assert_allclose(w.grad, [7.0])
 
-    def test_a_shared_gradient_array_is_never_written_in_place(self):
+    def test_a_shared_gradient_array_is_never_written_in_place(self, inner):
         # add hands one gradient array to both a and b; a's second contribution,
-        # from the mul recorded before the add, must not reach b through it
+        # from the product recorded before the add, must not reach b through it
         rng = np.random.default_rng(0)
         a, b, r0, r1 = (rng.uniform(-1.0, 1.0, (2, 3)).astype(np.float32) for _ in range(4))
         a, b = t(a, requires_grad=True), t(b, requires_grad=True)
-        z0 = mul(a, t(r0))
+        z0 = inner(a, r0)
         y = add(a, b)
-        backward(sum_all(add(z0, mul(y, t(r1)))))
+        backward(add(z0, inner(y, r1)))
         np.testing.assert_array_equal(b.grad, r1)
         np.testing.assert_array_equal(a.grad, r0 + r1)
 
-    def test_an_array_only_a_later_record_holds_is_freed_before_earlier_records_run(self):
+    def test_an_array_only_a_later_record_holds_is_freed_before_earlier_records_run(self, inner):
         a = t([1.0, 2.0, 3.0], requires_grad=True)
         seen_by_first = []
         held = np.array([2.0, 2.0, 2.0], dtype=np.float32)
@@ -499,29 +498,29 @@ class TestBackward:
         z = numerics_module._record("later", (y,), y.data * held, lambda g, h=held: (g * h,))
         del held
         assert held_ref() is not None  # the later record's backward still holds it
-        backward(sum_all(z))
+        backward(inner(z, [1.0, 1.0, 1.0]))
         assert seen_by_first == [None]
         np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
 
-    def test_intermediate_outputs_end_without_grad(self):
+    def test_intermediate_outputs_end_without_grad(self, inner):
         w = t([1.0, 2.0], requires_grad=True)
-        y = mul(w, w)
-        loss = sum_all(y)
+        y = add(w, w)
+        loss = inner(y, [1.0, 2.0])
         backward(loss)
         assert y.grad is None and loss.grad is None
         np.testing.assert_array_equal(w.grad, [2.0, 4.0])
 
     def test_a_loss_without_grad_empties_the_tape_and_zero_fills_leaves(self):
         w = t([1.0, 2.0], requires_grad=True)
-        mul(w, w)  # recorded; the loss below does not depend on it
-        backward(sum_all(t([3.0])))
+        add(w, w)  # recorded; the loss below does not depend on it
+        backward(t(3.0))
         assert len(active_tape()) == 0
         np.testing.assert_array_equal(w.grad, [0.0, 0.0])
 
     def test_no_grad_blocks_recording(self):
         w = t([1.0], requires_grad=True)
         with no_grad():
-            out = mul(w, w)
+            out = add(w, w)
         assert not out.requires_grad
         assert len(active_tape()) == 0
 
@@ -550,58 +549,64 @@ class TestGradientSuite:
     def test_check_gradients_catches_a_wrong_gradient(self):
         from tijepa import numerics
 
-        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+        x = Tensor(np.array([[0.7, -0.3]]), requires_grad=True, dtype=np.float64)
 
         def bad_double(a):
             # forward doubles, but claims a triple gradient
             return numerics._record("bad_double", (a,), a.data * 2.0,
                                     lambda g: (g * 3.0,))
 
-        err = check_gradients(lambda: sum_all(bad_double(x)), [x])
+        err = check_gradients(lambda: bad_double(x), [x])
         assert err > 1e-2
+
+    def test_check_gradients_rejects_a_1d_output(self):
+        # the l2 head that scores a non-scalar output takes rows
+        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+        with pytest.raises(ShapeError, match="block_distance"):
+            check_gradients(lambda: add(x, x), [x])
 
     def test_check_gradients_rejects_a_non_finite_forward(self):
         from tijepa import numerics
 
-        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+        x = Tensor(np.array([[0.7, -0.3]]), requires_grad=True, dtype=np.float64)
 
         def nan_forward(a):
             return numerics._record("nan_forward", (a,), a.data * np.nan, lambda g: (g,))
 
         with pytest.raises(NumericalError, match="non-finite loss in gradient check"):
-            check_gradients(lambda: sum_all(nan_forward(x)), [x])
+            check_gradients(lambda: nan_forward(x), [x])
 
     def test_check_gradients_rejects_a_non_finite_gradient(self):
         from tijepa import numerics
 
-        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+        x = Tensor(np.array([[0.7, -0.3]]), requires_grad=True, dtype=np.float64)
 
         def nan_backward(a):
             return numerics._record("nan_backward", (a,), a.data * 2.0, lambda g: (g * np.nan,))
 
         with pytest.raises(NumericalError, match="non-finite analytic gradient"):
-            check_gradients(lambda: sum_all(nan_backward(x)), [x])
+            check_gradients(lambda: nan_backward(x), [x])
 
     @pytest.mark.parametrize("nan_at_point", [False, True])
     def test_check_gradients_rejects_a_loss_non_finite_at_or_off_the_point(self, nan_at_point):
         from tijepa import numerics
 
-        x = Tensor(np.array([0.7, -0.3]), requires_grad=True, dtype=np.float64)
+        x = Tensor(np.array([[0.7, -0.3]]), requires_grad=True, dtype=np.float64)
 
         def nan_on_one_side(a):
             # NaN either only at the point itself or only once it moves by h
-            at_point = np.array_equal(a.data, [0.7, -0.3])
+            at_point = np.array_equal(a.data, [[0.7, -0.3]])
             out = a.data * np.nan if at_point == nan_at_point else a.data * 2.0
             return numerics._record("nan_on_one_side", (a,), out, lambda g: (g * 2.0,))
 
         with pytest.raises(NumericalError, match="non-finite loss in gradient check"):
-            check_gradients(lambda: sum_all(nan_on_one_side(x)), [x])
+            check_gradients(lambda: nan_on_one_side(x), [x])
 
-    def test_duplicate_gather_indices_accumulate(self):
+    def test_duplicate_gather_indices_accumulate(self, inner):
         x = t([[1.0, 1.0], [2.0, 2.0]], requires_grad=True)
         out = gather_rows(x, [0, 0, 1])
         assert not np.shares_memory(out.data, x.data)
-        backward(sum_all(out))
+        backward(inner(out, np.ones((3, 2))))
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
 
 
@@ -623,7 +628,7 @@ class TestDeterminism:
             kv = t(rng.uniform(-1, 1, (6, 8)))
             params = AttentionParams(8, rng)
             out = attention(q, kv, params, 4)
-            loss = sum_all(mul(out, out))
+            loss = block_distance(out, t(np.zeros(out.shape)), np.ones(len(out.data)))
             backward(loss)
             return loss.item(), q.grad.copy()
 
@@ -635,7 +640,7 @@ class TestDeterminism:
 
 class TestLinear:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_an_out_of_place_add_of_the_product(self, dtype):
+    def test_equals_an_out_of_place_add_of_the_product(self, dtype, inner):
         rng = np.random.default_rng(3)
         arrays = [rng.normal(0.0, 1.0, shape) for shape in ((5, 4), (4, 3), (3,), (5, 3))]
 
@@ -645,7 +650,7 @@ class TestLinear:
             out = forward(x, w, b)
             ops = [op for op, *_ in active_tape()]
             product = active_tape()[0][2]
-            backward(sum_all(mul(out, t(arrays[3], dtype=dtype))))
+            backward(inner(out, arrays[3]))
             return out, product, ops, [p.grad for p in (x, w, b)]
 
         out, product, ops, grads = run(linear)
@@ -672,12 +677,8 @@ class TestLinear:
 
 
 class TestShapes:
-    def test_bias_add_reduces_gradient(self):
+    def test_bias_add_reduces_gradient(self, inner):
         x = t(np.ones((3, 2)), requires_grad=True)
         b = t([1.0, 2.0], requires_grad=True)
-        backward(sum_all(add(x, b)))
+        backward(inner(add(x, b), np.ones((3, 2))))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
-
-    def test_mul_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            mul(t([1.0]), t([1.0, 2.0]))
