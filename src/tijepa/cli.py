@@ -9,6 +9,7 @@ variable (error | info | debug) controls verbosity; all randomness flows from
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import os
 import sys
@@ -125,7 +126,7 @@ def _labeled_splits(args, whole: bool = False) -> tuple[trainer.PretrainState, d
 
 def _cmd_finetune(args) -> int:
     out = Path(args.out)
-    made = not out.exists()
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
     out.mkdir(parents=True, exist_ok=True)
     try:
         state, splits = _labeled_splits(args)
@@ -133,9 +134,13 @@ def _cmd_finetune(args) -> int:
                                            epochs=args.epochs, lr=args.lr,
                                            batch_size=args.batch_size, seed=args.seed)
     except BaseException:
-        # a refused fine-tune leaves no empty --out directory of its own making behind
-        if made and not any(out.iterdir()):
-            out.rmdir()
+        # a refused fine-tune removes the directories it made, leaf first, while they are
+        # empty; a cleanup that fails stops there and the original error still propagates
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:
+                break
         raise
     head_path = out / "head.tijp"
     eval_head.save_head(head, head_path)

@@ -240,6 +240,33 @@ class TestDataErrors:
         # the refused call removes the --out directory it made
         assert not out.exists()
 
+    def test_a_refused_finetune_removes_every_directory_it_made(self, tmp_path):
+        ckpt, manifest = _checkpoint_and_manifest(tmp_path, (32,))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        out = kept / "new" / "deeper" / "head"
+        assert dispatch(["finetune", "--ckpt", str(ckpt), "--data", str(manifest),
+                         "--out", str(out), "--epochs", "1"]) == EXIT_DATA
+        # each missing ancestor goes; the one that was there before the call stays
+        assert not (kept / "new").exists()
+        assert kept.is_dir()
+
+    def test_a_failed_cleanup_keeps_the_refusals_exit_code(self, tmp_path, caplog, monkeypatch):
+        import pathlib
+
+        ckpt, manifest = _checkpoint_and_manifest(tmp_path, (32,))
+        out = tmp_path / "head"
+
+        def refuse(self):
+            raise PermissionError(f"cannot remove {self}")
+
+        monkeypatch.setattr(pathlib.Path, "rmdir", refuse)
+        assert dispatch(["finetune", "--ckpt", str(ckpt), "--data", str(manifest),
+                         "--out", str(out), "--epochs", "1"]) == EXIT_DATA
+        # the data error is what is reported, not the failed removal
+        assert "image shape (3, 32, 32)" in caplog.text
+        assert "cannot remove" not in caplog.text
+
     @pytest.mark.parametrize("sizes", [(32,), (16, 32)], ids=["all_wrong", "mixed"])
     def test_eval_on_images_of_another_size_exits_two(self, tmp_path, caplog, sizes):
         ckpt, manifest = _checkpoint_and_manifest(tmp_path, sizes)

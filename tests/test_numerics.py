@@ -540,8 +540,13 @@ class TestGradientSuite:
             return record(op, *args)
 
         monkeypatch.setattr(numerics, "_record", noted)
-        for name, err in gradient_suite(seed=0):
+        results = gradient_suite(seed=0)
+        for name, err in results:
             assert err < 1e-4, f"{name}: relative error {err}"
+        # check_gradients' own head records block_distance (l2) on every check, so only the
+        # suite's own checks show that both of its branches are FD-checked
+        names = {name for name, _ in results}
+        assert {"block_distance_l2", "block_distance_l1"} <= names
         # every op the module can put on the tape ran under a check
         ops = set(re.findall(r'_record\("(\w+)"', inspect.getsource(numerics)))
         assert ops and ops <= exercised, f"ops without an FD check: {sorted(ops - exercised)}"
