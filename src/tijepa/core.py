@@ -15,19 +15,12 @@ import hashlib
 
 import numpy as np
 
-from .encoders import (
-    INIT_STD,
-    EncoderConfig,
-    ImageEncoder,
-    TextEncoder,
-    TransformerBlock,
-    sincos_pos_2d,
-    tokenize_text,
-)
+from .encoders import ImageEncoder, TextEncoder, TransformerBlock, sincos_pos_2d, tokenize_text
 from .errors import DataError, ShapeError
 from .masking import MaskSet, sample_masks
 from .numerics import (
     DEFAULT_DTYPE,
+    INIT_STD,
     Module,
     Tensor,
     _wrap,
@@ -60,11 +53,8 @@ CROSS_ATTN_INIT_STD = 10 * INIT_STD
 
 
 def param_count(cfg: CrossAttnConfig) -> int:
-    """Exact learned-parameter count of one fusion module at ``cfg``.
-
-    Accepts layers=0 as the degenerate projections-only case even though a
-    real module requires at least one layer.
-    """
+    """Exact learned-parameter count of one fusion module at ``cfg``; layers=0
+    counts the projections alone."""
     h = cfg.hidden
     mlp_hidden = cfg.mlp_ratio * h
     attn = 4 * h * h + 3 * h
@@ -91,10 +81,6 @@ class FusionModule(Module):
 
     def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator | None,
                  requires_grad: bool = True, dtype=DEFAULT_DTYPE):
-        if cfg.layers < 1:
-            raise ShapeError("a fusion module needs at least one layer")
-        if cfg.hidden % cfg.heads != 0:
-            raise ShapeError(f"hidden {cfg.hidden} not divisible by heads {cfg.heads}")
         self.cfg = cfg
         h = cfg.hidden
 
@@ -137,43 +123,25 @@ class FusionModule(Module):
         return twin
 
 
-@dataclasses.dataclass(frozen=True)
-class PredictorConfig:
-    depth: int
-    heads: int
-    width: int
-
-    def validate(self) -> None:
-        if self.depth < 0:
-            raise ShapeError("predictor depth must be >= 0")
-        if self.width % self.heads != 0:
-            raise ShapeError(f"predictor width {self.width} not divisible by heads {self.heads}")
-        if self.width % 4 != 0:
-            raise ShapeError("predictor width must be divisible by 4 for 2-D positions")
-
-
 class Predictor(Module):
     """Shallow transformer over context tokens plus position-tagged mask tokens."""
 
     PREFIX = "predictor"
 
-    def __init__(self, cfg: PredictorConfig, fused_dim: int, rng: np.random.Generator | None,
-                 requires_grad: bool = True, dtype=DEFAULT_DTYPE):
-        cfg.validate()
-        self.cfg = cfg
-        self.fused_dim = fused_dim
-        self.dtype = dtype
-        w = cfg.width
+    def __init__(self, depth: int, heads: int, width: int, fused_dim: int,
+                 rng: np.random.Generator | None, requires_grad: bool = True,
+                 dtype=DEFAULT_DTYPE):
+        self.width, self.dtype = width, dtype
 
         def param(name, shape, std=None):
             return self._param(name, shape, rng, requires_grad, dtype, std)
 
-        self.in_w = param("in.weight", (fused_dim, w), INIT_STD)
-        self.in_b = param("in.bias", (w,))
-        self.mask_token = param("mask_token", (w,), INIT_STD)
+        self.in_w = param("in.weight", (fused_dim, width), INIT_STD)
+        self.in_b = param("in.bias", (width,))
+        self.mask_token = param("mask_token", (width,), INIT_STD)
         self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
-            w, cfg.heads, rng, requires_grad, dtype)) for i in range(cfg.depth)]
-        self.out_w = param("out.weight", (w, fused_dim), INIT_STD)
+            width, heads, rng, requires_grad, dtype)) for i in range(depth)]
+        self.out_w = param("out.weight", (width, fused_dim), INIT_STD)
         self.out_b = param("out.bias", (fused_dim,))
 
     def predict(self, context_reps: Tensor, context_positions, target_blocks,
@@ -210,7 +178,7 @@ class Predictor(Module):
         n_ctx = ctx_idx.size
         if context_reps.shape[0] != n_ctx:
             raise ShapeError("context rows do not match context positions")
-        pos = sincos_pos_2d(grid[0], grid[1], self.cfg.width, self.dtype)
+        pos = sincos_pos_2d(grid[0], grid[1], self.width, self.dtype)
         ctx = add(linear(context_reps, self.in_w, self.in_b), Tensor(pos[ctx_idx], dtype=self.dtype))
         masks = add(Tensor(pos[tgt_idx], dtype=self.dtype), self.mask_token)
         # rows of concat_rows([ctx, masks]) that make up each segment
@@ -256,7 +224,7 @@ class PairInputs:
                 raise DataError(f"example {i}: image shape {image.shape} "
                                 f"does not match configured size {image_size}")
         self.encoders = (image_encoder, text_encoder)
-        max_len = text_encoder.cfg.max_text_len
+        max_len = text_encoder.max_text_len
         image_ids, caption_ids = {}, {}
         self.ids = np.array([
             (image_ids.setdefault((image.dtype.str,
@@ -403,15 +371,12 @@ def pipeline_gradient_check(seed: int = 0) -> float:
     spaced coordinates of each parameter.
     """
     rng = np.random.default_rng(seed)
-    enc_cfg = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
-                            max_text_len=8, frozen=False)
-    image_encoder = ImageEncoder(enc_cfg, rng, dtype=np.float64)
-    text_encoder = TextEncoder(enc_cfg, rng, dtype=np.float64)
+    image_encoder = ImageEncoder(4, 8, 1, 2, rng, requires_grad=True, dtype=np.float64)
+    text_encoder = TextEncoder(8, 1, 2, 8, rng, requires_grad=True, dtype=np.float64)
     fusion = FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=8), rng,
                           requires_grad=True, dtype=np.float64)
     target_fusion = fusion.clone()
-    predictor = Predictor(PredictorConfig(depth=1, heads=2, width=8), 8, rng,
-                          requires_grad=True, dtype=np.float64)
+    predictor = Predictor(1, 2, 8, 8, rng, requires_grad=True, dtype=np.float64)
 
     # two examples on a 3x3 grid, each with two target blocks (usually of
     # unequal size), captions of unequal length and, at seed 0, contexts of 3

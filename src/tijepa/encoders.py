@@ -11,13 +11,13 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ShapeError, read_input
 from .numerics import (
     DEFAULT_DTYPE,
+    INIT_STD,
     AttentionParams,
     Module,
     Tensor,
@@ -33,30 +33,6 @@ from .numerics import (
 BOS_ID = 256
 EOS_ID = 257
 VOCAB_SIZE = 258
-
-INIT_STD = 0.02
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    patch_size: int
-    embed_dim: int
-    depth: int
-    heads: int
-    max_text_len: int = 32
-    frozen: bool = True
-
-    def validate(self) -> None:
-        if self.patch_size < 1:
-            raise ShapeError("patch_size must be >= 1")
-        if self.embed_dim % self.heads != 0:
-            raise ShapeError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.embed_dim % 4 != 0:
-            raise ShapeError("embed_dim must be divisible by 4 for 2-D positional encodings")
-        if self.max_text_len < 2:
-            raise ShapeError("max_text_len must be >= 2 (room for BOS and EOS)")
-        if self.depth < 0:
-            raise ShapeError("depth must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -75,41 +51,32 @@ def tokenize_text(caption: str | bytes, max_len: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _sincos_1d_cached(n: int, dim: int, dtype_name: str) -> np.ndarray:
+def sincos_pos_1d(n: int, dim: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
+    """Fixed 1-D encoding, one read-only row per position, cached."""
     if dim % 2 != 0:
         raise ShapeError("1-D sin-cos encoding needs an even dim")
     pos = np.arange(n, dtype=np.float64)[:, None]
     freqs = np.arange(dim // 2, dtype=np.float64)
     omega = 1.0 / (10000.0 ** (2.0 * freqs / dim))
     angles = pos * omega[None, :]
-    out = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-    out = out.astype(dtype_name)
+    out = np.concatenate([np.sin(angles), np.cos(angles)], axis=1).astype(dtype)
     out.setflags(write=False)
     return out
-
-
-def sincos_pos_1d(n: int, dim: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    return _sincos_1d_cached(n, dim, np.dtype(dtype).name)
 
 
 @functools.lru_cache(maxsize=64)
-def _sincos_2d_cached(grid_h: int, grid_w: int, dim: int, dtype_name: str) -> np.ndarray:
-    if dim % 4 != 0:
-        raise ShapeError("2-D sin-cos encoding needs dim divisible by 4")
-    half = dim // 2
-    rows = _sincos_1d_cached(grid_h, half, "float64")
-    cols = _sincos_1d_cached(grid_w, half, "float64")
-    # row r * grid_w + c holds rows[r] then cols[c]
-    out = np.hstack([np.repeat(rows, grid_w, axis=0), np.tile(cols, (grid_h, 1))]).astype(dtype_name)
-    out.setflags(write=False)
-    return out
-
-
 def sincos_pos_2d(grid_h: int, grid_w: int, dim: int, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """Fixed 2-D encoding, one row per grid cell in row-major order."""
+    """Fixed 2-D encoding, one read-only row per grid cell in row-major order, cached."""
     if grid_h < 1 or grid_w < 1:
         raise ShapeError("positional grid must be at least 1x1")
-    return _sincos_2d_cached(grid_h, grid_w, dim, np.dtype(dtype).name)
+    if dim % 4 != 0:
+        raise ShapeError("2-D sin-cos encoding needs dim divisible by 4")
+    rows = sincos_pos_1d(grid_h, dim // 2, np.float64)
+    cols = sincos_pos_1d(grid_w, dim // 2, np.float64)
+    # row r * grid_w + c holds rows[r] then cols[c]
+    out = np.hstack([np.repeat(rows, grid_w, axis=0), np.tile(cols, (grid_h, 1))]).astype(dtype)
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +176,20 @@ class ImageEncoder(Module):
 
     PREFIX = "image_encoder"
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None, dtype=DEFAULT_DTYPE):
-        cfg.validate()
-        self.cfg = cfg
-        self.dtype = dtype
-        trainable = not cfg.frozen
-        d = cfg.embed_dim
+    def __init__(self, patch_size: int, dim: int, depth: int, heads: int,
+                 rng: np.random.Generator | None, requires_grad: bool = True,
+                 dtype=DEFAULT_DTYPE):
+        self.patch_size, self.dim, self.dtype = patch_size, dim, dtype
 
         def param(name, shape, std=None, fill=0.0):
-            return self._param(name, shape, rng, trainable, dtype, std, fill)
+            return self._param(name, shape, rng, requires_grad, dtype, std, fill)
 
-        self.patch_w = param("patch_embed.weight", (3 * cfg.patch_size ** 2, d), INIT_STD)
-        self.patch_b = param("patch_embed.bias", (d,))
+        self.patch_w = param("patch_embed.weight", (3 * patch_size ** 2, dim), INIT_STD)
+        self.patch_b = param("patch_embed.bias", (dim,))
         self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
-            d, cfg.heads, rng, trainable, dtype)) for i in range(cfg.depth)]
-        self.norm_g = param("norm.gain", (d,), fill=1.0)
-        self.norm_b = param("norm.bias", (d,))
+            dim, heads, rng, requires_grad, dtype)) for i in range(depth)]
+        self.norm_g = param("norm.gain", (dim,), fill=1.0)
+        self.norm_b = param("norm.bias", (dim,))
 
     def encode(self, images, visible=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of (3, H, W) images as one stack of rows.
@@ -237,7 +202,7 @@ class ImageEncoder(Module):
         batch = np.asarray(images)
         if batch.ndim != 4:
             raise ShapeError(f"encode takes a batch of (3, H, W) images, got {batch.shape}")
-        patches = patchify(batch, self.cfg.patch_size)
+        patches = patchify(batch, self.patch_size)
         b, n = patches.shape[:2]
         if visible is None:
             idx = [np.arange(n)] * b
@@ -252,8 +217,8 @@ class ImageEncoder(Module):
         if flat.min() < 0 or flat.max() >= n:
             raise ShapeError(f"visible patch index out of range [0, {n})")
         rows = np.repeat(np.arange(b) * n, sizes) + flat
-        gh, gw = batch.shape[2] // self.cfg.patch_size, batch.shape[3] // self.cfg.patch_size
-        pos = sincos_pos_2d(gh, gw, self.cfg.embed_dim, self.dtype)
+        gh, gw = batch.shape[2] // self.patch_size, batch.shape[3] // self.patch_size
+        pos = sincos_pos_2d(gh, gw, self.dim, self.dtype)
         x = linear(Tensor(patches.reshape(b * n, -1)[rows], dtype=self.dtype),
                    self.patch_w, self.patch_b)
         x = add(x, Tensor(pos[flat], dtype=self.dtype))
@@ -267,20 +232,19 @@ class TextEncoder(Module):
 
     PREFIX = "text_encoder"
 
-    def __init__(self, cfg: EncoderConfig, rng: np.random.Generator | None, dtype=DEFAULT_DTYPE):
-        cfg.validate()
-        self.cfg = cfg
-        self.dtype = dtype
-        trainable = not cfg.frozen
+    def __init__(self, dim: int, depth: int, heads: int, max_text_len: int,
+                 rng: np.random.Generator | None, requires_grad: bool = True,
+                 dtype=DEFAULT_DTYPE):
+        self.dim, self.max_text_len, self.dtype = dim, max_text_len, dtype
 
         def param(name, shape, std=None, fill=0.0):
-            return self._param(name, shape, rng, trainable, dtype, std, fill)
+            return self._param(name, shape, rng, requires_grad, dtype, std, fill)
 
-        self.embed = param("embed.weight", (VOCAB_SIZE, cfg.embed_dim), INIT_STD)
+        self.embed = param("embed.weight", (VOCAB_SIZE, dim), INIT_STD)
         self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
-            cfg.embed_dim, cfg.heads, rng, trainable, dtype)) for i in range(cfg.depth)]
-        self.norm_g = param("norm.gain", (cfg.embed_dim,), fill=1.0)
-        self.norm_b = param("norm.bias", (cfg.embed_dim,))
+            dim, heads, rng, requires_grad, dtype)) for i in range(depth)]
+        self.norm_g = param("norm.gain", (dim,), fill=1.0)
+        self.norm_b = param("norm.bias", (dim,))
 
     def encode(self, token_ids, sizes=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of token-id sequences as one stack of rows.
@@ -294,12 +258,12 @@ class TextEncoder(Module):
         sizes = [ids.size] if sizes is None else [int(n) for n in sizes]
         if not sizes or min(sizes) < 2 or sum(sizes) != ids.size:
             raise ShapeError("each token id sequence must hold at least BOS and EOS")
-        if max(sizes) > self.cfg.max_text_len:
-            raise ShapeError(f"token id sequence longer than max_text_len={self.cfg.max_text_len}")
+        if max(sizes) > self.max_text_len:
+            raise ShapeError(f"token id sequence longer than max_text_len={self.max_text_len}")
         if ids.min() < 0 or ids.max() >= VOCAB_SIZE:
             raise ShapeError(f"token id out of range [0, {VOCAB_SIZE})")
         starts = np.cumsum(sizes) - sizes
-        pos = sincos_pos_1d(self.cfg.max_text_len, self.cfg.embed_dim, self.dtype)
+        pos = sincos_pos_1d(self.max_text_len, self.dim, self.dtype)
         offsets = np.arange(ids.size) - np.repeat(starts, sizes)
         x = add(gather_rows(self.embed, ids), Tensor(pos[offsets], dtype=self.dtype))
         for block in self.blocks:

@@ -19,8 +19,8 @@ import numpy as np
 from .core import FusionModule, PairInputs, distinct_rows, fuse_image
 from .dataprep import LABELS, LABEL_TO_INDEX
 from .errors import DataError, ShapeError
-from .numerics import (Module, Tensor, _check_finite, _wrap, backward, cross_entropy_logits,
-                       linear, no_grad, scale, zero_grads)
+from .numerics import (INIT_STD, Module, Tensor, _check_finite, _wrap, backward,
+                       cross_entropy_logits, linear, no_grad, scale, zero_grads)
 from .trainer import (AdamWState, PretrainState, _file_tensors, _keep_freed_memory,
                       _load_tensors, _tensor_views, adamw_step, write_tensor_file)
 
@@ -37,7 +37,7 @@ class ClassifierHead(Module):
     def __init__(self, feature_dim: int, rng: np.random.Generator | None = None):
         self.feature_dim = feature_dim
         self.weight = self._param("weight", (feature_dim, len(LABELS)), rng, True, np.float32,
-                                  std=0.02)
+                                  INIT_STD)
         self.bias = self._param("bias", (len(LABELS),), rng, True, np.float32)
 
     def logits(self, pooled: Tensor) -> Tensor:

@@ -27,6 +27,8 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 
 DEFAULT_DTYPE = np.float32
+# default std of a learned weight's normal init
+INIT_STD = 0.02
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -443,7 +445,7 @@ class AttentionParams(Module):
     """Learned Q/K/V/output projections; K has no bias, which softmax would cancel."""
 
     def __init__(self, dim: int, rng: np.random.Generator | None, requires_grad: bool = True,
-                 dtype=DEFAULT_DTYPE, std: float = 0.02):
+                 dtype=DEFAULT_DTYPE, std: float = INIT_STD):
         def w(name):
             return self._param(name, (dim, dim), rng, requires_grad, dtype, std)
 

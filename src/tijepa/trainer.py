@@ -21,16 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    CrossAttnConfig,
-    FusionModule,
-    PairInputs,
-    Predictor,
-    PredictorConfig,
-    example_loss,
-    make_targets,
-)
-from .encoders import EncoderConfig, ImageEncoder, TextEncoder
+from .core import CrossAttnConfig, FusionModule, PairInputs, Predictor, example_loss, make_targets
+from .encoders import ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError, read_input
 from .masking import sample_masks
 from .numerics import Module, Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
@@ -99,6 +91,19 @@ class TiJepaConfig:
         for key in ("encoder_depth", "predictor_depth", "mask_max_retries", "seed"):
             if getattr(self, key) < 0:
                 raise DataError(f"{key} must be >= 0, got {getattr(self, key)}")
+        for key, heads in (("embed_dim", "encoder_heads"), ("text_embed_dim", "encoder_heads"),
+                           ("fusion_hidden", "fusion_heads"),
+                           ("predictor_width", "predictor_heads")):
+            if getattr(self, key) % getattr(self, heads) != 0:
+                raise DataError(f"{key} {getattr(self, key)} not divisible by "
+                                f"{heads} {getattr(self, heads)}")
+        for key in ("embed_dim", "text_embed_dim", "predictor_width"):
+            if getattr(self, key) % 4 != 0:
+                raise DataError(f"{key} must be divisible by 4 for sin-cos positions, "
+                                f"got {getattr(self, key)}")
+        if self.max_text_len < 2:
+            raise DataError("max_text_len must be >= 2 (room for BOS and EOS), "
+                            f"got {self.max_text_len}")
         if self.patch_size < 1 or self.image_size % self.patch_size != 0:
             raise DataError("image_size must be divisible by a positive patch_size")
         if self.image_size // self.patch_size < 2:
@@ -129,14 +134,6 @@ class TiJepaConfig:
         side = self.image_size // self.patch_size
         return side, side
 
-    def image_encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(self.patch_size, self.embed_dim, self.encoder_depth,
-                             self.encoder_heads, self.max_text_len, self.freeze_encoders)
-
-    def text_encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(self.patch_size, self.text_embed_dim, self.encoder_depth,
-                             self.encoder_heads, self.max_text_len, self.freeze_encoders)
-
     def fusion_config(self) -> CrossAttnConfig:
         return CrossAttnConfig(
             layers=self.fusion_layers, heads=self.fusion_heads, hidden=self.fusion_hidden,
@@ -151,9 +148,6 @@ class TiJepaConfig:
                     tgt_scale=(self.tgt_scale_lo, self.tgt_scale_hi),
                     tgt_aspect=(self.tgt_aspect_lo, self.tgt_aspect_hi),
                     max_retries=self.mask_max_retries)
-
-    def predictor_config(self) -> PredictorConfig:
-        return PredictorConfig(self.predictor_depth, self.predictor_heads, self.predictor_width)
 
     def ema_schedule(self) -> "EmaSchedule":
         return EmaSchedule(self.ema_start, self.ema_end, self.total_steps)
@@ -406,12 +400,15 @@ class PretrainState(Module):
 
     @classmethod
     def _build(cls, config: TiJepaConfig, rng: np.random.Generator | None) -> "PretrainState":
-        image_encoder = ImageEncoder(config.image_encoder_config(), rng)
-        text_encoder = TextEncoder(config.text_encoder_config(), rng)
-        fusion = FusionModule(config.fusion_config(), rng, requires_grad=True)
+        c, trainable = config, not config.freeze_encoders
+        image_encoder = ImageEncoder(c.patch_size, c.embed_dim, c.encoder_depth, c.encoder_heads,
+                                     rng, trainable)
+        text_encoder = TextEncoder(c.text_embed_dim, c.encoder_depth, c.encoder_heads,
+                                   c.max_text_len, rng, trainable)
+        fusion = FusionModule(c.fusion_config(), rng, requires_grad=True)
         target_fusion = fusion.clone()
-        predictor = Predictor(config.predictor_config(), config.embed_dim, rng,
-                              requires_grad=not config.freeze_predictor)
+        predictor = Predictor(c.predictor_depth, c.predictor_heads, c.predictor_width,
+                              c.embed_dim, rng, requires_grad=not c.freeze_predictor)
         return cls(config, image_encoder, text_encoder, fusion, target_fusion, predictor)
 
     def trainable_parameters(self) -> dict[str, Tensor]:

@@ -215,6 +215,16 @@ class TestDataErrors:
                          "--data", str(tmp_path / "ghost.tsv"),
                          "--out", str(tmp_path / "o")]) == EXIT_DATA
 
+    def test_a_width_no_module_can_build_exits_two_before_the_manifest_is_read(
+            self, tmp_path, caplog):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(tmp_path / "ghost.tsv"), "--out", str(tmp_path / "o"),
+                         "--set", "text_embed_dim=66"]) == EXIT_DATA
+        assert "text_embed_dim" in caplog.text
+        assert "ghost.tsv" not in caplog.text
+
     @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--batch-size", "-3"),
                                              ("--epochs", "0")])
     def test_non_positive_finetune_sizes_exit_two(self, tmp_path, synth_dir, flag, value):
@@ -295,7 +305,8 @@ class TestDataErrors:
     @pytest.mark.parametrize("setting", ["learning_rate=nan", "tgt_aspect_lo=-1",
                                          "mask_max_retries=-1", "mlp_ratio=-1", "mlp_ratio=0",
                                          "embed_dim=0", "predictor_width=0", "image_size=0",
-                                         "seed=-1"])
+                                         "seed=-1", "encoder_heads=3", "fusion_heads=3",
+                                         "predictor_heads=3", "max_text_len=1", "fusion_layers=0"])
     def test_bad_optimizer_or_masking_value_exits_two(self, tmp_path, synth_dir, setting):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(tiny_config_text())

@@ -9,7 +9,6 @@ from tijepa.core import (
     FusionModule,
     PairInputs,
     Predictor,
-    PredictorConfig,
     distinct_rows,
     example_loss,
     fusion_gradient_check,
@@ -19,8 +18,7 @@ from tijepa.core import (
     pipeline_gradient_check,
     prediction_loss,
 )
-from tijepa.encoders import (EncoderConfig, ImageEncoder, TextEncoder, TransformerBlock,
-                             tokenize_text)
+from tijepa.encoders import ImageEncoder, TextEncoder, TransformerBlock, tokenize_text
 from tijepa.errors import DataError, ShapeError
 from tijepa.masking import BlockMask, MaskSet, sample_masks
 from tijepa.numerics import (
@@ -46,10 +44,9 @@ def small_fusion(layers=1, rng=None, requires_grad=True):
 
 
 def small_encoders(frozen=True, seed=0):
-    cfg = EncoderConfig(patch_size=8, embed_dim=DIM, depth=1, heads=2,
-                        max_text_len=16, frozen=frozen)
     rng = np.random.default_rng(seed)
-    return ImageEncoder(cfg, rng), TextEncoder(cfg, rng)
+    return (ImageEncoder(8, DIM, 1, 2, rng, requires_grad=not frozen),
+            TextEncoder(DIM, 1, 2, 16, rng, requires_grad=not frozen))
 
 
 def small_image(seed=1):
@@ -233,7 +230,6 @@ class CountingEncoder:
     """Forwards to an encoder and records the ``visible`` of every call."""
 
     def __init__(self, encoder):
-        self.cfg = encoder.cfg
         self.inner = encoder
         self.calls = []
 
@@ -244,8 +240,8 @@ class CountingEncoder:
 
 def distinct(images, captions, max_text_len=16):
     """The table's distinct pairs: each one's first example and every example's pair."""
-    cfg = EncoderConfig(patch_size=8, embed_dim=DIM, depth=1, heads=2, max_text_len=max_text_len)
-    table = PairInputs(images, captions, 16, None, TextEncoder(cfg, None), stored=False)
+    text_encoder = TextEncoder(DIM, 1, 2, max_text_len, None)
+    table = PairInputs(images, captions, 16, None, text_encoder, stored=False)
     return distinct_rows(table.ids)
 
 
@@ -464,8 +460,7 @@ class TestMakeContext:
 
 class TestPredict:
     def make_predictor(self, depth=1, seed=0):
-        return Predictor(PredictorConfig(depth=depth, heads=2, width=DIM), DIM,
-                         np.random.default_rng(seed))
+        return Predictor(depth, 2, DIM, DIM, np.random.default_rng(seed))
 
     def test_one_prediction_row_per_mask_token(self):
         predictor = self.make_predictor()
@@ -510,8 +505,7 @@ class TestPredict:
 
     def test_multi_block_pass_matches_single_block_calls(self, inner):
         grid = (4, 4)
-        predictor = Predictor(PredictorConfig(depth=2, heads=2, width=DIM), DIM,
-                              np.random.default_rng(11))
+        predictor = Predictor(2, 2, DIM, DIM, np.random.default_rng(11))
         params = predictor.named_parameters()
         ctx = Tensor(np.random.default_rng(12).uniform(-1, 1, (6, DIM)).astype(np.float32),
                      requires_grad=True)
@@ -543,8 +537,7 @@ class TestPredictorKeptRows:
     BLOCKS = [[[2, 3, 6, 7], [15]], [[10, 11], [3, 7, 14, 15, 9]]]
 
     def inputs(self, depth):
-        predictor = Predictor(PredictorConfig(depth=depth, heads=2, width=DIM), DIM,
-                              np.random.default_rng(31))
+        predictor = Predictor(depth, 2, DIM, DIM, np.random.default_rng(31))
         ctx = Tensor(np.random.default_rng(32).uniform(-1, 1, (13, DIM)).astype(np.float32),
                      requires_grad=True)
         return predictor, ctx
@@ -698,8 +691,7 @@ class TestExampleLoss:
     def test_equals_context_predict_loss_composition(self, kind):
         encoders = small_encoders(frozen=False)
         fusion = small_fusion()
-        predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM,
-                              np.random.default_rng(9))
+        predictor = Predictor(1, 2, DIM, DIM, np.random.default_rng(9))
         masks = mask_set()
         img = small_image()
         targets, _ = make_targets(*pairs([img], ["cap"], *encoders), [masks], fusion.clone())
@@ -718,8 +710,7 @@ class TestStopGradient:
         image_encoder, text_encoder = small_encoders(frozen=True)
         fusion = small_fusion()
         target_fusion = fusion.clone()
-        predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM,
-                              np.random.default_rng(9))
+        predictor = Predictor(1, 2, DIM, DIM, np.random.default_rng(9))
         masks = mask_set()
         img = small_image()
 
@@ -744,8 +735,7 @@ class TestStopGradient:
         image_encoder, text_encoder = small_encoders()
         fusion = small_fusion()
         twin = fusion.clone()
-        predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM,
-                              np.random.default_rng(10))
+        predictor = Predictor(1, 2, DIM, DIM, np.random.default_rng(10))
         target = BlockMask(2, 2, 1, 1, 1, 1, 1)
         masks = MaskSet(2, 2, BlockMask(2, 2, 0, 0, 2, 2, 4), (0, 1, 2), (target,))
         img = small_image()
@@ -765,14 +755,6 @@ class TestCompositeGradients:
     def test_pipeline_fd(self):
         assert pipeline_gradient_check(seed=0) < 1e-4
 
-    def test_config_validation(self):
-        with pytest.raises(ShapeError):
-            FusionModule(CrossAttnConfig(layers=0, heads=2, hidden=DIM),
-                         np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            Predictor(PredictorConfig(depth=1, heads=3, width=DIM), DIM,
-                      np.random.default_rng(0))
-
 
 class TestBatchedForward:
     """One batched pass equals the examples run as batches of one."""
@@ -781,12 +763,11 @@ class TestBatchedForward:
     CAPTIONS = ["red", "a long caption", "xy"]
 
     def build(self, frozen=True):
-        cfg = EncoderConfig(patch_size=4, embed_dim=DIM, depth=1, heads=2,
-                            max_text_len=16, frozen=frozen)
         rng = np.random.default_rng(21)
-        encoders = (ImageEncoder(cfg, rng), TextEncoder(cfg, rng))
+        encoders = (ImageEncoder(4, DIM, 1, 2, rng, requires_grad=not frozen),
+                    TextEncoder(DIM, 1, 2, 16, rng, requires_grad=not frozen))
         fusion = small_fusion(rng=rng)
-        predictor = Predictor(PredictorConfig(depth=1, heads=2, width=DIM), DIM, rng)
+        predictor = Predictor(1, 2, DIM, DIM, rng)
         images = [np.random.default_rng(30 + i).uniform(0, 1, (3, 12, 12)).astype(np.float32)
                   for i in range(3)]
         masks = [sample_masks(self.GRID3, 2, (0.85, 1.0), (0.15, 0.3), (1.0, 1.0),

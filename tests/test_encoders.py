@@ -6,7 +6,6 @@ import pytest
 from tijepa.encoders import (
     BOS_ID,
     EOS_ID,
-    EncoderConfig,
     ImageEncoder,
     TextEncoder,
     load_image,
@@ -20,10 +19,12 @@ from tijepa.encoders import (
 from tijepa.errors import DataError, ShapeError
 
 
-def small_cfg(**overrides):
-    base = dict(patch_size=8, embed_dim=16, depth=1, heads=2, max_text_len=16, frozen=True)
-    base.update(overrides)
-    return EncoderConfig(**base)
+def small_image_encoder(rng, depth=1, requires_grad=False):
+    return ImageEncoder(8, 16, depth, 2, rng, requires_grad)
+
+
+def small_text_encoder(rng, max_text_len=16):
+    return TextEncoder(16, 1, 2, max_text_len, rng, requires_grad=False)
 
 
 class TestPatchify:
@@ -98,80 +99,80 @@ class TestTokenizer:
 
 class TestImageEncoder:
     def test_output_shape_full_visibility(self):
-        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0))
         img = np.random.default_rng(1).uniform(0, 1, (3, 64, 64)).astype(np.float32)
         out, sizes = enc.encode([img])
         assert out.shape == (64, 16)
         assert sizes == [64]
 
     def test_subset_matches_full_at_depth_zero(self):
-        enc = ImageEncoder(small_cfg(depth=0), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0), depth=0)
         img = np.random.default_rng(1).uniform(0, 1, (3, 64, 64)).astype(np.float32)
         full = enc.encode([img])[0].data
         subset = enc.encode([img], visible=[range(10)])[0].data
         np.testing.assert_array_equal(subset, full[:10])
 
     def test_subset_differs_from_full_with_depth(self):
-        enc = ImageEncoder(small_cfg(depth=1), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0), depth=1)
         img = np.random.default_rng(1).uniform(0, 1, (3, 64, 64)).astype(np.float32)
         full = enc.encode([img])[0].data
         subset = enc.encode([img], visible=[range(10)])[0].data
         assert np.abs(subset - full[:10]).max() > 1e-6
 
     def test_visible_rows_follow_ascending_patch_index(self):
-        enc = ImageEncoder(small_cfg(depth=0), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0), depth=0)
         img = np.random.default_rng(2).uniform(0, 1, (3, 64, 64)).astype(np.float32)
         shuffled = enc.encode([img], visible=[[9, 3, 27]])[0].data
         ordered = enc.encode([img], visible=[[3, 9, 27]])[0].data
         np.testing.assert_array_equal(shuffled, ordered)
 
     def test_out_of_range_patch_index(self):
-        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0))
         img = np.zeros((3, 64, 64), dtype=np.float32)
         with pytest.raises(ShapeError):
             enc.encode([img], visible=[[64]])
 
     def test_frozen_parameters_not_trainable(self):
-        enc = ImageEncoder(small_cfg(frozen=True), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0), requires_grad=False)
         assert all(not p.requires_grad for p in enc.named_parameters().values())
 
     def test_unfrozen_parameters_trainable(self):
-        enc = ImageEncoder(small_cfg(frozen=False), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0), requires_grad=True)
         assert all(p.requires_grad for p in enc.named_parameters().values())
 
     def test_deterministic(self):
         img = np.random.default_rng(3).uniform(0, 1, (3, 64, 64)).astype(np.float32)
-        a = ImageEncoder(small_cfg(), np.random.default_rng(5)).encode([img])[0].data
-        b = ImageEncoder(small_cfg(), np.random.default_rng(5)).encode([img])[0].data
+        a = small_image_encoder(np.random.default_rng(5)).encode([img])[0].data
+        b = small_image_encoder(np.random.default_rng(5)).encode([img])[0].data
         np.testing.assert_array_equal(a, b)
 
 
 class TestTextEncoder:
     def test_one_row_per_token(self):
-        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_text_encoder(np.random.default_rng(0))
         ids = tokenize_text("hello", 16)
         out, sizes = enc.encode(ids)
         assert out.shape == (len(ids), 16)
         assert sizes == [len(ids)]
 
     def test_identical_captions_identical_outputs(self):
-        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_text_encoder(np.random.default_rng(0))
         ids = tokenize_text("same text", 16)
         np.testing.assert_array_equal(enc.encode(ids)[0].data, enc.encode(ids)[0].data)
 
     def test_position_sensitivity(self):
-        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_text_encoder(np.random.default_rng(0))
         a = enc.encode(tokenize_text("ab", 16))[0].data
         b = enc.encode(tokenize_text("ba", 16))[0].data
         assert np.abs(a - b).max() > 1e-6
 
     def test_rejects_empty_ids(self):
-        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_text_encoder(np.random.default_rng(0))
         with pytest.raises(ShapeError):
             enc.encode([])
 
     def test_rejects_out_of_range_ids(self):
-        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_text_encoder(np.random.default_rng(0))
         with pytest.raises(ShapeError):
             enc.encode([258, 0])
 
@@ -180,7 +181,7 @@ class TestBatchedEncode:
     def test_caption_rows_do_not_depend_on_the_batch(self):
         # widely spread lengths: a short caption's attention is padded to the
         # batch's longest, and the key-major layout must keep its rows bitwise
-        enc = TextEncoder(small_cfg(max_text_len=64), np.random.default_rng(0))
+        enc = small_text_encoder(np.random.default_rng(0), max_text_len=64)
         ids = [tokenize_text(c, 64) for c in ("ab", "twenty-one characters", "x" * 60, "xyz")]
         rows, sizes = enc.encode([i for seq in ids for i in seq], [len(seq) for seq in ids])
         assert sizes == [len(seq) for seq in ids]
@@ -191,7 +192,7 @@ class TestBatchedEncode:
             row += len(seq)
 
     def test_image_rows_do_not_depend_on_the_batch(self):
-        enc = ImageEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0))
         images = np.random.default_rng(1).uniform(0, 1, (3, 3, 16, 16)).astype(np.float32)
         rows, sizes = enc.encode(images)
         assert sizes == [4, 4, 4]
@@ -200,7 +201,7 @@ class TestBatchedEncode:
             assert rows.data[4 * i:4 * i + 4].tobytes() == alone.tobytes()
 
     def test_each_image_keeps_its_visible_patches(self):
-        enc = ImageEncoder(small_cfg(depth=1), np.random.default_rng(0))
+        enc = small_image_encoder(np.random.default_rng(0), depth=1)
         images = np.random.default_rng(2).uniform(0, 1, (2, 3, 64, 64)).astype(np.float32)
         visible = [[5, 1, 9], list(range(20))]
         rows, sizes = enc.encode(images, visible=visible)
@@ -215,23 +216,13 @@ class TestBatchedEncode:
             enc.encode(images, visible=[[0], []])
 
     def test_rejects_sizes_that_do_not_tile_the_ids(self):
-        enc = TextEncoder(small_cfg(), np.random.default_rng(0))
+        enc = small_text_encoder(np.random.default_rng(0))
         ids = tokenize_text("ab", 16) + tokenize_text("cd", 16)
         for sizes in ([4], [4, 3], [1, 7], []):
             with pytest.raises(ShapeError):
                 enc.encode(ids, sizes)
         with pytest.raises(ShapeError):
             enc.encode(list(range(17)))  # longer than max_text_len
-
-
-class TestConfigValidation:
-    def test_heads_must_divide(self):
-        with pytest.raises(ShapeError):
-            small_cfg(embed_dim=16, heads=3).validate()
-
-    def test_patch_size_positive(self):
-        with pytest.raises(ShapeError):
-            small_cfg(patch_size=0).validate()
 
 
 class TestImageFiles:

@@ -12,7 +12,7 @@ import pytest
 
 from tijepa import numerics as numerics_module
 from tijepa import trainer as trainer_module
-from tijepa.core import CrossAttnConfig, FusionModule, PairInputs, Predictor, PredictorConfig
+from tijepa.core import CrossAttnConfig, FusionModule, PairInputs, Predictor
 from tijepa.dataprep import PairedExample, synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
@@ -359,6 +359,40 @@ class TestConfig:
         with pytest.raises(DataError):
             tiny_config(loss_type="huber").validate()
 
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(embed_dim=16, encoder_heads=3), "embed_dim"),
+        (dict(patch_size=0), "patch_size"),
+        (dict(fusion_layers=0), "fusion_layers"),
+        (dict(predictor_width=16, predictor_heads=3), "predictor_width"),
+        (dict(text_embed_dim=66), "text_embed_dim"),
+        (dict(embed_dim=6), "embed_dim"),
+        (dict(fusion_hidden=16, fusion_heads=3), "fusion_hidden"),
+        (dict(predictor_width=6), "predictor_width"),
+        (dict(max_text_len=1), "max_text_len"),
+    ], ids=["encoder_heads", "patch_size", "fusion_layers", "predictor_heads",
+            "text_width_quarters", "image_width_quarters", "fusion_heads",
+            "predictor_width_quarters", "max_text_len"])
+    def test_validation_names_the_size_no_module_can_build(self, overrides, key):
+        with pytest.raises(DataError, match=key):
+            tiny_config(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(embed_dim=4, text_embed_dim=4, encoder_heads=1),
+        dict(fusion_hidden=1, fusion_heads=1),
+        dict(fusion_hidden=3, fusion_heads=3),
+        dict(max_text_len=2),
+        dict(predictor_width=4, predictor_heads=4),
+        dict(encoder_depth=0),
+        dict(predictor_depth=0),
+    ], ids=["width_4_one_head", "fusion_hidden_1", "fusion_hidden_3", "max_text_len_2",
+            "predictor_width_4_four_heads", "encoder_depth_0", "predictor_depth_0"])
+    def test_every_edge_size_validate_accepts_trains_a_step(self, overrides):
+        cfg = tiny_config(total_steps=1, **overrides)
+        cfg.validate()
+        result = train(cfg, tiny_dataset())
+        assert result.state.step == 1
+        assert np.isfinite(result.losses).all()
+
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-0.001"),
         ("weight_decay", "nan"), ("weight_decay", "-0.05"),
@@ -510,7 +544,7 @@ class TestParameterTree:
         lambda rng: PretrainState.initialize(TiJepaConfig()),
         lambda rng: FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=8, patch_dim=12,
                                                  text_dim=20), rng),
-        lambda rng: Predictor(PredictorConfig(depth=0, heads=2, width=8), 12, rng),
+        lambda rng: Predictor(0, 2, 8, 12, rng),
         lambda rng: ClassifierHead(8, rng),
     ], ids=["default_state", "fusion_with_projections", "depth0_predictor", "head"])
     def test_every_reachable_tensor_is_named_exactly_once(self, make):
