@@ -19,7 +19,6 @@ from .encoders import ImageEncoder, TextEncoder, TransformerBlock, sincos_pos_2d
 from .errors import DataError, ShapeError
 from .masking import MaskSet, sample_masks
 from .numerics import (
-    DEFAULT_DTYPE,
     INIT_STD,
     Module,
     Tensor,
@@ -79,22 +78,20 @@ class FusionModule(Module):
 
     PREFIX = "fusion"
 
-    def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator | None,
-                 requires_grad: bool = True, dtype=DEFAULT_DTYPE):
+    def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         h = cfg.hidden
 
         def proj(name, d_in, d_out):
-            return (self._param(f"{name}.weight", (d_in, d_out), rng, requires_grad, dtype,
-                                INIT_STD),
-                    self._param(f"{name}.bias", (d_out,), rng, requires_grad, dtype))
+            return (self._param(f"{name}.weight", (d_in, d_out), rng, INIT_STD),
+                    self._param(f"{name}.bias", (d_out,), rng))
 
         patch_proj = cfg.patch_dim not in (None, h)
         self.patch_in = proj("patch_in", cfg.patch_dim, h) if patch_proj else None
         self.text_in = proj("text_in", cfg.text_dim, h) if cfg.text_dim not in (None, h) else None
         self.patch_out = proj("patch_out", h, cfg.patch_dim) if patch_proj else None
         self.layers = [self._add(f"layers.{i}", TransformerBlock(
-            h, cfg.heads, rng, requires_grad, dtype, cfg.mlp_ratio, cross_std=CROSS_ATTN_INIT_STD))
+            h, cfg.heads, rng, cfg.mlp_ratio, cross_std=CROSS_ATTN_INIT_STD))
             for i in range(cfg.layers)]
 
     def __call__(self, patch_reps: Tensor, text_reps: Tensor, segments=None,
@@ -113,15 +110,6 @@ class FusionModule(Module):
             tokens = layer(tokens, segments, context=text, context_segments=text_segments)
         return linear(tokens, *self.patch_out) if self.patch_out else tokens
 
-    def clone(self) -> "FusionModule":
-        """Bitwise copy without gradients, e.g. to initialize the EMA target twin."""
-        params = self.named_parameters()
-        dtype = next(iter(params.values())).dtype
-        twin = FusionModule(self.cfg, None, False, dtype)  # the layout, overwritten
-        for name, tensor in twin.named_parameters().items():
-            tensor.data[...] = params[name].data
-        return twin
-
 
 class Predictor(Module):
     """Shallow transformer over context tokens plus position-tagged mask tokens."""
@@ -129,20 +117,15 @@ class Predictor(Module):
     PREFIX = "predictor"
 
     def __init__(self, depth: int, heads: int, width: int, fused_dim: int,
-                 rng: np.random.Generator | None, requires_grad: bool = True,
-                 dtype=DEFAULT_DTYPE):
-        self.width, self.dtype = width, dtype
-
-        def param(name, shape, std=None):
-            return self._param(name, shape, rng, requires_grad, dtype, std)
-
-        self.in_w = param("in.weight", (fused_dim, width), INIT_STD)
-        self.in_b = param("in.bias", (width,))
-        self.mask_token = param("mask_token", (width,), INIT_STD)
-        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
-            width, heads, rng, requires_grad, dtype)) for i in range(depth)]
-        self.out_w = param("out.weight", (width, fused_dim), INIT_STD)
-        self.out_b = param("out.bias", (fused_dim,))
+                 rng: np.random.Generator | None):
+        self.width = width
+        self.in_w = self._param("in.weight", (fused_dim, width), rng, INIT_STD)
+        self.in_b = self._param("in.bias", (width,), rng)
+        self.mask_token = self._param("mask_token", (width,), rng, INIT_STD)
+        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(width, heads, rng))
+                       for i in range(depth)]
+        self.out_w = self._param("out.weight", (width, fused_dim), rng, INIT_STD)
+        self.out_b = self._param("out.bias", (fused_dim,), rng)
 
     def predict(self, context_reps: Tensor, context_positions, target_blocks,
                 grid: tuple[int, int]) -> Tensor:
@@ -178,9 +161,10 @@ class Predictor(Module):
         n_ctx = ctx_idx.size
         if context_reps.shape[0] != n_ctx:
             raise ShapeError("context rows do not match context positions")
-        pos = sincos_pos_2d(grid[0], grid[1], self.width, self.dtype)
-        ctx = add(linear(context_reps, self.in_w, self.in_b), Tensor(pos[ctx_idx], dtype=self.dtype))
-        masks = add(Tensor(pos[tgt_idx], dtype=self.dtype), self.mask_token)
+        dtype = self.in_w.dtype
+        pos = sincos_pos_2d(grid[0], grid[1], self.width, dtype)
+        ctx = add(linear(context_reps, self.in_w, self.in_b), Tensor(pos[ctx_idx], dtype=dtype))
+        masks = add(Tensor(pos[tgt_idx], dtype=dtype), self.mask_token)
         # rows of concat_rows([ctx, masks]) that make up each segment
         ctx_starts = np.cumsum(ctx_sizes) - ctx_sizes
         block_starts = n_ctx + np.cumsum(block_sizes) - block_sizes
@@ -355,7 +339,7 @@ def fusion_gradient_check(seed: int = 0) -> float:
     """Finite-difference check of one fusion layer stack in float64."""
     rng = np.random.default_rng(seed)
     cfg = CrossAttnConfig(layers=1, heads=2, hidden=8)
-    module = FusionModule(cfg, rng, requires_grad=True, dtype=np.float64)
+    module = FusionModule(cfg, rng).astype(np.float64)
     patches = Tensor(rng.uniform(-1, 1, (2, 8)), requires_grad=True, dtype=np.float64)
     text = Tensor(rng.uniform(-1, 1, (3, 8)), requires_grad=True, dtype=np.float64)
     params = [patches, text] + list(module.named_parameters().values())
@@ -371,12 +355,11 @@ def pipeline_gradient_check(seed: int = 0) -> float:
     spaced coordinates of each parameter.
     """
     rng = np.random.default_rng(seed)
-    image_encoder = ImageEncoder(4, 8, 1, 2, rng, requires_grad=True, dtype=np.float64)
-    text_encoder = TextEncoder(8, 1, 2, 8, rng, requires_grad=True, dtype=np.float64)
-    fusion = FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=8), rng,
-                          requires_grad=True, dtype=np.float64)
+    image_encoder = ImageEncoder(4, 8, 1, 2, rng).astype(np.float64)
+    text_encoder = TextEncoder(8, 1, 2, 8, rng).astype(np.float64)
+    fusion = FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=8), rng).astype(np.float64)
     target_fusion = fusion.clone()
-    predictor = Predictor(1, 2, 8, 8, rng, requires_grad=True, dtype=np.float64)
+    predictor = Predictor(1, 2, 8, 8, rng).astype(np.float64)
 
     # two examples on a 3x3 grid, each with two target blocks (usually of
     # unequal size), captions of unequal length and, at seed 0, contexts of 3

@@ -115,32 +115,28 @@ class TransformerBlock(Module):
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None,
-                 requires_grad: bool = True, dtype=DEFAULT_DTYPE, mlp_ratio: int = 4,
-                 cross_std: float | None = None):
+                 mlp_ratio: int = 4, cross_std: float | None = None):
         self.heads = heads
         hidden = mlp_ratio * dim
         # checkpoint names: a fusion layer spells out its sublayers
         ln1, attn, ln2 = ("ln1", "attn", "ln2") if cross_std is None else \
             ("ln_self", "self_attn", "ln_mlp")
 
-        def param(name, shape, std=None, fill=0.0):
-            return self._param(name, shape, rng, requires_grad, dtype, std, fill)
-
         def norm(name):
-            return param(f"{name}.gain", (dim,), fill=1.0), param(f"{name}.bias", (dim,))
+            return (self._param(f"{name}.gain", (dim,), rng, fill=1.0),
+                    self._param(f"{name}.bias", (dim,), rng))
 
         self.ln1_g, self.ln1_b = norm(ln1)
-        self.attn = self._add(attn, AttentionParams(dim, rng, requires_grad, dtype))
+        self.attn = self._add(attn, AttentionParams(dim, rng))
         self.cross_attn = None
         if cross_std is not None:
             self.ln_cross_g, self.ln_cross_b = norm("ln_cross")
-            self.cross_attn = self._add("cross_attn", AttentionParams(
-                dim, rng, requires_grad, dtype, std=cross_std))
+            self.cross_attn = self._add("cross_attn", AttentionParams(dim, rng, cross_std))
         self.ln2_g, self.ln2_b = norm(ln2)
-        self.mlp_w1 = param("mlp.w1", (dim, hidden), INIT_STD)
-        self.mlp_b1 = param("mlp.b1", (hidden,))
-        self.mlp_w2 = param("mlp.w2", (hidden, dim), INIT_STD)
-        self.mlp_b2 = param("mlp.b2", (dim,))
+        self.mlp_w1 = self._param("mlp.w1", (dim, hidden), rng, INIT_STD)
+        self.mlp_b1 = self._param("mlp.b1", (hidden,), rng)
+        self.mlp_w2 = self._param("mlp.w2", (hidden, dim), rng, INIT_STD)
+        self.mlp_b2 = self._param("mlp.b2", (dim,), rng)
 
     def __call__(self, x: Tensor, segments=None, context: Tensor | None = None,
                  context_segments=None, keep=None, keep_segments=None) -> Tensor:
@@ -177,19 +173,15 @@ class ImageEncoder(Module):
     PREFIX = "image_encoder"
 
     def __init__(self, patch_size: int, dim: int, depth: int, heads: int,
-                 rng: np.random.Generator | None, requires_grad: bool = True,
-                 dtype=DEFAULT_DTYPE):
-        self.patch_size, self.dim, self.dtype = patch_size, dim, dtype
-
-        def param(name, shape, std=None, fill=0.0):
-            return self._param(name, shape, rng, requires_grad, dtype, std, fill)
-
-        self.patch_w = param("patch_embed.weight", (3 * patch_size ** 2, dim), INIT_STD)
-        self.patch_b = param("patch_embed.bias", (dim,))
-        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
-            dim, heads, rng, requires_grad, dtype)) for i in range(depth)]
-        self.norm_g = param("norm.gain", (dim,), fill=1.0)
-        self.norm_b = param("norm.bias", (dim,))
+                 rng: np.random.Generator | None):
+        self.patch_size, self.dim = patch_size, dim
+        self.patch_w = self._param("patch_embed.weight", (3 * patch_size ** 2, dim), rng,
+                                   INIT_STD)
+        self.patch_b = self._param("patch_embed.bias", (dim,), rng)
+        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(dim, heads, rng))
+                       for i in range(depth)]
+        self.norm_g = self._param("norm.gain", (dim,), rng, fill=1.0)
+        self.norm_b = self._param("norm.bias", (dim,), rng)
 
     def encode(self, images, visible=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of (3, H, W) images as one stack of rows.
@@ -218,10 +210,11 @@ class ImageEncoder(Module):
             raise ShapeError(f"visible patch index out of range [0, {n})")
         rows = np.repeat(np.arange(b) * n, sizes) + flat
         gh, gw = batch.shape[2] // self.patch_size, batch.shape[3] // self.patch_size
-        pos = sincos_pos_2d(gh, gw, self.dim, self.dtype)
-        x = linear(Tensor(patches.reshape(b * n, -1)[rows], dtype=self.dtype),
+        dtype = self.patch_w.dtype
+        pos = sincos_pos_2d(gh, gw, self.dim, dtype)
+        x = linear(Tensor(patches.reshape(b * n, -1)[rows], dtype=dtype),
                    self.patch_w, self.patch_b)
-        x = add(x, Tensor(pos[flat], dtype=self.dtype))
+        x = add(x, Tensor(pos[flat], dtype=dtype))
         for block in self.blocks:
             x = block(x, sizes)
         return layer_norm(x, self.norm_g, self.norm_b), sizes
@@ -233,18 +226,13 @@ class TextEncoder(Module):
     PREFIX = "text_encoder"
 
     def __init__(self, dim: int, depth: int, heads: int, max_text_len: int,
-                 rng: np.random.Generator | None, requires_grad: bool = True,
-                 dtype=DEFAULT_DTYPE):
-        self.dim, self.max_text_len, self.dtype = dim, max_text_len, dtype
-
-        def param(name, shape, std=None, fill=0.0):
-            return self._param(name, shape, rng, requires_grad, dtype, std, fill)
-
-        self.embed = param("embed.weight", (VOCAB_SIZE, dim), INIT_STD)
-        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(
-            dim, heads, rng, requires_grad, dtype)) for i in range(depth)]
-        self.norm_g = param("norm.gain", (dim,), fill=1.0)
-        self.norm_b = param("norm.bias", (dim,))
+                 rng: np.random.Generator | None):
+        self.dim, self.max_text_len = dim, max_text_len
+        self.embed = self._param("embed.weight", (VOCAB_SIZE, dim), rng, INIT_STD)
+        self.blocks = [self._add(f"blocks.{i}", TransformerBlock(dim, heads, rng))
+                       for i in range(depth)]
+        self.norm_g = self._param("norm.gain", (dim,), rng, fill=1.0)
+        self.norm_b = self._param("norm.bias", (dim,), rng)
 
     def encode(self, token_ids, sizes=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of token-id sequences as one stack of rows.
@@ -263,9 +251,9 @@ class TextEncoder(Module):
         if ids.min() < 0 or ids.max() >= VOCAB_SIZE:
             raise ShapeError(f"token id out of range [0, {VOCAB_SIZE})")
         starts = np.cumsum(sizes) - sizes
-        pos = sincos_pos_1d(self.max_text_len, self.dim, self.dtype)
+        pos = sincos_pos_1d(self.max_text_len, self.dim, self.embed.dtype)
         offsets = np.arange(ids.size) - np.repeat(starts, sizes)
-        x = add(gather_rows(self.embed, ids), Tensor(pos[offsets], dtype=self.dtype))
+        x = add(gather_rows(self.embed, ids), Tensor(pos[offsets], dtype=self.embed.dtype))
         for block in self.blocks:
             x = block(x, sizes)
         return layer_norm(x, self.norm_g, self.norm_b), sizes

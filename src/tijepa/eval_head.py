@@ -36,9 +36,8 @@ class ClassifierHead(Module):
 
     def __init__(self, feature_dim: int, rng: np.random.Generator | None = None):
         self.feature_dim = feature_dim
-        self.weight = self._param("weight", (feature_dim, len(LABELS)), rng, True, np.float32,
-                                  INIT_STD)
-        self.bias = self._param("bias", (len(LABELS),), rng, True, np.float32)
+        self.weight = self._param("weight", (feature_dim, len(LABELS)), rng, INIT_STD)
+        self.bias = self._param("bias", (len(LABELS),), rng)
 
     def logits(self, pooled: Tensor) -> Tensor:
         """(B, feature_dim) pooled features to (B, 3) class logits."""

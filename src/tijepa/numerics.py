@@ -19,6 +19,7 @@ graph reaches the loss or a gradient before any weight moves.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 from typing import Callable, Sequence
 
@@ -94,13 +95,15 @@ class Tensor:
 class Module:
     """A node of the model's tree of named parameters.
 
-    ``__init__`` makes each parameter with ``_param`` and records each
-    submodule with ``_add``, under its checkpoint name, so a name is given only
-    where its tensor is made. A parameter is made once and then updated in
-    place (by AdamW, EMA and checkpoint loads), never rebound, so the records
-    stay the tensors the attributes hold. Given no generator, a constructor
-    builds the layout alone: names, shapes and dtypes, every value its ``fill``,
-    for a caller that overwrites them (a target twin, a checkpoint load).
+    ``__init__`` takes sizes and a generator only. It makes each parameter,
+    float32 and trainable, with ``_param`` and records each submodule with
+    ``_add``, under its checkpoint name, so a name is given only where its
+    tensor is made. A parameter is made once and then updated in place (by
+    AdamW, EMA and checkpoint loads), never rebound except by ``astype``
+    before first use, so the records stay the tensors the attributes hold.
+    ``requires_grad_`` and ``clone`` act on the built tree. Given no
+    generator, a constructor builds the layout alone: names and shapes, every
+    value its ``fill``, for a checkpoint load to overwrite.
     """
 
     PREFIX = ""
@@ -110,16 +113,16 @@ class Module:
         vars(self).setdefault("_named", {})[name] = item
         return item
 
-    def _param(self, name: str, shape, rng: np.random.Generator | None, requires_grad: bool,
-               dtype, std: float | None = None, fill: float = 0.0) -> Tensor:
-        """Record a parameter under ``name``: ``rng``'s N(0, ``std``) draw, or ``fill``
-        everywhere when ``std`` or ``rng`` is None. Both are finite (every ``std`` and
-        ``fill`` is a code constant), so the tensor wraps its array unscanned."""
+    def _param(self, name: str, shape, rng: np.random.Generator | None,
+               std: float | None = None, fill: float = 0.0) -> Tensor:
+        """Record a trainable parameter under ``name``: ``rng``'s N(0, ``std``) draw, or
+        ``fill`` everywhere when ``std`` or ``rng`` is None. Both are finite (every ``std``
+        and ``fill`` is a code constant), so the tensor wraps its array unscanned."""
         if rng is None or std is None:
-            arr = np.full(shape, fill, dtype=dtype)
+            arr = np.full(shape, fill, dtype=DEFAULT_DTYPE)
         else:
-            arr = rng.normal(0.0, std, shape).astype(dtype, copy=False)
-        return self._add(name, _wrap(arr, requires_grad))
+            arr = rng.normal(0.0, std, shape).astype(DEFAULT_DTYPE, copy=False)
+        return self._add(name, _wrap(arr, requires_grad=True))
 
     def named_parameters(self, prefix: str | None = None) -> dict[str, Tensor]:
         """Every parameter in creation order, named ``prefix.name`` (``PREFIX``
@@ -133,6 +136,26 @@ class Module:
             else:
                 out[full] = item
         return out
+
+    def astype(self, dtype) -> Module:
+        """Rebind every parameter's array to a ``dtype`` copy, before first use; the
+        tensors stay the same objects. Returns ``self``."""
+        for p in self.named_parameters().values():
+            p.data = p.data.astype(dtype)
+        return self
+
+    def requires_grad_(self, flag: bool) -> Module:
+        """Set whether every parameter is trained; returns ``self``."""
+        for p in self.named_parameters().values():
+            p.requires_grad = flag
+        return self
+
+    def clone(self) -> Module:
+        """An independent, bitwise-equal copy of the tree, its parameters gradient-free,
+        e.g. to initialize the EMA target twin."""
+        twin = copy.deepcopy(self).requires_grad_(False)
+        zero_grads(twin.named_parameters())
+        return twin
 
 
 # one (op, inputs, output, backward) tuple per recorded op; backward maps the
@@ -444,13 +467,12 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 class AttentionParams(Module):
     """Learned Q/K/V/output projections; K has no bias, which softmax would cancel."""
 
-    def __init__(self, dim: int, rng: np.random.Generator | None, requires_grad: bool = True,
-                 dtype=DEFAULT_DTYPE, std: float = INIT_STD):
+    def __init__(self, dim: int, rng: np.random.Generator | None, std: float = INIT_STD):
         def w(name):
-            return self._param(name, (dim, dim), rng, requires_grad, dtype, std)
+            return self._param(name, (dim, dim), rng, std)
 
         def b(name):
-            return self._param(name, (dim,), rng, requires_grad, dtype)
+            return self._param(name, (dim,), rng)
 
         self.wq, self.bq, self.wk = w("wq"), b("bq"), w("wk")
         self.wv, self.bv, self.wo, self.bo = w("wv"), b("bv"), w("wo"), b("bo")
@@ -702,12 +724,12 @@ def gradient_suite(seed: int = 0) -> list[tuple[str, float]]:
     checks.append(("cross_entropy", check_gradients(
         lambda: cross_entropy_logits(z, [2, 0, 2, 4]), [z])))
 
-    ap = AttentionParams(8, rng, dtype=np.float64)
+    ap = AttentionParams(8, rng).astype(np.float64)
     x = _rand64(rng, (3, 8))
     sp = [x] + list(ap.named_parameters().values())
     checks.append(("attention_self", check_gradients(lambda: attention(x, x, ap, 2), sp)))
 
-    ap = AttentionParams(8, rng, dtype=np.float64)
+    ap = AttentionParams(8, rng).astype(np.float64)
     q, kv = _rand64(rng, (3, 8)), _rand64(rng, (5, 8))
     cp = [q, kv] + list(ap.named_parameters().values())
     checks.append(("attention_cross", check_gradients(lambda: attention(q, kv, ap, 2), cp)))

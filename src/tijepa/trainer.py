@@ -97,9 +97,9 @@ class TiJepaConfig:
             if getattr(self, key) % getattr(self, heads) != 0:
                 raise DataError(f"{key} {getattr(self, key)} not divisible by "
                                 f"{heads} {getattr(self, heads)}")
-        for key in ("embed_dim", "text_embed_dim", "predictor_width"):
-            if getattr(self, key) % 4 != 0:
-                raise DataError(f"{key} must be divisible by 4 for sin-cos positions, "
+        for key, quantum in (("embed_dim", 4), ("text_embed_dim", 2), ("predictor_width", 4)):
+            if getattr(self, key) % quantum != 0:
+                raise DataError(f"{key} must be divisible by {quantum} for sin-cos positions, "
                                 f"got {getattr(self, key)}")
         if self.max_text_len < 2:
             raise DataError("max_text_len must be >= 2 (room for BOS and EOS), "
@@ -402,13 +402,13 @@ class PretrainState(Module):
     def _build(cls, config: TiJepaConfig, rng: np.random.Generator | None) -> "PretrainState":
         c, trainable = config, not config.freeze_encoders
         image_encoder = ImageEncoder(c.patch_size, c.embed_dim, c.encoder_depth, c.encoder_heads,
-                                     rng, trainable)
+                                     rng).requires_grad_(trainable)
         text_encoder = TextEncoder(c.text_embed_dim, c.encoder_depth, c.encoder_heads,
-                                   c.max_text_len, rng, trainable)
-        fusion = FusionModule(c.fusion_config(), rng, requires_grad=True)
+                                   c.max_text_len, rng).requires_grad_(trainable)
+        fusion = FusionModule(c.fusion_config(), rng)
         target_fusion = fusion.clone()
         predictor = Predictor(c.predictor_depth, c.predictor_heads, c.predictor_width,
-                              c.embed_dim, rng, requires_grad=not c.freeze_predictor)
+                              c.embed_dim, rng).requires_grad_(not c.freeze_predictor)
         return cls(config, image_encoder, text_encoder, fusion, target_fusion, predictor)
 
     def trainable_parameters(self) -> dict[str, Tensor]:

@@ -221,7 +221,7 @@ class TestDataErrors:
         config_path.write_text(tiny_config_text())
         assert dispatch(["pretrain", "--config", str(config_path),
                          "--data", str(tmp_path / "ghost.tsv"), "--out", str(tmp_path / "o"),
-                         "--set", "text_embed_dim=66"]) == EXIT_DATA
+                         "--set", "text_embed_dim=5", "--set", "encoder_heads=1"]) == EXIT_DATA
         assert "text_embed_dim" in caplog.text
         assert "ghost.tsv" not in caplog.text
 

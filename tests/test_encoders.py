@@ -20,11 +20,11 @@ from tijepa.errors import DataError, ShapeError
 
 
 def small_image_encoder(rng, depth=1, requires_grad=False):
-    return ImageEncoder(8, 16, depth, 2, rng, requires_grad)
+    return ImageEncoder(8, 16, depth, 2, rng).requires_grad_(requires_grad)
 
 
 def small_text_encoder(rng, max_text_len=16):
-    return TextEncoder(16, 1, 2, max_text_len, rng, requires_grad=False)
+    return TextEncoder(16, 1, 2, max_text_len, rng).requires_grad_(False)
 
 
 class TestPatchify:

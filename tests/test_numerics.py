@@ -239,7 +239,7 @@ def reference_attention(xq, xkv, params, heads, q_sizes, kv_sizes, g):
 class TestAttention:
     @staticmethod
     def identity_params(dim):
-        params = AttentionParams(dim, None, requires_grad=False)  # biases already zero
+        params = AttentionParams(dim, None).requires_grad_(False)  # biases already zero
         for w in (params.wq, params.wk, params.wv, params.wo):
             w.data[...] = np.eye(dim)
         return params
@@ -355,7 +355,7 @@ class TestAttention:
     def test_matches_float64_reference_with_gradients(self, q_sizes, kv_sizes, inner):
         rng = np.random.default_rng(12)
         d, heads = 8, 2
-        params = AttentionParams(d, rng, dtype=np.float64, std=0.5)
+        params = AttentionParams(d, rng, std=0.5).astype(np.float64)
         for b in (params.bq, params.bv, params.bo):
             b.data[:] = rng.uniform(-1, 1, d)
         xq = Tensor(rng.uniform(-1, 1, (sum(q_sizes), d)), True, dtype=np.float64)

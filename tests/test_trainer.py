@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import logging
 import os
 import platform
@@ -14,11 +15,11 @@ from tijepa import numerics as numerics_module
 from tijepa import trainer as trainer_module
 from tijepa.core import CrossAttnConfig, FusionModule, PairInputs, Predictor
 from tijepa.dataprep import PairedExample, synth_generate
-from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
+from tijepa.encoders import ImageEncoder, TextEncoder, TransformerBlock, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
 from tijepa.eval_head import ClassifierHead, evaluate, finetune
 from tijepa.masking import sample_masks
-from tijepa.numerics import Module, Tensor, active_tape
+from tijepa.numerics import AttentionParams, Module, Tensor, active_tape
 from tijepa.trainer import (
     AdamWState,
     EmaSchedule,
@@ -364,7 +365,7 @@ class TestConfig:
         (dict(patch_size=0), "patch_size"),
         (dict(fusion_layers=0), "fusion_layers"),
         (dict(predictor_width=16, predictor_heads=3), "predictor_width"),
-        (dict(text_embed_dim=66), "text_embed_dim"),
+        (dict(text_embed_dim=5, encoder_heads=1), "text_embed_dim"),
         (dict(embed_dim=6), "embed_dim"),
         (dict(fusion_hidden=16, fusion_heads=3), "fusion_hidden"),
         (dict(predictor_width=6), "predictor_width"),
@@ -384,8 +385,10 @@ class TestConfig:
         dict(predictor_width=4, predictor_heads=4),
         dict(encoder_depth=0),
         dict(predictor_depth=0),
+        dict(text_embed_dim=6, encoder_heads=2),
     ], ids=["width_4_one_head", "fusion_hidden_1", "fusion_hidden_3", "max_text_len_2",
-            "predictor_width_4_four_heads", "encoder_depth_0", "predictor_depth_0"])
+            "predictor_width_4_four_heads", "encoder_depth_0", "predictor_depth_0",
+            "text_width_6_even_not_quarters"])
     def test_every_edge_size_validate_accepts_trains_a_step(self, overrides):
         cfg = tiny_config(total_steps=1, **overrides)
         cfg.validate()
@@ -546,7 +549,14 @@ class TestParameterTree:
                                                  text_dim=20), rng),
         lambda rng: Predictor(0, 2, 8, 12, rng),
         lambda rng: ClassifierHead(8, rng),
-    ], ids=["default_state", "fusion_with_projections", "depth0_predictor", "head"])
+        lambda rng: PretrainState.initialize(TiJepaConfig()).clone(),
+        lambda rng: FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=8, patch_dim=12,
+                                                 text_dim=20), rng).clone(),
+        lambda rng: Predictor(0, 2, 8, 12, rng).clone(),
+        lambda rng: ClassifierHead(8, rng).clone(),
+    ], ids=["default_state", "fusion_with_projections", "depth0_predictor", "head",
+            "default_state_clone", "fusion_with_projections_clone", "depth0_predictor_clone",
+            "head_clone"])
     def test_every_reachable_tensor_is_named_exactly_once(self, make):
         module = make(np.random.default_rng(0))
         params = module.named_parameters()
@@ -561,6 +571,7 @@ class TestParameterTree:
         lambda: ClassifierHead(8, np.random.default_rng(0)),
     ], ids=["default_state", "unfrozen_encoders", "frozen_predictor", "head"])
     def test_each_parameter_is_made_by_one_param_call(self, monkeypatch, make):
+        # the target twin is cloned from the online fusion, so its tensors are copies
         made, real_param = [], Module._param
 
         def counted(self, name, *args, **kwargs):
@@ -568,8 +579,16 @@ class TestParameterTree:
             return real_param(self, name, *args, **kwargs)
 
         monkeypatch.setattr(Module, "_param", counted)
-        params = make().named_parameters()
-        assert len(made) == len(params) > 0
+        module = make()
+        params = module.named_parameters()
+        twin = [name for name in params if name.startswith("target_fusion.")]
+        assert len(made) == len(params) - len(twin) > 0
+        if isinstance(module, PretrainState):
+            online = module.fusion.named_parameters("target_fusion")
+            assert twin == list(online)
+            for name in twin:
+                assert params[name] is not online[name]
+                assert params[name].data.tobytes() == online[name].data.tobytes()
 
     def test_initialize_scans_no_parameter_value(self, monkeypatch):
         scanned = []
@@ -594,6 +613,77 @@ class TestParameterTree:
         assert len(names) == 198
         assert hashlib.sha256("\n".join(names).encode()).hexdigest() == \
             self.DEFAULT_NAMES_SHA256
+
+
+# one builder per model class and layout, each from sizes and a generator
+MODEL_BUILDERS = {
+    "attention": lambda rng: AttentionParams(8, rng),
+    "block": lambda rng: TransformerBlock(8, 2, rng),
+    "cross_block": lambda rng: TransformerBlock(8, 2, rng, cross_std=0.2),
+    "image_encoder": lambda rng: ImageEncoder(4, 8, 1, 2, rng),
+    "text_encoder": lambda rng: TextEncoder(8, 1, 2, 8, rng),
+    "fusion_with_projections": lambda rng: FusionModule(
+        CrossAttnConfig(layers=2, heads=2, hidden=8, patch_dim=12, text_dim=20), rng),
+    "depth0_predictor": lambda rng: Predictor(0, 2, 8, 12, rng),
+    "depth2_predictor": lambda rng: Predictor(2, 2, 8, 12, rng),
+    "head": lambda rng: ClassifierHead(8, rng),
+}
+
+
+def module_subclasses(cls=Module):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from module_subclasses(sub)
+
+
+class TestModuleMethods:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("make", MODEL_BUILDERS.values(), ids=MODEL_BUILDERS)
+    def test_clone_is_an_independent_bitwise_copy(self, make, dtype):
+        module = make(np.random.default_rng(7)).astype(dtype)
+        params = module.named_parameters()
+        rng = np.random.default_rng(8)
+        for p in params.values():  # trained values: biases and gains no longer 0 and 1
+            p.data[...] = rng.uniform(-1, 1, p.shape)
+            p.grad = np.ones_like(p.data)
+        twin = module.clone()
+        assert type(twin) is type(module)
+        assert list(twin.named_parameters()) == list(params)
+        for name, p in twin.named_parameters().items():
+            assert p.data.dtype == dtype and p.data.tobytes() == params[name].data.tobytes()
+            assert not p.requires_grad and p.grad is None
+            assert not np.shares_memory(p.data, params[name].data)
+        assert all(p.requires_grad and p.grad is not None for p in params.values())
+
+    @pytest.mark.parametrize("make", MODEL_BUILDERS.values(), ids=MODEL_BUILDERS)
+    def test_astype_casts_every_parameter_in_its_own_tensor(self, make):
+        module = make(np.random.default_rng(7))
+        params = module.named_parameters()
+        values = {name: p.data.copy() for name, p in params.items()}
+        assert module.astype(np.float64) is module
+        cast = module.named_parameters()
+        assert list(cast) == list(params)
+        for name, p in cast.items():
+            assert p is params[name] and p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, values[name])
+
+    @pytest.mark.parametrize("make", MODEL_BUILDERS.values(), ids=MODEL_BUILDERS)
+    def test_requires_grad_sets_every_parameter(self, make):
+        module = make(np.random.default_rng(7))
+        params = module.named_parameters().values()
+        assert all(p.requires_grad for p in params)
+        assert module.requires_grad_(False) is module
+        assert not any(p.requires_grad for p in params)
+        assert all(p.requires_grad for p in module.requires_grad_(True).named_parameters().values())
+
+    def test_modules_take_sizes_and_a_generator_and_share_one_set_of_tree_methods(self):
+        found = {cls for cls in module_subclasses() if cls.__module__.startswith("tijepa.")}
+        assert {AttentionParams, TransformerBlock, ImageEncoder, TextEncoder, FusionModule,
+                Predictor, ClassifierHead, PretrainState} <= found
+        for cls in found:
+            signature = inspect.signature(cls.__init__).parameters
+            assert "dtype" not in signature and "requires_grad" not in signature, cls
+            assert not {"clone", "astype", "requires_grad_"} & set(vars(cls)), cls
 
 
 class TestCheckpointing:
