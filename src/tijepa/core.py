@@ -191,11 +191,11 @@ class PairInputs:
     Every image must be a ``(3, image_size, image_size)`` array: before any
     hashing, a missing or wrong-size one raises ``DataError`` that names its
     example's position. ``ids`` holds one (image id, caption id) row per
-    pair: an image is keyed by its dtype and SHA-256, a caption by its token
-    ids, and each is numbered by first appearance (``images[i]`` and
-    ``tokens[j]`` are the first of each). ``stored`` promises that no encoder
-    weight moves while the table is in use: each distinct full image and
-    caption is then encoded once, on first use, and kept gradient-free and
+    pair: an image is keyed by its dtype and the SHA-256 of its stored pixels,
+    a caption by its token ids, each numbered by first appearance (``images[i]``
+    and ``tokens[j]`` are the first of each). ``stored`` promises that no
+    encoder weight moves while the table is in use: each distinct full image
+    and caption is then encoded once, on first use, and kept gradient-free and
     read-only. The encodings of ``visible`` patches are never stored.
     """
 

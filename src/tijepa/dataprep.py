@@ -198,6 +198,9 @@ def split_dataset(examples, spec: SplitSpec = SplitSpec()):
 
 @dataclass
 class PairedExample:
+    """One (image, caption) pair. A PPM's ``image`` holds its uint8 pixels, as the file
+    does; a RAWT or synthetic one holds float32 in [0, 1]."""
+
     image: np.ndarray | None
     caption: str
     label: str | None = None

@@ -186,12 +186,15 @@ class ImageEncoder(Module):
     def encode(self, images, visible=None) -> tuple[Tensor, list[int]]:
         """Encode a batch of (3, H, W) images as one stack of rows.
 
+        A uint8 image (a PPM's pixels) is widened to ``pixels / 255`` here, image
+        by image: stacking first would upcast 0..255 without the ``/ 255``.
         ``visible`` holds one collection of patch indices per image; only
         those patches are encoded, each image's rows in ascending patch index.
         By default every patch is. Returns the rows, image by image, and each
         image's row count.
         """
-        batch = np.asarray(images)
+        batch = np.asarray([img.astype(np.float32) / 255.0 if img.dtype == np.uint8 else img
+                            for img in map(np.asarray, images)])
         if batch.ndim != 4:
             raise ShapeError(f"encode takes a batch of (3, H, W) images, got {batch.shape}")
         patches = patchify(batch, self.patch_size)
@@ -264,7 +267,7 @@ class TextEncoder(Module):
 
 
 def _decode_ppm(blob: bytes, path) -> np.ndarray:
-    """8-bit binary P6 PPM bytes to a (3, H, W) float32 image in [0, 1]."""
+    """8-bit binary P6 PPM bytes to a (3, H, W) uint8 image, the pixels as stored."""
     fields: list[int] = []
     i = 2
     while len(fields) < 3:
@@ -291,15 +294,18 @@ def _decode_ppm(blob: bytes, path) -> np.ndarray:
     if len(pixels) != expected:
         raise DataError(f"truncated PPM pixel data: {path}")
     arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
-    return np.ascontiguousarray(arr.transpose(2, 0, 1)).astype(np.float32) / 255.0
+    return np.ascontiguousarray(arr.transpose(2, 0, 1))
 
 
 def write_ppm(path, image: np.ndarray) -> None:
+    """Write a (3, H, W) image as 8-bit P6: uint8 pixels as they are, floats rounded."""
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected a (3, H, W) image, got {img.shape}")
     _, h, w = img.shape
-    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8).transpose(1, 2, 0)
+    if img.dtype != np.uint8:
+        img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
+    pixels = img.transpose(1, 2, 0)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
@@ -332,8 +338,8 @@ def write_rawt(path, array: np.ndarray) -> None:
 
 
 def load_image(path) -> np.ndarray:
-    """Read a (3, H, W) float image in [0, 1], H and W positive, from one read of a PPM
-    or RAWT file."""
+    """Read a (3, H, W) image, H and W positive, from one read of a PPM or RAWT file: a
+    PPM's uint8 pixels, which ``ImageEncoder.encode`` widens, or RAWT float32 in [0, 1]."""
     blob = read_input(path, "image file")
     if blob[:2] == b"P6":
         img = _decode_ppm(blob, path)
@@ -343,7 +349,7 @@ def load_image(path) -> np.ndarray:
         raise DataError(f"unrecognized image format (want P6 PPM or RAWT): {path}")
     if img.ndim != 3 or img.shape[0] != 3 or 0 in img.shape:
         raise DataError(f"image must be (3, H, W) with no empty side, got {img.shape}: {path}")
-    if blob[:2] == b"P6":  # bytes / 255: finite and within [0, 1]
+    if blob[:2] == b"P6":  # any byte is a valid 8-bit pixel
         return img
     _check_finite(img, f"values in image: {path}", DataError)
     if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:

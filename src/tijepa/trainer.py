@@ -24,7 +24,7 @@ import numpy as np
 from .core import CrossAttnConfig, FusionModule, PairInputs, Predictor, example_loss, make_targets
 from .encoders import ImageEncoder, TextEncoder
 from .errors import DataError, MaskSamplingError, NumericalError, ShapeError, read_input
-from .masking import sample_masks
+from .masking import MaskSet, sample_masks
 from .numerics import Module, Tensor, _check_finite, active_tape, backward, no_grad, zero_grads
 
 logger = logging.getLogger(__name__)
@@ -494,30 +494,15 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
                        [example.caption for example in dataset], config.image_size,
                        state.image_encoder, state.text_encoder, stored=frozen)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-        _drop_rows_after(out_path / "metrics.log", state.step)
-
     n = len(dataset)
     batch_size = min(config.batch_size, n)
     batches_per_epoch = max(1, n // batch_size)
-    sched = config.ema_schedule()
-    online_fusion_params = state.fusion.named_parameters("m")
-    target_fusion_params = state.target_fusion.named_parameters("m")
-    rows: list[MetricsRow] = []
-    losses: list[float] = []
-    skipped = 0
 
-    while state.step < config.total_steps:
-        s = state.step
-        epoch = s // batches_per_epoch
-        batch_index = s % batches_per_epoch
+    def draw(s: int) -> tuple[list[int], list[MaskSet], int]:
+        """Step ``s``'s examples that could be masked, their masks, and how many were not."""
+        epoch, batch_index = divmod(s, batches_per_epoch)
         order = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch]).permutation(n)
         batch = order[batch_index * batch_size:(batch_index + 1) * batch_size]
-
-        active_tape().clear()
-        zero_grads(trainable)
         picked, masks = [], []
         for example_index in batch:
             mask_rng = np.random.default_rng(
@@ -525,7 +510,6 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
             try:
                 masks.append(sample_masks(rng=mask_rng, **config.mask_args()))
             except MaskSamplingError as exc:
-                skipped += 1
                 mask_failure = exc
                 logger.warning("step %d: skipping example %d (%s)", s + 1,
                                int(example_index), exc)
@@ -537,6 +521,28 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
                 f"step {s + 1}: no example of the batch could be masked ({mask_failure}); "
                 "num_targets, ctx_scale_lo/hi, tgt_scale_lo/hi, tgt_aspect_lo/hi and "
                 "mask_max_retries leave no context on this grid")
+        return picked, masks, len(batch) - len(picked)
+
+    # step one is drawn before ``out_dir``: a mask config that leaves no context writes nothing
+    drawn = [draw(state.step)] if state.step < config.total_steps else []
+    out_path = Path(out_dir) if out_dir is not None else None
+    if out_path is not None:
+        out_path.mkdir(parents=True, exist_ok=True)
+        _drop_rows_after(out_path / "metrics.log", state.step)
+
+    sched = config.ema_schedule()
+    online_fusion_params = state.fusion.named_parameters("m")
+    target_fusion_params = state.target_fusion.named_parameters("m")
+    rows: list[MetricsRow] = []
+    losses: list[float] = []
+    skipped = 0
+
+    while state.step < config.total_steps:
+        s = state.step
+        active_tape().clear()
+        zero_grads(trainable)
+        picked, masks, dropped = drawn.pop() if drawn else draw(s)
+        skipped += dropped
 
         pairs = table.ids[picked]
         targets, fused = make_targets(table, pairs, masks, state.target_fusion)

@@ -327,6 +327,17 @@ class TestDataErrors:
         assert "num_targets" in caplog.text
         assert not list(out.glob("*.tijp"))
 
+    def test_masking_config_that_leaves_no_context_touches_no_out_directory(self, tmp_path,
+                                                                            synth_dir, caplog):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(tiny_config_text())
+        out = tmp_path / "o"
+        assert dispatch(["pretrain", "--config", str(config_path),
+                         "--data", str(synth_dir / "manifest.tsv"), "--out", str(out),
+                         "--set", "image_size=16", "--set", "num_targets=50"]) == EXIT_DATA
+        assert "step 1: no example of the batch could be masked" in caplog.text
+        assert not out.exists()
+
     def test_one_by_one_patch_grid_exits_two_before_any_step(self, tmp_path, synth_dir, caplog):
         # a target block would cover the grid's one patch and leave no context
         config_path = tmp_path / "run.cfg"

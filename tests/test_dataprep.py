@@ -290,8 +290,26 @@ class TestSynth:
             assert original.caption == reloaded.caption
             assert original.label == reloaded.label
             # 8-bit PPM quantizes to the nearest 1/255; ties (0.5 gray) land
-            # exactly half a step away
-            assert np.abs(original.image - reloaded.image).max() <= 0.51 / 255.0
+            # exactly half a step away once widened as the encoder widens them
+            assert reloaded.image.dtype == np.uint8
+            widened = reloaded.image.astype(np.float32) / 255.0
+            assert np.abs(original.image - widened).max() <= 0.51 / 255.0
+
+
+    def test_loaded_dataset_writes_back_every_file_byte_for_byte(self, tmp_path):
+        examples = synth_generate(6, seed=2, image_size=16, labeled=True)
+        first = write_synth_dataset(examples, tmp_path / "a")
+        second = write_synth_dataset(load_manifest(first), tmp_path / "b")
+        assert second.read_bytes() == first.read_bytes()
+        names = sorted(path.name for path in (tmp_path / "a" / "images").iterdir())
+        assert len(names) == 6
+        assert sorted(path.name for path in (tmp_path / "b" / "images").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "b" / "images" / name).read_bytes() == \
+                (tmp_path / "a" / "images" / name).read_bytes(), name
+        for x, y in zip(load_manifest(first), load_manifest(second)):
+            assert x.image.dtype == y.image.dtype == np.uint8
+            np.testing.assert_array_equal(x.image, y.image)
 
 
 class TestPairedExample:

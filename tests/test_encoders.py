@@ -230,7 +230,39 @@ class TestImageFiles:
         img = (np.arange(3 * 4 * 4).reshape(3, 4, 4) % 256 / 255.0).astype(np.float32)
         path = tmp_path / "img.ppm"
         write_ppm(path, img)
-        np.testing.assert_allclose(load_image(path), img, atol=1 / 255.0 / 2)
+        loaded = load_image(path)
+        assert loaded.dtype == np.uint8
+        # compared as the encoder widens it
+        np.testing.assert_allclose(loaded.astype(np.float32) / 255.0, img, atol=1 / 255.0 / 2)
+
+    def test_ppm_loads_and_writes_its_stored_bytes(self, tmp_path):
+        pixels = np.random.default_rng(2).integers(0, 256, (3, 5, 4), dtype=np.uint8)
+        blob = b"P6\n4 5\n255\n" + pixels.transpose(1, 2, 0).tobytes()
+        path = tmp_path / "img.ppm"
+        path.write_bytes(blob)
+        loaded = load_image(path)
+        assert loaded.dtype == np.uint8 and loaded.nbytes == pixels.nbytes
+        np.testing.assert_array_equal(loaded, pixels)
+        write_ppm(tmp_path / "again.ppm", loaded)
+        assert (tmp_path / "again.ppm").read_bytes() == blob
+
+    def test_ppm_and_rawt_of_the_same_values_encode_to_equal_bits(self, tmp_path):
+        # the PPM's uint8 pixels are widened by the encoder, the RAWT holds k / 255 already
+        pixels = np.random.default_rng(3).integers(0, 256, (3, 16, 16), dtype=np.uint8)
+        write_ppm(tmp_path / "a.ppm", pixels)
+        write_rawt(tmp_path / "a.rawt", pixels.astype(np.float32) / 255.0)
+        ppm, rawt = load_image(tmp_path / "a.ppm"), load_image(tmp_path / "a.rawt")
+        assert (ppm.dtype, rawt.dtype) == (np.uint8, np.float32)
+        enc = small_image_encoder(np.random.default_rng(0))
+        for visible in (None, [[0, 3]]):
+            assert enc.encode([ppm], visible)[0].data.tobytes() == \
+                enc.encode([rawt], visible)[0].data.tobytes()
+        # one batch of both: stacking before widening would read the PPM as 0..255
+        for visible in (None, [[0, 3], [1, 2]]):
+            assert enc.encode([ppm, rawt], visible)[0].data.tobytes() == \
+                enc.encode([rawt, rawt], visible)[0].data.tobytes()
+            assert enc.encode([rawt, ppm], visible)[0].data.tobytes() == \
+                enc.encode([rawt, rawt], visible)[0].data.tobytes()
 
     def test_ppm_with_header_comment(self, tmp_path):
         path = tmp_path / "c.ppm"

@@ -95,15 +95,30 @@ class TestDesignNumbers:
         data = synth_generate(8, seed=0, image_size=16)
         for frozen in (True, False):
             config = dataclasses.replace(TINY, total_steps=5, freeze_encoders=frozen)
-            total, in_steps = design_numbers.image_hashes(
+            total, in_steps, _ = design_numbers.image_hashes(
                 lambda: trainer_module.train(config, data))
             assert in_steps == 0 and 0 < total <= len(data)
         examples = synth_generate(64, seed=0, image_size=16, labeled=True)
-        total, in_steps = design_numbers.image_hashes(
+        total, in_steps, _ = design_numbers.image_hashes(
             lambda: design_numbers.finetune_and_eval(TINY, examples))
         assert in_steps == 0 and 0 < total <= len(examples)
         assert core_module.hashlib is hashlib
         assert trainer_module.zero_grads is numerics_module.zero_grads
+
+    def test_loaded_pairs_hold_and_hash_one_byte_per_pixel_value(self):
+        # a PPM image stays its 8-bit pixels: 3 * 16 * 16 bytes, 4x fewer than float32
+        design_numbers = load_tool("design_numbers")
+        data = synth_generate(8, seed=0, image_size=16)
+        loaded = design_numbers.as_loaded(data)
+        assert [e.caption for e in loaded] == [e.caption for e in data]
+        assert sum(e.image.nbytes for e in loaded) == 8 * 3 * 16 * 16
+        assert sum(e.image.nbytes for e in data) == 4 * 8 * 3 * 16 * 16
+        config = dataclasses.replace(TINY, total_steps=3)
+        total, in_steps, hashed = design_numbers.image_hashes(
+            lambda: trainer_module.train(config, loaded))
+        assert (total, in_steps, hashed) == (8, 0, 8 * 3 * 16 * 16)
+        assert design_numbers.image_hashes(
+            lambda: trainer_module.train(config, data))[2] == 4 * 8 * 3 * 16 * 16
 
     def test_finetune_and_eval_fuse_each_distinct_pair_of_a_pass_once(self, monkeypatch):
         design_numbers = load_tool("design_numbers")

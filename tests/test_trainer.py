@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import logging
@@ -14,7 +15,7 @@ import pytest
 from tijepa import numerics as numerics_module
 from tijepa import trainer as trainer_module
 from tijepa.core import CrossAttnConfig, FusionModule, PairInputs, Predictor
-from tijepa.dataprep import PairedExample, synth_generate
+from tijepa.dataprep import PairedExample, load_manifest, synth_generate, write_synth_dataset
 from tijepa.encoders import ImageEncoder, TextEncoder, TransformerBlock, tokenize_text
 from tijepa.errors import DataError, NumericalError, ShapeError
 from tijepa.eval_head import ClassifierHead, evaluate, finetune
@@ -1036,6 +1037,20 @@ class TestTrainLoop:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
         assert state.step == 2
 
+    def test_a_masking_config_that_leaves_no_context_leaves_a_resumed_runs_files_as_they_were(
+            self, tmp_path):
+        # the first step's masks are drawn before the resume cuts the log back to step 2
+        cfg = tiny_config(total_steps=4, log_interval=1, checkpoint_interval=2)
+        train(cfg, tiny_dataset(), out_dir=tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert len((tmp_path / "metrics.log").read_text().splitlines()) == 4
+        state = load_checkpoint(tmp_path / "checkpoint_000002.tijp")
+        with pytest.raises(DataError, match="step 3: no example of the batch could be masked"):
+            train(dataclasses.replace(cfg, num_targets=50), tiny_dataset(), out_dir=tmp_path,
+                  state=state)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert state.step == 2
+
     def test_caption_sensitivity_returns_two_means(self):
         cfg = tiny_config(total_steps=1)
         result = train(cfg, tiny_dataset())
@@ -1299,6 +1314,21 @@ class TestStoredEncodingsInTraining:
         with_memo = caption_sensitivity(state, tiny_dataset(), limit=6)
         self.never_store(monkeypatch)
         assert caption_sensitivity(state, tiny_dataset(), limit=6) == with_memo
+
+
+class TestEightBitImages:
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_ppm_pixels_train_to_the_bytes_of_their_float32_widening(self, tmp_path, frozen):
+        loaded = load_manifest(write_synth_dataset(tiny_dataset(), tmp_path / "data"))
+        assert all(e.image.dtype == np.uint8 for e in loaded)
+        widened = [dataclasses.replace(e, image=e.image.astype(np.float32) / 255.0)
+                   for e in loaded]
+        cfg = tiny_config(total_steps=4, checkpoint_interval=2, freeze_encoders=frozen)
+        train(cfg, loaded, out_dir=tmp_path / "uint8")
+        train(cfg, widened, out_dir=tmp_path / "float32")
+        for name in ("checkpoint_000002.tijp", "checkpoint_final.tijp", "metrics.log"):
+            assert (tmp_path / "uint8" / name).read_bytes() == \
+                (tmp_path / "float32" / name).read_bytes(), name
 
 
 # Desk config at batch 8 on 32 pairs: 2 warm-up steps, then the minor page

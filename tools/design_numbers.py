@@ -14,7 +14,11 @@
   time, this number has no noise;
 - the images SHA-256-hashed by one 15-step desk pretraining call on 256
   synthetic pairs, frozen and unfrozen, in all and once its first step has
-  begun, and by that ``finetune`` plus ``evaluate``.
+  begun, and by that ``finetune`` plus ``evaluate``;
+- the MiB of image data that 256 desk pairs hold once written with
+  ``write_synth_dataset`` and read back with ``load_manifest``, as a
+  ``tijepa pretrain --data`` run holds them, and the MiB SHA-256-hashed by one
+  15-step desk pretraining call on them. Both are byte counts, with no noise.
 
 Run from the repository root (a few seconds on one core):
 
@@ -22,6 +26,7 @@ Run from the repository root (a few seconds on one core):
 """
 
 import dataclasses
+import tempfile
 import types
 from collections import Counter
 from pathlib import Path
@@ -30,7 +35,7 @@ import numpy as np
 
 from tijepa import core, trainer
 from tijepa.core import FusionModule
-from tijepa.dataprep import split_dataset, synth_generate
+from tijepa.dataprep import load_manifest, split_dataset, synth_generate, write_synth_dataset
 from tijepa.eval_head import evaluate, finetune
 from tijepa.numerics import Tensor, active_tape
 from tijepa.trainer import PretrainState, TiJepaConfig
@@ -93,15 +98,23 @@ def finetune_and_eval(config: TiJepaConfig, examples) -> None:
     evaluate(state, head, test)
 
 
-def image_hashes(run) -> tuple[int, int]:
+def as_loaded(examples) -> list:
+    """``examples`` as a manifest run holds them: written with ``write_synth_dataset``
+    to a temporary directory and read back with ``load_manifest``."""
+    with tempfile.TemporaryDirectory() as work:
+        return load_manifest(write_synth_dataset(examples, work))
+
+
+def image_hashes(run) -> tuple[int, int, int]:
     """The images that ``run()`` hashes, in all and once a pretraining step has
-    begun (from the training loop's first ``zero_grads`` on)."""
+    begun (from the training loop's first ``zero_grads`` on), and the bytes hashed."""
     counts = Counter()
     real_hashlib, real_zero_grads = core.hashlib, trainer.zero_grads
 
     def sha256(data):
         counts["all"] += 1
         counts["in_steps"] += counts["steps"] > 0
+        counts["bytes"] += memoryview(data).nbytes
         return real_hashlib.sha256(data)
 
     def zero_grads(params):
@@ -113,7 +126,7 @@ def image_hashes(run) -> tuple[int, int]:
         run()
     finally:
         core.hashlib, trainer.zero_grads = real_hashlib, real_zero_grads
-    return counts["all"], counts["in_steps"]
+    return counts["all"], counts["in_steps"], counts["bytes"]
 
 
 def pairs_fused(config: TiJepaConfig, examples) -> int:
@@ -151,11 +164,16 @@ def main() -> None:
     pairs = synth_generate(256, seed=0)
     for label, frozen in (("frozen", True), ("unfrozen", False)):
         config = TiJepaConfig(freeze_encoders=frozen, total_steps=15)
-        total, in_steps = image_hashes(lambda: trainer.train(config, pairs))
+        total, in_steps, _ = image_hashes(lambda: trainer.train(config, pairs))
         print(f"image hashes per 15-step desk pretraining call, 256 pairs, {label}\t{total}\t"
               f"({in_steps} inside steps)")
-    total, _ = image_hashes(lambda: finetune_and_eval(TiJepaConfig(), labeled))
+    total, _, _ = image_hashes(lambda: finetune_and_eval(TiJepaConfig(), labeled))
     print(f"image hashes per finetune + eval, 256 labeled pairs\t{total}")
+    loaded = as_loaded(pairs)
+    print(f"image MiB held by 256 desk pairs loaded from a manifest\t"
+          f"{sum(e.image.nbytes for e in loaded) / 2**20:.1f}")
+    *_, hashed = image_hashes(lambda: trainer.train(TiJepaConfig(total_steps=15), loaded))
+    print(f"MiB SHA-256-hashed per 15-step desk pretraining call on them\t{hashed / 2**20:.1f}")
 
 
 if __name__ == "__main__":
