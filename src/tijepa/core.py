@@ -300,14 +300,11 @@ def prediction_loss(predictions: Tensor, targets: Tensor, block_sizes,
     lists, per example, the row count of each of its blocks. ``l2``
     (default) sums squared differences; ``l1`` sums absolute ones. Each
     row's distance is weighted by one over its example's block count.
+    ``block_distance`` refuses an unknown ``kind`` or unequal shapes.
     """
     sizes = [[int(n) for n in example] for example in block_sizes]
     if not sizes or not all(sizes):
         raise ShapeError("no prediction blocks")
-    if kind not in ("l2", "l1"):
-        raise ShapeError(f"unknown loss kind '{kind}'")
-    if predictions.shape != targets.shape:
-        raise ShapeError(f"predictions {predictions.shape} vs targets {targets.shape}")
     rows = [sum(example) for example in sizes]
     if sum(rows) != predictions.shape[0]:
         raise ShapeError(f"block sizes {sizes} do not add up to {predictions.shape[0]} rows")

@@ -297,13 +297,21 @@ def _decode_ppm(blob: bytes, path) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(2, 0, 1))
 
 
+def _check_unit_range(img: np.ndarray, path) -> None:
+    """``DataError`` naming ``path`` unless every value is finite and in [0, 1], up to 1e-6."""
+    _check_finite(img, f"values in image: {path}", DataError)
+    if img.size and (img.min() < -1e-6 or img.max() > 1.0 + 1e-6):
+        raise DataError(f"image values outside [0, 1]: {path}")
+
+
 def write_ppm(path, image: np.ndarray) -> None:
-    """Write a (3, H, W) image as 8-bit P6: uint8 pixels as they are, floats rounded."""
+    """Write a (3, H, W) image as 8-bit P6: uint8 pixels as they are, [0, 1] floats rounded."""
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected a (3, H, W) image, got {img.shape}")
     _, h, w = img.shape
     if img.dtype != np.uint8:
+        _check_unit_range(img, path)  # before the file is opened, as a RAWT load would
         img = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     pixels = img.transpose(1, 2, 0)
     with open(path, "wb") as fh:
@@ -351,7 +359,5 @@ def load_image(path) -> np.ndarray:
         raise DataError(f"image must be (3, H, W) with no empty side, got {img.shape}: {path}")
     if blob[:2] == b"P6":  # any byte is a valid 8-bit pixel
         return img
-    _check_finite(img, f"values in image: {path}", DataError)
-    if img.min() < -1e-6 or img.max() > 1.0 + 1e-6:
-        raise DataError(f"image values outside [0, 1]: {path}")
+    _check_unit_range(img, path)
     return np.clip(img, 0.0, 1.0).astype(np.float32)

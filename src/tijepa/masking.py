@@ -97,16 +97,3 @@ def sample_masks(grid: tuple[int, int], num_targets: int, ctx_scale, tgt_scale,
             return MaskSet(grid_h, grid_w, ctx_block, tuple(remaining), targets)
     raise MaskSamplingError(
         f"context block empty after {max_retries} retries on {grid_h}x{grid_w} grid")
-
-
-def render_mask_set(masks: MaskSet) -> str:
-    """Text grid for golden tests: 'C' context, 'T' target, '.' neither."""
-    cells = ["."] * (masks.grid_h * masks.grid_w)
-    for block in masks.targets:
-        for i in block.indices():
-            cells[i] = "T"
-    for i in masks.context:
-        cells[i] = "C"
-    rows = ("".join(cells[r * masks.grid_w:(r + 1) * masks.grid_w])
-            for r in range(masks.grid_h))
-    return "\n".join(rows)

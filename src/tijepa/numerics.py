@@ -56,8 +56,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         if dtype is None:
             if isinstance(data, np.ndarray) and data.dtype in _FLOAT_DTYPES:
                 dtype = data.dtype
@@ -210,15 +208,12 @@ def backward(loss: Tensor) -> None:
     popped before its backward runs and each intermediate output's gradient
     is dropped once it has been passed on, so the arrays that only later
     records hold (activations, their gradients) are freed during the replay
-    and intermediate outputs end with ``grad`` None. Leaves that took part in
-    recorded ops but lie off the loss path get zero gradients.
+    and intermediate outputs end with ``grad`` None. A gradient that never
+    arrives stays None, which ``adamw_step`` and ``check_gradients`` read as zeros.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = _TAPE
-    produced = {id(output) for _op, _inputs, output, _back in tape}
-    leaves = {id(t): t for _op, inputs, _output, _back in tape for t in inputs
-              if t.requires_grad and id(t) not in produced}
     if loss.requires_grad:
         _accumulate(loss, np.ones_like(loss.data))
         while tape:
@@ -229,9 +224,6 @@ def backward(loss: Tensor) -> None:
                     if gi is not None and t.requires_grad:
                         _accumulate(t, gi)
     tape.clear()
-    for t in leaves.values():
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
 
 
 def zero_grads(tensors) -> None:

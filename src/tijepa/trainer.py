@@ -9,6 +9,7 @@ exactly like an uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import logging
@@ -42,7 +43,8 @@ _STREAM_SENSITIVITY = 3
 
 @dataclasses.dataclass(frozen=True)
 class TiJepaConfig:
-    """Every architecture and training hyperparameter, flat for `key = value` files."""
+    """Every architecture and training hyperparameter, flat for `key = value` files,
+    validated when it is built (``__post_init__``): an invalid config cannot exist."""
 
     image_size: int = 64
     patch_size: int = 8
@@ -82,10 +84,14 @@ class TiJepaConfig:
     loss_type: str = "l2"
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         for key in ("image_size", "embed_dim", "text_embed_dim", "encoder_heads", "fusion_layers",
                     "fusion_heads", "fusion_hidden", "mlp_ratio", "predictor_heads",
-                    "predictor_width"):
+                    "predictor_width", "num_targets", "batch_size", "total_steps", "log_interval",
+                    "checkpoint_interval"):
             if getattr(self, key) < 1:
                 raise DataError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("encoder_depth", "predictor_depth", "mask_max_retries", "seed"):
@@ -113,10 +119,6 @@ class TiJepaConfig:
             raise DataError(f"loss_type must be 'l2' or 'l1', got '{self.loss_type}'")
         if not (0.0 <= self.ema_start <= self.ema_end <= 1.0):
             raise DataError("need 0 <= ema_start <= ema_end <= 1")
-        if self.batch_size < 1 or self.total_steps < 1 or self.log_interval < 1:
-            raise DataError("batch_size, total_steps, and log_interval must be positive")
-        if self.checkpoint_interval < 1 or self.num_targets < 1:
-            raise DataError("checkpoint_interval and num_targets must be positive")
         if not all(math.isfinite(x) and x >= 0.0 for x in (self.learning_rate, self.weight_decay)):
             raise DataError("learning_rate and weight_decay must be finite and >= 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -169,9 +171,7 @@ class TiJepaConfig:
             if key not in types:
                 raise DataError(f"unknown config key '{key}'")
             kwargs[key] = _coerce(key, raw, types[key])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**kwargs)
 
     @classmethod
     def from_text(cls, text: str) -> "TiJepaConfig":
@@ -395,7 +395,6 @@ class PretrainState(Module):
 
     @classmethod
     def initialize(cls, config: TiJepaConfig) -> "PretrainState":
-        config.validate()
         return cls._build(config, np.random.default_rng([config.seed, _STREAM_INIT]))
 
     @classmethod
@@ -448,7 +447,8 @@ def _drop_rows_after(log: Path, step: int) -> None:
         if int(field) <= step:
             kept.append(line)
     if len(kept) != len(lines):
-        log.write_text("".join(kept), encoding="utf-8")
+        with _replacing(log) as fh:
+            fh.write("".join(kept).encode("utf-8"))
 
 
 def _keep_freed_memory() -> None:
@@ -479,7 +479,6 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
     :func:`_keep_freed_memory`).
     """
     _keep_freed_memory()
-    config.validate()
     if not dataset:
         raise DataError("dataset is empty")
     if state is None:
@@ -578,7 +577,7 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
     return TrainResult(state, rows, losses, skipped)
 
 
-def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
+def caption_sensitivity(state: PretrainState, dataset,
                         limit: int | None = None) -> tuple[float, float]:
     """Mean prediction loss with true captions vs captions shifted by one example.
 
@@ -593,7 +592,7 @@ def caption_sensitivity(state: PretrainState, dataset, seed: int = 0,
     # no weight moves here, so the encodings are stored even when the encoders train
     table = PairInputs([dataset[i].image for i in range(n)], [dataset[i].caption for i in range(n)],
                        config.image_size, state.image_encoder, state.text_encoder, stored=True)
-    masks = [sample_masks(rng=np.random.default_rng([config.seed, _STREAM_SENSITIVITY, seed, i]),
+    masks = [sample_masks(rng=np.random.default_rng([config.seed, _STREAM_SENSITIVITY, 0, i]),
                           **config.mask_args()) for i in range(n)]
     permuted = np.column_stack([table.ids[:, 0], np.roll(table.ids[:, 1], -1)])
     totals = [0.0, 0.0]
@@ -619,6 +618,22 @@ CHECKPOINT_VERSION = 1
 _DTYPE_F32 = 0
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A binary file beside ``path``, fsynced and renamed over it when the block ends: a write
+    that fails part-way leaves any previous ``path`` untouched and no temporary file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb", buffering=1 << 20) as fh:  # a write call per MiB, not per array
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tensor_file(path, tensors: dict[str, np.ndarray]) -> None:
     # the file's pieces in order: each header, and each array's bytes as a view, not a copy
     pieces = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(tensors))]
@@ -628,23 +643,12 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray]) -> None:
         pieces += [struct.pack(f"<I{len(encoded)}sBI{arr.ndim}I", len(encoded), encoded,
                                _DTYPE_F32, arr.ndim, *arr.shape),
                    memoryview(np.ascontiguousarray(arr).reshape(-1)).cast("B")]
-    # write beside the destination, then rename over it: a failed write
-    # leaves any previous file of that name untouched
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb", buffering=1 << 20) as fh:  # a write call per MiB, not per array
-            crc = 0
-            for piece in pieces:  # checksummed and written in turn
-                crc = zlib.crc32(piece, crc)
-                fh.write(piece)
-            fh.write(struct.pack("<Q", crc))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _replacing(Path(path)) as fh:
+        crc = 0
+        for piece in pieces:  # checksummed and written in turn
+            crc = zlib.crc32(piece, crc)
+            fh.write(piece)
+        fh.write(struct.pack("<Q", crc))
 
 
 def _tensor_views(path) -> dict[str, np.ndarray]:
@@ -658,25 +662,22 @@ def _tensor_views(path) -> dict[str, np.ndarray]:
         raise DataError(f"checkpoint CRC mismatch: {path}")
     if body[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"bad checkpoint magic: {path}")
-    (version,) = struct.unpack_from("<I", body, 4)
+    version, count = struct.unpack_from("<II", body, 4)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}: {path}")
-    (count,) = struct.unpack_from("<I", body, 8)
     offset = 12
     tensors: dict[str, np.ndarray] = {}
     previous_name = None
     try:
+        # each header in the writer's groups: name length; name, dtype tag, rank; dims
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", body, offset)
             offset += 4
-            name = str(body[offset:offset + name_len], "utf-8")
-            offset += name_len
-            (dtype_tag,) = struct.unpack_from("<B", body, offset)
-            offset += 1
+            encoded, dtype_tag, rank = struct.unpack_from(f"<{name_len}sBI", body, offset)
+            name = encoded.decode("utf-8")  # ``offset`` is still the name's first byte
+            offset += name_len + 5
             if dtype_tag != _DTYPE_F32:
                 raise DataError(f"unknown dtype tag {dtype_tag} for '{name}': {path}")
-            (rank,) = struct.unpack_from("<I", body, offset)
-            offset += 4
             dims = struct.unpack_from(f"<{rank}I", body, offset)
             offset += 4 * rank
             size = math.prod(dims)

@@ -287,6 +287,29 @@ class TestDataErrors:
         assert (f"example {12 * sizes.index(32)}: image shape (3, 32, 32) does not match "
                 "configured size 16" in caplog.text)
 
+    @pytest.mark.parametrize("command", ["finetune", "eval"])
+    def test_an_unlabeled_manifest_exits_two(self, tmp_path, caplog, command):
+        ckpt = tmp_path / "init.tijp"
+        save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+        manifest = write_synth_dataset(synth_generate(4, 0, 16), tmp_path / "data")
+        head, out = tmp_path / "head.tijp", tmp_path / "out"
+        save_head(ClassifierHead(16), head)
+        rest = (["--out", str(out)] if command == "finetune"
+                else ["--head", str(head), "--split", "all"])
+        assert dispatch([command, "--ckpt", str(ckpt), "--data", str(manifest), *rest]) == EXIT_DATA
+        assert f"{command} manifest contains unlabeled examples" in caplog.text
+        assert not out.exists()
+
+    def test_eval_of_every_example_of_an_empty_manifest_exits_two(self, tmp_path, caplog):
+        ckpt = tmp_path / "init.tijp"
+        save_checkpoint(PretrainState.initialize(TiJepaConfig.from_text(tiny_config_text())), ckpt)
+        manifest, head = tmp_path / "empty.tsv", tmp_path / "head.tijp"
+        manifest.write_text("")
+        save_head(ClassifierHead(16), head)
+        assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(head),
+                         "--data", str(manifest), "--split", "all"]) == EXIT_DATA
+        assert "split 'all' is empty" in caplog.text
+
     def test_eval_with_a_head_of_another_width_exits_two_before_pooling(self, tmp_path, caplog,
                                                                         monkeypatch):
         from tijepa import eval_head

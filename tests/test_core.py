@@ -487,6 +487,18 @@ class TestPredict:
         with pytest.raises(ShapeError):
             predictor.predict(ctx, [[0, 1]], [[[2], [3, 0]]], GRID)
 
+    @pytest.mark.parametrize("blocks", [[], [[]], [[[2]], [[3]]]],
+                             ids=["no_examples", "no_blocks", "more_examples_than_contexts"])
+    def test_an_example_without_target_blocks_is_refused(self, blocks):
+        ctx = Tensor(np.zeros((2, DIM), dtype=np.float32))
+        with pytest.raises(ShapeError, match="need target blocks for every example"):
+            self.make_predictor().predict(ctx, [[0, 1]], blocks, GRID)
+
+    def test_context_rows_that_do_not_match_the_positions_are_refused(self):
+        ctx = Tensor(np.zeros((3, DIM), dtype=np.float32))
+        with pytest.raises(ShapeError, match="context rows do not match context positions"):
+            self.make_predictor().predict(ctx, [[0, 1]], [[[2]]], GRID)
+
     def test_multi_block_pass_matches_single_block_calls(self, inner):
         grid = (4, 4)
         predictor = Predictor(2, 2, DIM, DIM, np.random.default_rng(11))
@@ -628,6 +640,14 @@ class TestPredictionLoss:
         x = Tensor(np.zeros((1, 1)))
         with pytest.raises(ShapeError):
             prediction_loss(x, x, [[1]], kind="huber")
+
+    def test_kind_and_shapes_are_checked_by_block_distance(self):
+        x = Tensor(np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match="block_distance: unknown kind 'huber'"):
+            prediction_loss(x, x, [[2]], kind="huber")
+        with pytest.raises(ShapeError, match=r"block_distance: incompatible shapes \(2, 2\) and "
+                                             r"\(2, 3\)"):
+            prediction_loss(x, Tensor(np.zeros((2, 3))), [[2]])
 
     @staticmethod
     def composed_reference(pred, tgt, sizes, kind):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -251,6 +252,16 @@ class TestManifest:
 
 
 class TestSynth:
+    def test_written_dataset_bytes_are_pinned(self, tmp_path):
+        # the float32 synthetic images are rounded to 8 bits as they always were
+        write_synth_dataset(synth_generate(16, 0, 16, labeled=True), tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tmp_path).as_posix().encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == \
+            "ca6c9c648d41eda7d5d82a8654c11ab27a84df48624b30c09ef09d5fdc27f058"
+
     def test_fixed_seed_reproducible(self):
         a = synth_generate(20, seed=5, image_size=16)
         b = synth_generate(20, seed=5, image_size=16)

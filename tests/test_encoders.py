@@ -264,6 +264,25 @@ class TestImageFiles:
             assert enc.encode([rawt, ppm], visible)[0].data.tobytes() == \
                 enc.encode([rawt, rawt], visible)[0].data.tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0], ids=["nan", "inf", "two"])
+    def test_ppm_refuses_a_float_pixel_a_rawt_load_refuses(self, tmp_path, bad):
+        img = np.full((3, 2, 2), 0.5, dtype=np.float32)
+        img[1, 0, 1] = bad
+        rawt, ppm = tmp_path / "a.rawt", tmp_path / "a.ppm"
+        write_rawt(rawt, img)
+        with pytest.raises(DataError) as loaded:
+            load_image(rawt)
+        with pytest.raises(DataError) as written:
+            write_ppm(ppm, img)
+        assert str(written.value) == str(loaded.value).replace(str(rawt), str(ppm))
+        assert not ppm.exists()
+
+    def test_ppm_writes_floats_within_the_rawt_tolerance_clipped(self, tmp_path):
+        img = np.array([-5e-7, 0.0, 0.5, 1.0, 1.0 + 5e-7, 1.0]).reshape(3, 1, 2)
+        write_ppm(tmp_path / "a.ppm", img)
+        assert (tmp_path / "a.ppm").read_bytes() == b"P6\n2 1\n255\n" + bytes(
+            [0, 128, 255, 0, 255, 255])
+
     def test_ppm_with_header_comment(self, tmp_path):
         path = tmp_path / "c.ppm"
         pixels = bytes(range(12))

@@ -2,11 +2,24 @@ import numpy as np
 import pytest
 
 from tijepa.errors import MaskSamplingError, ShapeError
-from tijepa.masking import BlockMask, MaskSet, render_mask_set, sample_block, sample_masks
+from tijepa.masking import BlockMask, MaskSet, sample_block, sample_masks
 
 CTX_SCALE = (0.85, 1.0)
 TGT_SCALE = (0.15, 0.2)
 TGT_ASPECT = (0.75, 1.5)
+
+
+def render_mask_set(masks: MaskSet) -> str:
+    """Text grid for golden tests: 'C' context, 'T' target, '.' neither."""
+    cells = ["."] * (masks.grid_h * masks.grid_w)
+    for block in masks.targets:
+        for i in block.indices():
+            cells[i] = "T"
+    for i in masks.context:
+        cells[i] = "C"
+    rows = ("".join(cells[r * masks.grid_w:(r + 1) * masks.grid_w])
+            for r in range(masks.grid_h))
+    return "\n".join(rows)
 
 
 class TestSampleBlock:

@@ -301,6 +301,12 @@ class TestEmaUpdate:
         with pytest.raises(ShapeError):
             ema_update(targets, online, 0.5)
 
+    def test_name_mismatch(self):
+        targets, online = {"w": Tensor(np.zeros(2))}, {"v": Tensor(np.zeros(2))}
+        with pytest.raises(ShapeError,
+                           match="EMA parameter names differ between target and online modules"):
+            ema_update(targets, online, 0.5)
+
 
 class TestCollapseMetric:
     def test_identical_rows_collapse_to_zero(self):
@@ -344,6 +350,22 @@ class TestConfig:
     def test_text_roundtrip(self):
         cfg = tiny_config(learning_rate=0.00125, freeze_predictor=True)
         assert TiJepaConfig.from_text(cfg.to_text()) == cfg
+
+    def test_empty_key_rejected(self):
+        with pytest.raises(DataError, match="config line 2: empty key"):
+            parse_config_text("seed = 1\n = 3\n")
+
+    def test_override_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(tiny_config().to_text())
+        with pytest.raises(DataError, match="override must look like key=value, got 'seed'"):
+            load_config(path, overrides=["seed"])
+
+    def test_an_invalid_config_cannot_be_built(self):
+        with pytest.raises(DataError, match="image_size must be >= 1, got 0"):
+            TiJepaConfig(image_size=0)
+        with pytest.raises(DataError, match="loss_type must be 'l2' or 'l1', got 'huber'"):
+            dataclasses.replace(tiny_config(), loss_type="huber")
 
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -416,6 +438,12 @@ class TestConfig:
     def test_validation_catches_bad_optimizer_and_masking_values(self, key, value):
         with pytest.raises(DataError, match=key):
             TiJepaConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("key", ["num_targets", "batch_size", "total_steps", "log_interval",
+                                     "checkpoint_interval"])
+    def test_a_count_below_one_is_named_alone(self, key):
+        with pytest.raises(DataError, match=f"^{key} must be >= 1, got 0$"):
+            TiJepaConfig.from_mapping({key: "0"})
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "0"), ("weight_decay", "0"), ("beta1", "0"), ("beta2", "0.5"),
@@ -493,6 +521,50 @@ class TestTensorFileFormat:
             write_tensor_file(path, {"x": np.zeros(64, dtype=np.float32)})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.tijp"]
+
+    @staticmethod
+    def rewrite(path, body):
+        """``body`` under a valid CRC at ``path``."""
+        import struct
+        import zlib
+        path.write_bytes(bytes(body) + struct.pack("<Q", zlib.crc32(bytes(body))))
+
+    # "a" (2,) takes bytes 12..33: u32 length, name, tag, rank, one dim, 8 payload bytes
+    @pytest.mark.parametrize("start", [16, 38], ids=["first", "second"])
+    def test_a_name_that_is_not_utf8_is_reported_at_its_first_byte(self, tmp_path, start):
+        path = tmp_path / "n.tijp"
+        write_tensor_file(path, {"a": np.ones(2, dtype=np.float32),
+                                 "bc": np.ones(1, dtype=np.float32)})
+        body = bytearray(path.read_bytes()[:-8])
+        assert body[start:start + 1] == (b"a" if start == 16 else b"b")
+        body[start] = 0xFF
+        self.rewrite(path, body)
+        with pytest.raises(DataError, match=f"tensor name at byte {start} is not UTF-8"):
+            read_tensor_file(path)
+
+    # one tensor "ab" (2,): length 12..15, name 16..17, tag 18, rank 19..22, dim 23..26,
+    # payload 27..34; the count still says one tensor wherever the body is cut
+    @pytest.mark.parametrize("end, message", [
+        (14, "truncated checkpoint"), (17, "truncated checkpoint"),
+        (18, "truncated checkpoint"), (21, "truncated checkpoint"),
+        (25, "truncated checkpoint"), (31, "truncated tensor payload for 'ab'")])
+    def test_a_header_cut_inside_any_of_its_groups_is_truncated(self, tmp_path, end, message):
+        path = tmp_path / "t.tijp"
+        write_tensor_file(path, {"ab": np.ones(2, dtype=np.float32)})
+        body = path.read_bytes()[:-8]
+        assert len(body) == 35
+        self.rewrite(path, body[:end])
+        with pytest.raises(DataError, match=message):
+            read_tensor_file(path)
+
+    def test_an_unknown_dtype_tag_is_refused(self, tmp_path):
+        path = tmp_path / "d.tijp"
+        write_tensor_file(path, {"ab": np.ones(2, dtype=np.float32)})
+        body = bytearray(path.read_bytes()[:-8])
+        body[18] = 7
+        self.rewrite(path, body)
+        with pytest.raises(DataError, match="unknown dtype tag 7 for 'ab'"):
+            read_tensor_file(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         import struct
@@ -700,6 +772,15 @@ class TestCheckpointing:
         for name, p in restored.named_parameters().items():
             np.testing.assert_array_equal(p.data, original[name].data)
         assert restored.opt.t == result.state.opt.t
+
+    def test_a_checkpoint_without_a_config_snapshot_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.tijp"
+        save_checkpoint(PretrainState.initialize(tiny_config()), path)
+        tensors = read_tensor_file(path)
+        del tensors["meta.config"]
+        write_tensor_file(path, tensors)
+        with pytest.raises(DataError, match="checkpoint lacks a config snapshot"):
+            load_checkpoint(path)
 
     def test_unknown_tensor_rejected(self, tmp_path):
         cfg = tiny_config(total_steps=1)
@@ -971,6 +1052,21 @@ class TestTrainLoop:
         lines = (tmp_path / "metrics.log").read_text().splitlines()
         assert [line.split("\t")[0] for line in lines] == ["1", "2", "3", "4", "5"]
 
+    def test_a_failed_rewrite_of_a_resumed_runs_log_keeps_its_bytes(self, tmp_path, monkeypatch):
+        cfg = tiny_config(total_steps=5, log_interval=1, checkpoint_interval=2)
+        train(cfg, tiny_dataset(), out_dir=tmp_path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        assert len((tmp_path / "metrics.log").read_text().splitlines()) == 5
+
+        def failing_replace(src, dst):
+            raise OSError("injected")
+
+        monkeypatch.setattr(trainer_module.os, "replace", failing_replace)
+        state = load_checkpoint(tmp_path / "checkpoint_000002.tijp")
+        with pytest.raises(OSError, match="injected"):
+            train(cfg, tiny_dataset(), out_dir=tmp_path, state=state)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
     def test_nan_in_one_example_stops_the_step_before_any_update(self):
         cfg = tiny_config(batch_size=4, total_steps=1)
         data = tiny_dataset(n=4)
@@ -1057,6 +1153,12 @@ class TestTrainLoop:
         true_loss, permuted_loss = caption_sensitivity(result.state, tiny_dataset(),
                                                        limit=4)
         assert np.isfinite(true_loss) and np.isfinite(permuted_loss)
+
+    def test_caption_sensitivity_needs_two_examples(self):
+        state = PretrainState.initialize(tiny_config())
+        for data, limit in ((tiny_dataset(1), None), (tiny_dataset(), 1)):
+            with pytest.raises(DataError, match="caption sensitivity needs at least 2 examples"):
+                caption_sensitivity(state, data, limit=limit)
 
     def test_caption_sensitivity_rejects_an_example_without_an_image(self):
         data = tiny_dataset()
