@@ -151,8 +151,8 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    head = eval_head.load_head(args.head)  # a bad head fails before the manifest is read
     state, splits = _labeled_splits(args, whole=args.split == "all")
-    head = eval_head.load_head(args.head)
     subset = splits[args.split]
     if not subset:
         raise DataError(f"split '{args.split}' is empty")

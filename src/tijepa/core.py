@@ -22,6 +22,7 @@ from .numerics import (
     INIT_STD,
     Module,
     Tensor,
+    _check_finite,
     _wrap,
     add,
     block_distance,
@@ -40,7 +41,7 @@ class CrossAttnConfig:
     heads: int
     hidden: int
     mlp_ratio: int = 4
-    # set when an encoder's width differs from the fusion width
+    # the encoders' widths: a projection is made only where one differs from ``hidden``
     patch_dim: int | None = None
     text_dim: int | None = None
 
@@ -79,7 +80,6 @@ class FusionModule(Module):
     PREFIX = "fusion"
 
     def __init__(self, cfg: CrossAttnConfig, rng: np.random.Generator | None):
-        self.cfg = cfg
         h = cfg.hidden
 
         def proj(name, d_in, d_out):
@@ -104,8 +104,6 @@ class FusionModule(Module):
         """
         tokens = linear(patch_reps, *self.patch_in) if self.patch_in else patch_reps
         text = linear(text_reps, *self.text_in) if self.text_in else text_reps
-        if tokens.shape[-1] != self.cfg.hidden or text.shape[-1] != self.cfg.hidden:
-            raise ShapeError("fusion input width does not match module hidden size")
         for layer in self.layers:
             tokens = layer(tokens, segments, context=text, context_segments=text_segments)
         return linear(tokens, *self.patch_out) if self.patch_out else tokens
@@ -161,10 +159,9 @@ class Predictor(Module):
         n_ctx = ctx_idx.size
         if context_reps.shape[0] != n_ctx:
             raise ShapeError("context rows do not match context positions")
-        dtype = self.in_w.dtype
-        pos = sincos_pos_2d(grid[0], grid[1], self.width, dtype)
-        ctx = add(linear(context_reps, self.in_w, self.in_b), Tensor(pos[ctx_idx], dtype=dtype))
-        masks = add(Tensor(pos[tgt_idx], dtype=dtype), self.mask_token)
+        pos = sincos_pos_2d(grid[0], grid[1], self.width, self.in_w.dtype)
+        ctx = add(linear(context_reps, self.in_w, self.in_b), _wrap(pos[ctx_idx]))
+        masks = add(_wrap(pos[tgt_idx]), self.mask_token)
         # rows of concat_rows([ctx, masks]) that make up each segment
         ctx_starts = np.cumsum(ctx_sizes) - ctx_sizes
         block_starts = n_ctx + np.cumsum(block_sizes) - block_sizes
@@ -173,11 +170,10 @@ class Predictor(Module):
         tokens = gather_rows(concat_rows([ctx, masks]), layout)
         segments = ctx_sizes[owner] + block_sizes
         slots = np.flatnonzero(layout >= n_ctx)
-        if not self.blocks:
-            return linear(gather_rows(tokens, slots), self.out_w, self.out_b)
         for block in self.blocks[:-1]:
             tokens = block(tokens, segments)
-        tokens = self.blocks[-1](tokens, segments, keep=slots, keep_segments=block_sizes)
+        tokens = self.blocks[-1](tokens, segments, keep=slots, keep_segments=block_sizes) \
+            if self.blocks else gather_rows(tokens, slots)
         return linear(tokens, self.out_w, self.out_b)
 
 
@@ -189,14 +185,15 @@ class PairInputs:
     """The (image, caption) pairs of one call, each checked and each distinct input keyed once.
 
     Every image must be a ``(3, image_size, image_size)`` array: before any
-    hashing, a missing or wrong-size one raises ``DataError`` that names its
-    example's position. ``ids`` holds one (image id, caption id) row per
-    pair: an image is keyed by its dtype and the SHA-256 of its stored pixels,
-    a caption by its token ids, each numbered by first appearance (``images[i]``
-    and ``tokens[j]`` are the first of each). ``stored`` promises that no
-    encoder weight moves while the table is in use: each distinct full image
-    and caption is then encoded once, on first use, and kept gradient-free and
-    read-only. The encodings of ``visible`` patches are never stored.
+    hashing, a missing or wrong-size one raises ``DataError``, and a float one
+    with a non-finite pixel ``NumericalError`` (a uint8 one is finite by type),
+    each naming its example's position. ``ids`` holds one (image id, caption id)
+    row per pair: an image is keyed by its dtype and the SHA-256 of its stored
+    pixels, a caption by its token ids, each numbered by first appearance
+    (``images[i]`` and ``tokens[j]`` are the first of each). ``stored`` promises
+    that no encoder weight moves while the table is in use: each distinct full
+    image and caption is then encoded once, on first use, and kept gradient-free
+    and read-only. The encodings of ``visible`` patches are never stored.
     """
 
     def __init__(self, images, captions, image_size: int, image_encoder: ImageEncoder,
@@ -207,6 +204,8 @@ class PairInputs:
             if image.shape != (3, image_size, image_size):
                 raise DataError(f"example {i}: image shape {image.shape} "
                                 f"does not match configured size {image_size}")
+            if image.dtype != np.uint8:
+                _check_finite(image, f"pixels in example {i}")
         self.encoders = (image_encoder, text_encoder)
         max_len = text_encoder.max_text_len
         image_ids, caption_ids = {}, {}
@@ -287,8 +286,6 @@ def make_targets(table: PairInputs, rows, masks: list[MaskSet],
 
 def make_context(table: PairInputs, rows, masks: list[MaskSet], fusion: FusionModule) -> Tensor:
     """Fused representations of every example's visible context patches, stacked; gradients flow."""
-    if not all(m.context for m in masks):
-        raise ShapeError("context index set is empty")
     return fuse_image(table, rows, fusion, visible=[m.context for m in masks])[0]
 
 

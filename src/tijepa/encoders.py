@@ -22,6 +22,7 @@ from .numerics import (
     Module,
     Tensor,
     _check_finite,
+    _wrap,
     add,
     attention,
     gather_rows,
@@ -215,9 +216,9 @@ class ImageEncoder(Module):
         gh, gw = batch.shape[2] // self.patch_size, batch.shape[3] // self.patch_size
         dtype = self.patch_w.dtype
         pos = sincos_pos_2d(gh, gw, self.dim, dtype)
-        x = linear(Tensor(patches.reshape(b * n, -1)[rows], dtype=dtype),
+        x = linear(_wrap(patches.reshape(b * n, -1)[rows].astype(dtype, copy=False)),
                    self.patch_w, self.patch_b)
-        x = add(x, Tensor(pos[flat], dtype=dtype))
+        x = add(x, _wrap(pos[flat]))
         for block in self.blocks:
             x = block(x, sizes)
         return layer_norm(x, self.norm_g, self.norm_b), sizes
@@ -256,7 +257,7 @@ class TextEncoder(Module):
         starts = np.cumsum(sizes) - sizes
         pos = sincos_pos_1d(self.max_text_len, self.dim, self.embed.dtype)
         offsets = np.arange(ids.size) - np.repeat(starts, sizes)
-        x = add(gather_rows(self.embed, ids), Tensor(pos[offsets], dtype=self.embed.dtype))
+        x = add(gather_rows(self.embed, ids), _wrap(pos[offsets]))
         for block in self.blocks:
             x = block(x, sizes)
         return layer_norm(x, self.norm_g, self.norm_b), sizes

@@ -10,10 +10,10 @@ it goes, so one tape serves one training step and a step's activations and
 intermediate gradients are freed during the replay, not all at its end. The
 tape must stay on one thread.
 
-:func:`_check_finite` checks values where they enter (the ``Tensor``
-constructor, the file loaders) and where a step or a gradient check ends (the
-loss, every gradient), not op outputs: a non-finite value that arises in the
-graph reaches the loss or a gradient before any weight moves.
+:func:`_check_finite` checks values where they enter (the ``Tensor`` constructor,
+the file loaders, ``core.PairInputs`` for in-memory pixels) and where a step or a
+gradient check ends (the loss, every gradient), not op outputs: a non-finite value
+that arises in the graph reaches the loss or a gradient before any weight moves.
 """
 
 from __future__ import annotations
@@ -179,9 +179,9 @@ def no_grad():
 
 
 def _wrap(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
-    """A tensor around ``arr`` itself, without the constructor's copy and
-    finiteness scan: for op outputs (see the module docstring), parameters
-    (see ``Module._param``) and arrays the caller has already checked."""
+    """A tensor around ``arr`` itself, without the constructor's copy and finiteness scan:
+    for op outputs (see the module docstring), parameters (see ``Module._param``), constant
+    sin-cos position rows, pixel rows checked as they entered, and arrays already checked."""
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad, out.grad = arr, requires_grad, None
     return out
@@ -599,11 +599,7 @@ def attention(q_src: Tensor, kv_src: Tensor, params: AttentionParams, heads: int
     All heads of all sequences run as one tape op with key-major scores (see
     :func:`_attention_heads`).
     """
-    if q_src.ndim != 2 or kv_src.ndim != 2:
-        raise ShapeError("attention expects 2-D token matrices")
-    d = q_src.shape[1]
-    if kv_src.shape[1] != d:
-        raise ShapeError(f"attention: query width {d} != key/value width {kv_src.shape[1]}")
+    d = params.wq.shape[0]  # the projections' matmul refuses inputs of any other width
     if d % heads != 0:
         raise ShapeError(f"attention: width {d} not divisible by {heads} heads")
     q = linear(q_src, params.wq, params.bq)

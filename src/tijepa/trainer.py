@@ -136,13 +136,6 @@ class TiJepaConfig:
         side = self.image_size // self.patch_size
         return side, side
 
-    def fusion_config(self) -> CrossAttnConfig:
-        return CrossAttnConfig(
-            layers=self.fusion_layers, heads=self.fusion_heads, hidden=self.fusion_hidden,
-            mlp_ratio=self.mlp_ratio,
-            patch_dim=self.embed_dim if self.embed_dim != self.fusion_hidden else None,
-            text_dim=self.text_embed_dim if self.text_embed_dim != self.fusion_hidden else None)
-
     def mask_args(self) -> dict:
         """Keyword arguments of ``sample_masks`` other than its ``rng``."""
         return dict(grid=self.grid(), num_targets=self.num_targets,
@@ -375,17 +368,26 @@ def collapse_metric(target_reps) -> float:
 
 
 class PretrainState(Module):
-    """All modules plus optimizer state, whose step count starting at zero is ``step``."""
+    """All modules plus optimizer state, whose step count starting at zero is ``step``, built
+    like every module from ``config``'s sizes and ``rng`` (``None``: the layout that
+    ``load_checkpoint`` fills); the target twin is a clone of the online fusion module."""
 
-    def __init__(self, config: TiJepaConfig, image_encoder: ImageEncoder,
-                 text_encoder: TextEncoder, fusion: FusionModule,
-                 target_fusion: FusionModule, predictor: Predictor):
+    def __init__(self, config: TiJepaConfig, rng: np.random.Generator | None):
+        c, trainable = config, not config.freeze_encoders
         self.config = config
-        self.image_encoder = self._add("image_encoder", image_encoder)
-        self.text_encoder = self._add("text_encoder", text_encoder)
-        self.fusion = self._add("fusion", fusion)
-        self.target_fusion = self._add("target_fusion", target_fusion)
-        self.predictor = self._add("predictor", predictor)
+        self.image_encoder = self._add("image_encoder", ImageEncoder(
+            c.patch_size, c.embed_dim, c.encoder_depth, c.encoder_heads, rng
+        ).requires_grad_(trainable))
+        self.text_encoder = self._add("text_encoder", TextEncoder(
+            c.text_embed_dim, c.encoder_depth, c.encoder_heads, c.max_text_len, rng
+        ).requires_grad_(trainable))
+        self.fusion = self._add("fusion", FusionModule(CrossAttnConfig(
+            c.fusion_layers, c.fusion_heads, c.fusion_hidden, c.mlp_ratio,
+            patch_dim=c.embed_dim, text_dim=c.text_embed_dim), rng))
+        self.target_fusion = self._add("target_fusion", self.fusion.clone())
+        self.predictor = self._add("predictor", Predictor(
+            c.predictor_depth, c.predictor_heads, c.predictor_width, c.embed_dim, rng
+        ).requires_grad_(not c.freeze_predictor))
         self.opt = AdamWState.create(self.trainable_parameters())
 
     @property
@@ -395,20 +397,7 @@ class PretrainState(Module):
 
     @classmethod
     def initialize(cls, config: TiJepaConfig) -> "PretrainState":
-        return cls._build(config, np.random.default_rng([config.seed, _STREAM_INIT]))
-
-    @classmethod
-    def _build(cls, config: TiJepaConfig, rng: np.random.Generator | None) -> "PretrainState":
-        c, trainable = config, not config.freeze_encoders
-        image_encoder = ImageEncoder(c.patch_size, c.embed_dim, c.encoder_depth, c.encoder_heads,
-                                     rng).requires_grad_(trainable)
-        text_encoder = TextEncoder(c.text_embed_dim, c.encoder_depth, c.encoder_heads,
-                                   c.max_text_len, rng).requires_grad_(trainable)
-        fusion = FusionModule(c.fusion_config(), rng)
-        target_fusion = fusion.clone()
-        predictor = Predictor(c.predictor_depth, c.predictor_heads, c.predictor_width,
-                              c.embed_dim, rng).requires_grad_(not c.freeze_predictor)
-        return cls(config, image_encoder, text_encoder, fusion, target_fusion, predictor)
+        return cls(config, np.random.default_rng([config.seed, _STREAM_INIT]))
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {n: p for n, p in self.named_parameters().items() if p.requires_grad}
@@ -768,7 +757,7 @@ def load_checkpoint(path) -> PretrainState:
     config = TiJepaConfig.from_text(config_text)
     # names and shapes come from the modules' own constructors, built without a
     # generator; every value is then taken from the file and checked there
-    state = PretrainState._build(config, None)
+    state = PretrainState(config, None)
     # files written before the attention key bias was removed still hold it
     _load_tensors(state.named_parameters(), state.opt,
                   {name: arr for name, arr in tensors.items() if not name.endswith(".bk")},

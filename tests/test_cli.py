@@ -325,6 +325,18 @@ class TestDataErrors:
                          "--data", str(manifest), "--split", "all"]) == EXIT_DATA
         assert "head width 64 != checkpoint width 16" in caplog.text
 
+    def test_eval_with_a_missing_head_exits_two_before_the_manifest_is_read(
+            self, tmp_path, caplog, monkeypatch):
+        from tijepa import dataprep
+
+        read = []
+        monkeypatch.setattr(dataprep, "load_manifest", lambda path: read.append(path))
+        ckpt, manifest = _checkpoint_and_manifest(tmp_path, (16,))
+        assert dispatch(["eval", "--ckpt", str(ckpt), "--head", str(tmp_path / "ghost.tijp"),
+                         "--data", str(manifest)]) == EXIT_DATA
+        assert "ghost.tijp" in caplog.text
+        assert read == []
+
     @pytest.mark.parametrize("setting", ["learning_rate=nan", "tgt_aspect_lo=-1",
                                          "mask_max_retries=-1", "mlp_ratio=-1", "mlp_ratio=0",
                                          "embed_dim=0", "predictor_width=0", "image_size=0",

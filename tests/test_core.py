@@ -114,6 +114,14 @@ class TestFuse:
         module = small_fusion()
         with pytest.raises(ShapeError):
             module(Tensor(np.zeros((2, DIM + 4))), Tensor(np.zeros((2, DIM))))
+        # text of another width, without and with a text_in projection
+        with pytest.raises(ShapeError):
+            module(Tensor(np.zeros((2, DIM))), Tensor(np.zeros((2, DIM + 4))))
+        projected = FusionModule(CrossAttnConfig(layers=1, heads=2, hidden=DIM, text_dim=20),
+                                 np.random.default_rng(0))
+        assert projected.text_in is not None
+        with pytest.raises(ShapeError):
+            projected(Tensor(np.zeros((2, DIM))), Tensor(np.zeros((2, 24))))
 
     def test_projections_reconcile_differing_widths(self):
         cfg = CrossAttnConfig(layers=1, heads=2, hidden=DIM, patch_dim=12, text_dim=20)

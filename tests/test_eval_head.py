@@ -13,7 +13,7 @@ import tijepa.trainer as trainer_module
 from tijepa.core import FusionModule, PairInputs
 from tijepa.dataprep import LABELS, PairedExample, synth_generate
 from tijepa.encoders import ImageEncoder, TextEncoder, tokenize_text
-from tijepa.errors import DataError, ShapeError
+from tijepa.errors import DataError, NumericalError, ShapeError
 from tijepa.eval_head import (
     ClassifierHead,
     ConfusionMatrix,
@@ -528,6 +528,17 @@ class TestFinetuneAndEvaluateInputs:
     def test_an_example_without_an_image_is_a_data_error(self, run):
         examples = [PairedExample(None, "a red square", "positive")]
         with pytest.raises(DataError, match="example 0 has no image data"):
+            run(tiny_state(), ClassifierHead(16), examples)
+
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_a_non_finite_pixel_is_refused_by_position_before_pooling(self, run, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pooled before the pixels were checked")
+
+        monkeypatch.setattr(eval_head_module, "pooled_representation", refuse)
+        examples = synth_generate(4, seed=0, image_size=16, labeled=True)
+        examples[2].image[1, 3, 5] = np.nan
+        with pytest.raises(NumericalError, match="non-finite pixels in example 2"):
             run(tiny_state(), ClassifierHead(16), examples)
 
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())

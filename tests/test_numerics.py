@@ -294,6 +294,11 @@ class TestAttention:
         params = AttentionParams(6, np.random.default_rng(0))
         with pytest.raises(ShapeError):
             attention(t(np.zeros((2, 6))), t(np.zeros((2, 6))), params, heads=4)
+        # keys and values, or queries, of a width other than the projections'
+        params = AttentionParams(8, np.random.default_rng(0))
+        for q, kv in (((2, 8), (3, 6)), ((2, 6), (3, 8)), ((8,), (3, 8))):
+            with pytest.raises(ShapeError):
+                attention(t(np.zeros(q)), t(np.zeros(kv)), params, heads=2)
 
     def test_segments_match_attention_per_segment(self):
         rng = np.random.default_rng(6)

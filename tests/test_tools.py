@@ -120,6 +120,22 @@ class TestDesignNumbers:
         assert design_numbers.image_hashes(
             lambda: trainer_module.train(config, data))[2] == 4 * 8 * 3 * 16 * 16
 
+    def test_finiteness_scans_see_the_loss_and_gradient_checks_of_every_step(self):
+        design_numbers = load_tool("design_numbers")
+        data = synth_generate(8, seed=0, image_size=16)
+        for frozen in (True, False):
+            config = dataclasses.replace(TINY, total_steps=3, freeze_encoders=frozen)
+            scans = design_numbers.finiteness_scans(lambda: trainer_module.train(config, data))
+            assert scans["steps"] == 3
+            assert scans["in_steps_calls"] >= 2 * scans["steps"]
+            assert scans["in_steps_bytes"] > 0
+            # in-memory float images are scanned as they enter, once each, before step 1
+            assert scans["before_calls"] == len(data)
+            assert scans["before_bytes"] == sum(e.image.nbytes for e in data)
+        for module in (numerics_module, trainer_module, core_module):
+            assert module._check_finite is numerics_module._check_finite
+        assert trainer_module.zero_grads is numerics_module.zero_grads
+
     def test_finetune_and_eval_fuse_each_distinct_pair_of_a_pass_once(self, monkeypatch):
         design_numbers = load_tool("design_numbers")
         examples = synth_generate(64, seed=0, image_size=16, labeled=True)

@@ -1067,15 +1067,17 @@ class TestTrainLoop:
             train(cfg, tiny_dataset(), out_dir=tmp_path, state=state)
         assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
-    def test_nan_in_one_example_stops_the_step_before_any_update(self):
+    def test_nan_in_one_example_stops_the_step_before_any_update(self, tmp_path):
         cfg = tiny_config(batch_size=4, total_steps=1)
         data = tiny_dataset(n=4)
         data[2].image[1, 3, 5] = np.nan
         state = PretrainState.initialize(cfg)
         before = param_bytes(state.named_parameters())
         moments = [arr.copy() for arr in (*state.opt.m.values(), *state.opt.v.values())]
-        with pytest.raises(NumericalError):
-            train(cfg, data, state=state)
+        # the pixel is refused by its example's position before anything under out_dir
+        with pytest.raises(NumericalError, match="non-finite pixels in example 2"):
+            train(cfg, data, out_dir=tmp_path / "run", state=state)
+        assert list(tmp_path.iterdir()) == []
         assert param_bytes(state.named_parameters()) == before
         for old, new in zip(moments, (*state.opt.m.values(), *state.opt.v.values())):
             assert new.tobytes() == old.tobytes()

@@ -18,7 +18,11 @@
 - the MiB of image data that 256 desk pairs hold once written with
   ``write_synth_dataset`` and read back with ``load_manifest``, as a
   ``tijepa pretrain --data`` run holds them, and the MiB SHA-256-hashed by one
-  15-step desk pretraining call on them. Both are byte counts, with no noise.
+  15-step desk pretraining call on them. Both are byte counts, with no noise;
+- the finiteness scans (``_check_finite`` calls, through every module's
+  binding) per step of a 15-step desk pretraining call on those loaded pairs,
+  frozen and unfrozen, as calls and as MiB scanned, and the scans that a call
+  makes before its first step, on those pairs and on the same pairs in memory.
 
 Run from the repository root (a few seconds on one core):
 
@@ -26,6 +30,8 @@ Run from the repository root (a few seconds on one core):
 """
 
 import dataclasses
+import importlib
+import pkgutil
 import tempfile
 import types
 from collections import Counter
@@ -33,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tijepa import core, trainer
+import tijepa
+from tijepa import core, numerics, trainer
 from tijepa.core import FusionModule
 from tijepa.dataprep import load_manifest, split_dataset, synth_generate, write_synth_dataset
 from tijepa.eval_head import evaluate, finetune
@@ -129,6 +136,41 @@ def image_hashes(run) -> tuple[int, int, int]:
     return counts["all"], counts["in_steps"], counts["bytes"]
 
 
+def finiteness_scans(run) -> Counter:
+    """The finiteness scans that ``run()`` makes, by key: ``before_calls`` and
+    ``before_bytes`` until a pretraining step begins (the training loop's first
+    ``zero_grads``), ``in_steps_calls`` and ``in_steps_bytes`` from then on, and
+    ``steps``, the steps begun. Every module-level binding of ``_check_finite`` is
+    wrapped, so a scan through any module's import is counted."""
+    counts, real_check, real_zero_grads = Counter(), numerics._check_finite, trainer.zero_grads
+
+    def check_finite(arr, *args):
+        where = "in_steps" if counts["steps"] else "before"
+        counts[f"{where}_calls"] += 1
+        counts[f"{where}_bytes"] += arr.nbytes
+        real_check(arr, *args)
+
+    def zero_grads(params):
+        counts["steps"] += 1
+        real_zero_grads(params)
+
+    bound = []
+    for info in pkgutil.iter_modules(tijepa.__path__):
+        if not info.name.startswith("_"):  # importing ``__main__`` would run the CLI
+            module = importlib.import_module(f"tijepa.{info.name}")
+            bound += [(module, name) for name, obj in vars(module).items() if obj is real_check]
+    for module, name in bound:
+        setattr(module, name, check_finite)
+    trainer.zero_grads = zero_grads
+    try:
+        run()
+    finally:
+        for module, name in bound:
+            setattr(module, name, real_check)
+        trainer.zero_grads = real_zero_grads
+    return counts
+
+
 def pairs_fused(config: TiJepaConfig, examples) -> int:
     """The pairs fused by :func:`finetune_and_eval`."""
     count = 0
@@ -174,6 +216,16 @@ def main() -> None:
           f"{sum(e.image.nbytes for e in loaded) / 2**20:.1f}")
     *_, hashed = image_hashes(lambda: trainer.train(TiJepaConfig(total_steps=15), loaded))
     print(f"MiB SHA-256-hashed per 15-step desk pretraining call on them\t{hashed / 2**20:.1f}")
+    for label, frozen in (("frozen", True), ("unfrozen", False)):
+        config = TiJepaConfig(freeze_encoders=frozen, total_steps=15)
+        scans = finiteness_scans(lambda: trainer.train(config, loaded))
+        print(f"finiteness scans per desk step on them, {label}\t"
+              f"{scans['in_steps_calls'] / scans['steps']:.1f}\t"
+              f"({scans['in_steps_bytes'] / scans['steps'] / 2**20:.2f} MiB)")
+    for label, data in (("loaded from a manifest", loaded), ("in memory", pairs)):
+        scans = finiteness_scans(lambda: trainer.train(TiJepaConfig(total_steps=1), data))
+        print(f"finiteness scans before step 1 of a desk pretraining call, 256 pairs {label}\t"
+              f"{scans['before_calls']}\t({scans['before_bytes'] / 2**20:.1f} MiB)")
 
 
 if __name__ == "__main__":
