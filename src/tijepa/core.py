@@ -184,10 +184,11 @@ class Predictor(Module):
 class PairInputs:
     """The (image, caption) pairs of one call, each checked and each distinct input keyed once.
 
-    Every image must be a ``(3, image_size, image_size)`` array: before any
-    hashing, a missing or wrong-size one raises ``DataError``, and a float one
-    with a non-finite pixel ``NumericalError`` (a uint8 one is finite by type),
-    each naming its example's position. ``ids`` holds one (image id, caption id)
+    Every image must be a ``(3, image_size, image_size)`` array of uint8 pixels or
+    of floats in [0, 1] (up to 1e-6, as the loaders allow): before any hashing, a
+    missing, wrong-size, other-dtype or out-of-range one raises ``DataError``, and
+    a float one with a non-finite pixel ``NumericalError``, each naming its
+    example's position. ``ids`` holds one (image id, caption id)
     row per pair: an image is keyed by its dtype and the SHA-256 of its stored
     pixels, a caption by its token ids, each numbered by first appearance
     (``images[i]`` and ``tokens[j]`` are the first of each). ``stored`` promises
@@ -205,7 +206,11 @@ class PairInputs:
                 raise DataError(f"example {i}: image shape {image.shape} "
                                 f"does not match configured size {image_size}")
             if image.dtype != np.uint8:
+                if image.dtype.kind != "f":
+                    raise DataError(f"example {i}: image dtype {image.dtype} is not uint8 or float")
                 _check_finite(image, f"pixels in example {i}")
+                if image.min() < -1e-6 or image.max() > 1.0 + 1e-6:
+                    raise DataError(f"example {i}: float pixels outside [0, 1]")
         self.encoders = (image_encoder, text_encoder)
         max_len = text_encoder.max_text_len
         image_ids, caption_ids = {}, {}

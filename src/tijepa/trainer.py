@@ -423,8 +423,9 @@ class TrainResult:
 
 
 def _drop_rows_after(log: Path, step: int) -> None:
-    """Remove the rows past ``step`` from a metrics log, which a run resumed
-    from the checkpoint of ``step`` is about to log again."""
+    """Keep only a metrics log's whole rows (ending in a newline) up to ``step``; a run resumed
+    from the checkpoint of ``step`` is about to log the rest again. A torn last row lies past
+    ``step`` too, since rows are written before their step's checkpoint."""
     if not log.exists():
         return
     lines = read_input(log, "metrics log", text=True).splitlines(keepends=True)
@@ -433,7 +434,7 @@ def _drop_rows_after(log: Path, step: int) -> None:
         field = line.rstrip("\r\n").split("\t", 1)[0]
         if not field.isdecimal():
             raise DataError(f"{log}:{lineno}: expected a step number, got {field!r}")
-        if int(field) <= step:
+        if int(field) <= step and line.endswith("\n"):
             kept.append(line)
     if len(kept) != len(lines):
         with _replacing(log) as fh:
@@ -456,6 +457,32 @@ def _keep_freed_memory() -> None:
     libc.mallopt.restype = ctypes.c_int
     libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB come from the heap
     libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: return the heap top only past 1 GiB free
+
+
+def step_gradients(config: TiJepaConfig, state: PretrainState, table: PairInputs, pairs,
+                   masks: list[MaskSet]) -> tuple[float, Tensor]:
+    """The gradient half of step ``state.step + 1``: the checked loss of ``table``'s ``pairs``
+    under ``masks``, backpropagated into zeroed gradients, and the target twin's fused rows.
+    No parameter or optimizer byte moves, so a second call leaves the same gradients."""
+    active_tape().clear()
+    zero_grads(state.trainable_parameters())
+    targets, fused = make_targets(table, pairs, masks, state.target_fusion)
+    batch_loss = example_loss(table, pairs, state.fusion, state.predictor, masks, targets,
+                              config.loss_type)
+    _check_finite(batch_loss.data, f"loss at step {state.step + 1}")
+    loss_value = batch_loss.item()
+    backward(batch_loss)
+    return loss_value, fused
+
+
+def step_update(config: TiJepaConfig, state: PretrainState) -> float:
+    """The update half: AdamW on the trainable parameters, then the target twin's EMA
+    at the momentum of the step that just landed, which it returns."""
+    adamw_step(state.trainable_parameters(), state.opt, config.learning_rate, config.beta1,
+               config.beta2, config.adam_eps, config.weight_decay)
+    m = momentum_at(state.step, config.ema_schedule())
+    ema_update(state.target_fusion.named_parameters("m"), state.fusion.named_parameters("m"), m)
+    return m
 
 
 def train(config: TiJepaConfig, dataset, out_dir=None,
@@ -518,31 +545,15 @@ def train(config: TiJepaConfig, dataset, out_dir=None,
         out_path.mkdir(parents=True, exist_ok=True)
         _drop_rows_after(out_path / "metrics.log", state.step)
 
-    sched = config.ema_schedule()
-    online_fusion_params = state.fusion.named_parameters("m")
-    target_fusion_params = state.target_fusion.named_parameters("m")
     rows: list[MetricsRow] = []
     losses: list[float] = []
     skipped = 0
 
     while state.step < config.total_steps:
-        s = state.step
-        active_tape().clear()
-        zero_grads(trainable)
-        picked, masks, dropped = drawn.pop() if drawn else draw(s)
+        picked, masks, dropped = drawn.pop() if drawn else draw(state.step)
         skipped += dropped
-
-        pairs = table.ids[picked]
-        targets, fused = make_targets(table, pairs, masks, state.target_fusion)
-        batch_loss = example_loss(table, pairs, state.fusion, state.predictor, masks, targets,
-                                  config.loss_type)
-        _check_finite(batch_loss.data, f"loss at step {s + 1}")
-        loss_value = batch_loss.item()
-        backward(batch_loss)
-        adamw_step(trainable, state.opt, config.learning_rate, config.beta1,
-                   config.beta2, config.adam_eps, config.weight_decay)
-        m = momentum_at(s + 1, sched)
-        ema_update(target_fusion_params, online_fusion_params, m)
+        loss_value, fused = step_gradients(config, state, table, table.ids[picked], masks)
+        m = step_update(config, state)
         losses.append(loss_value)
 
         done = state.step

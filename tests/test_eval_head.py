@@ -541,6 +541,23 @@ class TestFinetuneAndEvaluateInputs:
         with pytest.raises(NumericalError, match="non-finite pixels in example 2"):
             run(tiny_state(), ClassifierHead(16), examples)
 
+    @pytest.mark.parametrize("bad", ["int64", "out_of_range"])
+    @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+    def test_an_image_outside_the_pixel_contract_is_refused_before_pooling(self, run, bad,
+                                                                             monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pooled before the pixels were checked")
+
+        monkeypatch.setattr(eval_head_module, "pooled_representation", refuse)
+        examples = synth_generate(4, seed=0, image_size=16, labeled=True)
+        image = examples[2].image
+        examples[2] = dataclasses.replace(examples[2], image=(image * 255).astype(np.int64)
+                                          if bad == "int64" else image * 2.0 - 0.5)
+        message = "example 2: image dtype int64 is not uint8 or float" if bad == "int64" \
+            else r"example 2: float pixels outside \[0, 1\]"
+        with pytest.raises(DataError, match=message):
+            run(tiny_state(), ClassifierHead(16), examples)
+
     @pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
     def test_a_head_of_another_width_is_rejected_before_pooling(self, run, monkeypatch):
         def refuse(*args):

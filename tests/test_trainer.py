@@ -1052,6 +1052,29 @@ class TestTrainLoop:
         lines = (tmp_path / "metrics.log").read_text().splitlines()
         assert [line.split("\t")[0] for line in lines] == ["1", "2", "3", "4", "5"]
 
+    def test_a_torn_last_row_is_dropped_on_resume(self, tmp_path):
+        # a crash while row 11 was appended leaves its first byte; the resume
+        # from step 10 must log row 11 whole, not after that byte
+        cfg = tiny_config(total_steps=12, log_interval=1, checkpoint_interval=10)
+        train(cfg, tiny_dataset(), out_dir=tmp_path)
+        log = tmp_path / "metrics.log"
+        whole = log.read_bytes()
+        rows = whole.splitlines(keepends=True)
+        log.write_bytes(b"".join(rows[:10]) + rows[10][:1])
+        final = (tmp_path / "checkpoint_final.tijp").read_bytes()
+        state = load_checkpoint(tmp_path / "checkpoint_000010.tijp")
+        train(cfg, tiny_dataset(), out_dir=tmp_path, state=state)
+        assert log.read_bytes() == whole
+        assert (tmp_path / "checkpoint_final.tijp").read_bytes() == final
+
+    def test_an_extended_run_ramps_the_ema_over_the_new_total(self):
+        data = tiny_dataset()
+        state = train(tiny_config(total_steps=2), data).state
+        longer = tiny_config(total_steps=4)
+        rows = train(longer, data, state=state).rows
+        assert [(row.step, row.ema_m) for row in rows] == \
+            [(step, momentum_at(step, longer.ema_schedule())) for step in (3, 4)]
+
     def test_a_failed_rewrite_of_a_resumed_runs_log_keeps_its_bytes(self, tmp_path, monkeypatch):
         cfg = tiny_config(total_steps=5, log_interval=1, checkpoint_interval=2)
         train(cfg, tiny_dataset(), out_dir=tmp_path)
@@ -1082,6 +1105,18 @@ class TestTrainLoop:
         for old, new in zip(moments, (*state.opt.m.values(), *state.opt.v.values())):
             assert new.tobytes() == old.tobytes()
         assert state.opt.t == 0 and state.step == 0
+
+    @pytest.mark.parametrize("bad", ["int64", "out_of_range"])
+    def test_an_image_outside_the_pixel_contract_is_refused_before_out_dir(self, tmp_path, bad):
+        data = tiny_dataset(n=4)
+        image = data[2].image
+        data[2] = dataclasses.replace(data[2], image=(image * 255).astype(np.int64)
+                                      if bad == "int64" else image * 2.0 - 0.5)
+        message = "example 2: image dtype int64 is not uint8 or float" if bad == "int64" \
+            else r"example 2: float pixels outside \[0, 1\]"
+        with pytest.raises(DataError, match=message):
+            train(tiny_config(total_steps=1), data, out_dir=tmp_path / "run")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_tape_size_does_not_grow_with_the_batch(self, monkeypatch, frozen):
@@ -1331,6 +1366,29 @@ class TestFinitenessPolicy:
         gradient_sizes = [arr.size for arr, what in checked if what.startswith("gradient")]
         assert sum(gradient_sizes) == sum(p.data.size
                                           for p in state.trainable_parameters().values())
+
+
+class TestStepFunctions:
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_the_gradient_half_moves_nothing_and_repeats_bit_for_bit(self, frozen):
+        # one good step first, so the moments that must not move are non-zero
+        cfg = tiny_config(total_steps=1, freeze_encoders=frozen)
+        data = tiny_dataset()
+        state = train(cfg, data).state
+        table = PairInputs([e.image for e in data], [e.caption for e in data], cfg.image_size,
+                           state.image_encoder, state.text_encoder, stored=frozen)
+        masks = [sample_masks(rng=np.random.default_rng([7, i]), **cfg.mask_args())
+                 for i in range(4)]
+        before = step_bytes(state)
+        runs = []
+        for _ in range(2):
+            loss, fused = trainer_module.step_gradients(cfg, state, table, table.ids[:4], masks)
+            grads = {n: p.grad.tobytes() for n, p in state.trainable_parameters().items()}
+            runs.append((loss, fused.data.tobytes(), grads))
+        assert runs[0] == runs[1]
+        assert any(np.any(p.grad) for p in state.trainable_parameters().values())
+        assert any(name.startswith("image_encoder.") for name in runs[0][2]) == (not frozen)
+        assert step_bytes(state) == before
 
 
 class TestFreezeVariants:

@@ -114,9 +114,9 @@ def as_loaded(examples) -> list:
 
 def image_hashes(run) -> tuple[int, int, int]:
     """The images that ``run()`` hashes, in all and once a pretraining step has
-    begun (from the training loop's first ``zero_grads`` on), and the bytes hashed."""
+    begun (from the training loop's first ``step_gradients`` on), and the bytes hashed."""
     counts = Counter()
-    real_hashlib, real_zero_grads = core.hashlib, trainer.zero_grads
+    real_hashlib, real_step_gradients = core.hashlib, trainer.step_gradients
 
     def sha256(data):
         counts["all"] += 1
@@ -124,25 +124,26 @@ def image_hashes(run) -> tuple[int, int, int]:
         counts["bytes"] += memoryview(data).nbytes
         return real_hashlib.sha256(data)
 
-    def zero_grads(params):
+    def step_gradients(*args):
         counts["steps"] += 1
-        real_zero_grads(params)
+        return real_step_gradients(*args)
 
-    core.hashlib, trainer.zero_grads = types.SimpleNamespace(sha256=sha256), zero_grads
+    core.hashlib, trainer.step_gradients = types.SimpleNamespace(sha256=sha256), step_gradients
     try:
         run()
     finally:
-        core.hashlib, trainer.zero_grads = real_hashlib, real_zero_grads
+        core.hashlib, trainer.step_gradients = real_hashlib, real_step_gradients
     return counts["all"], counts["in_steps"], counts["bytes"]
 
 
 def finiteness_scans(run) -> Counter:
     """The finiteness scans that ``run()`` makes, by key: ``before_calls`` and
     ``before_bytes`` until a pretraining step begins (the training loop's first
-    ``zero_grads``), ``in_steps_calls`` and ``in_steps_bytes`` from then on, and
+    ``step_gradients``), ``in_steps_calls`` and ``in_steps_bytes`` from then on, and
     ``steps``, the steps begun. Every module-level binding of ``_check_finite`` is
     wrapped, so a scan through any module's import is counted."""
-    counts, real_check, real_zero_grads = Counter(), numerics._check_finite, trainer.zero_grads
+    counts, real_check = Counter(), numerics._check_finite
+    real_step_gradients = trainer.step_gradients
 
     def check_finite(arr, *args):
         where = "in_steps" if counts["steps"] else "before"
@@ -150,9 +151,9 @@ def finiteness_scans(run) -> Counter:
         counts[f"{where}_bytes"] += arr.nbytes
         real_check(arr, *args)
 
-    def zero_grads(params):
+    def step_gradients(*args):
         counts["steps"] += 1
-        real_zero_grads(params)
+        return real_step_gradients(*args)
 
     bound = []
     for info in pkgutil.iter_modules(tijepa.__path__):
@@ -161,13 +162,13 @@ def finiteness_scans(run) -> Counter:
             bound += [(module, name) for name, obj in vars(module).items() if obj is real_check]
     for module, name in bound:
         setattr(module, name, check_finite)
-    trainer.zero_grads = zero_grads
+    trainer.step_gradients = step_gradients
     try:
         run()
     finally:
         for module, name in bound:
             setattr(module, name, real_check)
-        trainer.zero_grads = real_zero_grads
+        trainer.step_gradients = real_step_gradients
     return counts
 
 
